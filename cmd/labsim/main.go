@@ -68,6 +68,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cliflags"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/envpool"
@@ -164,7 +165,7 @@ func main() {
 	if err := checkFlags(set, *specPath, *replicas, *router, *shards, *service); err != nil {
 		fail(err)
 	}
-	if w := shardWarning(*shards, *replicas); w != "" {
+	if w := cliflags.ShardWarning(*shards, *replicas); w != "" {
 		fmt.Fprintln(os.Stderr, "labsim:", w)
 	}
 
@@ -239,7 +240,7 @@ func main() {
 			HiccupMean:    presetHiccupMean,
 		}
 	}
-	if err := checkResilienceFlags(*timeout, *retries, *hedge,
+	if err := cliflags.CheckResilience(*timeout, *retries, *hedge,
 		sc.Resilience != nil && sc.Resilience.Enabled()); err != nil {
 		fail(err)
 	}
@@ -342,29 +343,6 @@ func main() {
 	}
 }
 
-// checkResilienceFlags validates the client-resilience knobs before any
-// simulation starts. resilient reports whether the scenario (preset or
-// spec) already carries a resilience timeout, which makes bare -retries
-// or -hedge meaningful overrides.
-func checkResilienceFlags(timeout time.Duration, retries int, hedge time.Duration, resilient bool) error {
-	if timeout < 0 {
-		return fmt.Errorf("-timeout must be ≥ 0, got %v", timeout)
-	}
-	if retries < 0 {
-		return fmt.Errorf("-retries must be ≥ 0, got %d", retries)
-	}
-	if hedge < 0 {
-		return fmt.Errorf("-hedge must be ≥ 0, got %v", hedge)
-	}
-	if (retries > 0 || hedge > 0) && timeout == 0 && !resilient {
-		return fmt.Errorf("-retries/-hedge require -timeout (or a preset/spec with a resilience timeout)")
-	}
-	if hedge > 0 && timeout > 0 && hedge >= timeout {
-		return fmt.Errorf("-hedge %v must be below the timeout %v", hedge, timeout)
-	}
-	return nil
-}
-
 // specOwnedFlags are the scenario-shape flags a workload spec defines
 // itself; setting one alongside -spec is a conflict, not an override.
 var specOwnedFlags = []string{
@@ -405,35 +383,10 @@ func checkFlags(set map[string]bool, specPath string, replicas int, router strin
 	if set["shards"] && shards < 1 {
 		return fmt.Errorf("-shards must be ≥ 1, got %d", shards)
 	}
-	if shards > 1 {
-		// Mirror experiment.Scenario's per-service deployment: one client
-		// machine for hdsearch/socialnet, four for the mutilate-style
-		// services, plus one partition per replica.
-		machines := 4
-		if service == "hdsearch" || service == "socialnet" {
-			machines = 1
-		}
-		partitions := machines + 1
-		if replicas > 1 {
-			partitions = machines + replicas
-		}
-		if shards > partitions {
-			return fmt.Errorf("-shards %d exceeds the %d machine+replica partitions", shards, partitions)
-		}
+	if p := experiment.ShardPartitions(experiment.Service(service), replicas); shards > p {
+		return fmt.Errorf("-shards %d exceeds the %d machine+replica partitions", shards, p)
 	}
 	return nil
-}
-
-// shardWarning returns a one-line ergonomics warning when -shards > 1
-// runs a single-backend topology (replicas ≤ 1, after preset defaults
-// resolved): the partition layout pins all server work to the shard
-// that owns the backend, so conservative sync runs near its break-even
-// instead of speeding up. Warning only — results stay byte-identical.
-func shardWarning(shards, replicas int) string {
-	if shards <= 1 || replicas > 1 {
-		return ""
-	}
-	return fmt.Sprintf("warning: -shards %d on a single-backend topology keeps all server work on one shard (near the sharding break-even); use -parallel to parallelize across runs, or -replicas to spread server work", shards)
 }
 
 func clientConfig(preset, maxCState, governor string, turbo bool) (hw.Config, error) {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cliflags"
 )
 
 // TestCheckFlags is the fail-fast table: -spec against spec-owned shape
@@ -65,9 +67,11 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
-// TestCheckResilienceFlags is the fail-fast table for the client
-// resilience knobs, mirroring cmd/repro: negatives, dependent flags and
-// the hedge/timeout ordering are rejected before any simulation starts.
+// TestCheckResilienceFlags pins labsim's fail-fast contract for the
+// client resilience knobs, which it checks through the shared
+// cliflags.CheckResilience (whose merged table lives in that package):
+// negatives, dependent flags and the hedge/timeout ordering are rejected
+// before any simulation starts.
 func TestCheckResilienceFlags(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -91,7 +95,7 @@ func TestCheckResilienceFlags(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkResilienceFlags(tc.timeout, tc.retries, tc.hedge, tc.resilient)
+			err := cliflags.CheckResilience(tc.timeout, tc.retries, tc.hedge, tc.resilient)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("checkResilienceFlags = %v, want nil", err)
@@ -105,10 +109,10 @@ func TestCheckResilienceFlags(t *testing.T) {
 	}
 }
 
-// TestShardWarning is the ergonomics table: -shards on a single-backend
-// topology must warn toward -parallel (the hour-long preset's shape,
-// which runs near the sharding break-even); replicated shapes and
-// unsharded runs stay silent.
+// TestShardWarning pins labsim's -shards ergonomics warning (the shared
+// cliflags.ShardWarning on the resolved -replicas): a single-backend
+// topology must warn toward -parallel; replicated shapes and unsharded
+// runs stay silent.
 func TestShardWarning(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -124,7 +128,7 @@ func TestShardWarning(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := shardWarning(tc.shards, tc.replicas)
+			w := cliflags.ShardWarning(tc.shards, tc.replicas)
 			if got := w != ""; got != tc.want {
 				t.Fatalf("shardWarning emitted %q, want warning=%v", w, tc.want)
 			}

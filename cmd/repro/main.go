@@ -64,8 +64,8 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
+	"repro/internal/cliflags"
 	"repro/internal/cluster"
 	"repro/internal/envpool"
 	"repro/internal/experiment"
@@ -119,11 +119,11 @@ func main() {
 		basePartitions(strings.ToLower(*exp), specPreset, *replicas)); err != nil {
 		fail(err)
 	}
-	if err := checkResilienceFlags(*timeout, *retries, *hedge,
+	if err := cliflags.CheckResilience(*timeout, *retries, *hedge,
 		baseResilient(strings.ToLower(*exp), specPreset)); err != nil {
 		fail(err)
 	}
-	if w := shardWarning(*shards, effectiveReplicas(strings.ToLower(*exp), specPreset, *replicas)); w != "" {
+	if w := cliflags.ShardWarning(*shards, effectiveReplicas(strings.ToLower(*exp), specPreset, *replicas)); w != "" {
 		fmt.Fprintln(os.Stderr, "repro:", w)
 	}
 
@@ -186,29 +186,6 @@ func checkFlags(expSet bool, specPath string, replicas int, router string, clust
 	return nil
 }
 
-// checkResilienceFlags fail-fast-validates the client resilience knobs.
-// resilient reports whether the selected preset or spec already carries
-// a request timeout, which makes bare -retries/-hedge overrides
-// legitimate.
-func checkResilienceFlags(timeout time.Duration, retries int, hedge time.Duration, resilient bool) error {
-	if timeout < 0 {
-		return fmt.Errorf("-timeout must be ≥ 0, got %v", timeout)
-	}
-	if retries < 0 {
-		return fmt.Errorf("-retries must be ≥ 0, got %d", retries)
-	}
-	if hedge < 0 {
-		return fmt.Errorf("-hedge must be ≥ 0, got %v", hedge)
-	}
-	if (retries > 0 || hedge > 0) && timeout == 0 && !resilient {
-		return fmt.Errorf("-retries/-hedge require -timeout (or a preset/spec with a resilience timeout)")
-	}
-	if hedge > 0 && timeout > 0 && hedge >= timeout {
-		return fmt.Errorf("-hedge %v must be below the timeout %v", hedge, timeout)
-	}
-	return nil
-}
-
 // baseResilient reports whether the invocation's preset or spec already
 // enables client resilience before any flag override.
 func baseResilient(exp string, specPreset *figures.Preset) bool {
@@ -223,9 +200,7 @@ func baseResilient(exp string, specPreset *figures.Preset) bool {
 
 // basePartitions resolves the invocation's shard-partition count — client
 // machines plus backend replicas — when a single preset or spec fixes the
-// service; 0 (unknown) otherwise. Mirrors experiment.Scenario's
-// per-service deployment: one client machine for hdsearch/socialnet,
-// four for the mutilate-style services.
+// service; 0 (unknown) otherwise.
 func basePartitions(exp string, specPreset *figures.Preset, replicasFlag int) int {
 	var p figures.Preset
 	if specPreset != nil {
@@ -235,19 +210,11 @@ func basePartitions(exp string, specPreset *figures.Preset, replicasFlag int) in
 	} else {
 		return 0
 	}
-	machines := 4
-	switch p.Service {
-	case experiment.ServiceHDSearch, experiment.ServiceSocialNet:
-		machines = 1
-	}
 	replicas := p.Replicas
 	if replicasFlag > 0 {
 		replicas = replicasFlag
 	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	return machines + replicas
+	return experiment.ShardPartitions(p.Service, replicas)
 }
 
 // effectiveReplicas resolves the replica count the invocation will run:
@@ -264,20 +231,6 @@ func effectiveReplicas(exp string, specPreset *figures.Preset, replicasFlag int)
 		return p.Replicas
 	}
 	return 0
-}
-
-// shardWarning returns a one-line ergonomics warning when -shards > 1
-// is requested on a single-backend topology: the partition layout pins
-// all server work to the shard that owns the backend, so conservative
-// sync runs near its break-even instead of speeding up (the hour-long
-// preset's shape). Replicated topologies spread server work across
-// shards and stay silent. Warning only — the run proceeds, and its
-// output is byte-identical either way.
-func shardWarning(shards, effectiveReplicas int) string {
-	if shards <= 1 || effectiveReplicas > 1 {
-		return ""
-	}
-	return fmt.Sprintf("warning: -shards %d on a single-backend topology keeps all server work on one shard (near the sharding break-even); use -parallel to parallelize across runs, or -replicas to spread server work", shards)
 }
 
 // baseClustered reports whether the invocation's preset or spec selects

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cliflags"
 	"repro/internal/experiment"
 	"repro/internal/figures"
 	"repro/internal/loadgen"
@@ -80,9 +81,11 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
-// TestCheckResilienceFlags is the fail-fast table for the client
-// resilience knobs: negatives, dependent flags and the hedge/timeout
-// ordering are rejected before any sweep runs.
+// TestCheckResilienceFlags pins repro's fail-fast contract for the
+// client resilience knobs, which it checks through the shared
+// cliflags.CheckResilience (whose merged table lives in that package):
+// negatives, dependent flags and the hedge/timeout ordering are rejected
+// before any sweep runs.
 func TestCheckResilienceFlags(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -107,7 +110,7 @@ func TestCheckResilienceFlags(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkResilienceFlags(tc.timeout, tc.retries, tc.hedge, tc.resilient)
+			err := cliflags.CheckResilience(tc.timeout, tc.retries, tc.hedge, tc.resilient)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("checkResilienceFlags = %v, want nil", err)
@@ -202,9 +205,11 @@ func TestRunSingleFigure(t *testing.T) {
 	}
 }
 
-// TestShardWarning is the ergonomics table: -shards on a single-backend
-// topology (hour-long's shape) must warn toward -parallel; replicated
-// shapes and unsharded runs stay silent.
+// TestShardWarning pins repro's -shards ergonomics warning end to end:
+// effectiveReplicas resolves the replica count from the experiment
+// name, a spec and -replicas, and a single-backend result (hour-long's
+// shape) must warn toward -parallel; replicated shapes and unsharded
+// runs stay silent.
 func TestShardWarning(t *testing.T) {
 	clusterPreset := figures.Preset{Replicas: 4}
 	singlePreset := figures.Preset{}
@@ -228,7 +233,7 @@ func TestShardWarning(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := shardWarning(tc.shards, effectiveReplicas(tc.exp, tc.spec, tc.replicas))
+			w := cliflags.ShardWarning(tc.shards, effectiveReplicas(tc.exp, tc.spec, tc.replicas))
 			if got := w != ""; got != tc.want {
 				t.Fatalf("shardWarning emitted %q, want warning=%v", w, tc.want)
 			}

@@ -267,25 +267,26 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// clientMachines mirrors generatorConfig's per-service deployment: the
-// client machine count the scenario will run with.
-func (s Scenario) clientMachines() int {
-	switch s.Service {
-	case ServiceHDSearch, ServiceSocialNet:
-		return 1
+// ShardPartitions is a deployment's shard-assignable unit count: the
+// service's client machines (generatorConfig's per-service deployment:
+// one for HDSearch and SocialNet, four for the mutilate-style Memcached
+// and Synthetic) plus one partition per backend replica, one for a bare
+// backend (replicas ≤ 1). Shards above it would own no simulation state.
+func ShardPartitions(service Service, replicas int) int {
+	machines := 4
+	if service == ServiceHDSearch || service == ServiceSocialNet {
+		machines = 1
 	}
-	return 4 // mutilate-style deployments (Memcached, Synthetic)
+	return machines + max(replicas, 1)
 }
 
-// shardPartitions is the scenario's shard-assignable unit count: client
-// machines plus backend replicas (one for a bare backend). Shards above
-// it would own no simulation state.
+// shardPartitions is ShardPartitions for the scenario's initial shape.
 func (s Scenario) shardPartitions() int {
 	replicas := 1
 	if s.Clustered() {
 		_, replicas = s.clusterShape()
 	}
-	return s.clientMachines() + replicas
+	return ShardPartitions(s.Service, replicas)
 }
 
 // clusterShape resolves the replica capacity to build and the active

@@ -1,7 +1,10 @@
 package loadgen
 
 import (
+	"time"
+
 	"repro/internal/hw"
+	"repro/internal/rng"
 	"repro/internal/services"
 	"repro/internal/sim"
 )
@@ -59,6 +62,36 @@ func reuseEngine(enginep **sim.Engine) *sim.Engine {
 		(*enginep).Reset()
 	}
 	return *enginep
+}
+
+// resetMachines resets the client machines, then the backend's, each
+// from its own split of the run stream: the environment reset both
+// generators start every run with.
+func resetMachines(stream *rng.Stream, clients []*hw.Machine, backend services.Backend) {
+	for _, m := range clients {
+		m.ResetRun(stream.Split())
+	}
+	for _, m := range backend.Machines() {
+		m.ResetRun(stream.Split())
+	}
+}
+
+// fillMachineStats sets the run's machine-side results: client and
+// server C-state wakes by state, and the clients' energy proxy.
+func (res *RunResult) fillMachineStats(clients []*hw.Machine, backend services.Backend, duration time.Duration) {
+	res.ClientWakes = make(map[string]int)
+	res.ServerWakes = make(map[string]int)
+	for _, m := range clients {
+		for s, n := range m.IdleDistribution() {
+			res.ClientWakes[s] += n
+		}
+		res.ClientEnergyProxy += m.EnergyProxy(duration)
+	}
+	for _, m := range backend.Machines() {
+		for s, n := range m.IdleDistribution() {
+			res.ServerWakes[s] += n
+		}
+	}
 }
 
 // clientLoopStart returns when the event loop on core can begin processing

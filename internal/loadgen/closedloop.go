@@ -120,12 +120,7 @@ func (g *ClosedLoopGenerator) RunOnce(stream *rng.Stream, duration time.Duration
 		return ClosedLoopResult{}, fmt.Errorf("loadgen: non-positive run duration %v", duration)
 	}
 	engine := reuseEngine(&g.engine)
-	for _, m := range g.machines {
-		m.ResetRun(stream.Split())
-	}
-	for _, m := range g.backend.Machines() {
-		m.ResetRun(stream.Split())
-	}
+	resetMachines(stream, g.machines, g.backend)
 	g.backend.ResetRun(engine, stream.Split())
 	end := sim.Time(0).Add(duration)
 	g.backend.StartRun(end)
@@ -178,27 +173,13 @@ func (g *ClosedLoopGenerator) RunOnce(stream *rng.Stream, duration time.Duration
 
 	engine.RunUntil(end)
 
-	measureSpan := duration - g.cfg.Warmup
 	rr := r.rec.result()
 	rr.Sent = r.sent
-	rr.ClientWakes = make(map[string]int)
-	rr.ServerWakes = make(map[string]int)
-	res := ClosedLoopResult{
+	rr.fillMachineStats(g.machines, g.backend, duration)
+	return ClosedLoopResult{
 		RunResult:     rr,
-		ThroughputQPS: float64(r.rec.lat.N()) / measureSpan.Seconds(),
-	}
-	for _, m := range g.machines {
-		for s, n := range m.IdleDistribution() {
-			res.ClientWakes[s] += n
-		}
-		res.ClientEnergyProxy += m.EnergyProxy(duration)
-	}
-	for _, m := range g.backend.Machines() {
-		for s, n := range m.IdleDistribution() {
-			res.ServerWakes[s] += n
-		}
-	}
-	return res, nil
+		ThroughputQPS: float64(r.rec.lat.N()) / (duration - g.cfg.Warmup).Seconds(),
+	}, nil
 }
 
 type closedRun struct {

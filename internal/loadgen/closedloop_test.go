@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -131,21 +132,47 @@ func TestClosedLoopLPMeasuresHigherAndThrottlesItself(t *testing.T) {
 	}
 }
 
+// TestClosedLoopDeterministic pins the closed-loop generator's full
+// output: identical across two generators and across consecutive runs of
+// one reused generator (engine, pool and machine reuse must not leak
+// state), and equal to a recorded fingerprint so a setup refactor cannot
+// silently change what the generator simulates.
 func TestClosedLoopDeterministic(t *testing.T) {
-	a := closedGen(t, hw.LPConfig(), 3, 0)
-	b := closedGen(t, hw.LPConfig(), 3, 0)
-	ra, err := a.RunOnce(rng.New(4), 200*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	run := func(g *ClosedLoopGenerator) ClosedLoopResult {
+		t.Helper()
+		res, err := g.RunOnce(rng.New(4), 200*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	rb, err := b.RunOnce(rng.New(4), 200*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	reused := closedGen(t, hw.LPConfig(), 3, 0)
+	ra := run(reused)
+	if rb := run(closedGen(t, hw.LPConfig(), 3, 0)); !reflect.DeepEqual(ra, rb) {
+		t.Error("closed-loop runs differ across generators")
 	}
-	if ra.ThroughputQPS != rb.ThroughputQPS || len(ra.LatenciesUs) != len(rb.LatenciesUs) {
-		t.Error("closed-loop runs not reproducible")
+	if again := run(reused); !reflect.DeepEqual(ra, again) {
+		t.Error("closed-loop runs differ across RunOnce calls on one generator")
+	}
+
+	n := len(ra.LatenciesUs)
+	if n == 0 {
+		t.Fatal("no samples")
+	}
+	got := [4]float64{float64(ra.Sent), float64(ra.Received), ra.LatenciesUs[0], ra.LatenciesUs[n-1]}
+	want := [4]float64{closedSent, closedReceived, closedFirstUs, closedLastUs}
+	if got != want {
+		t.Errorf("closed-loop fingerprint (sent, received, first µs, last µs) = %v, want %v", got, want)
 	}
 }
+
+// The closed-loop fingerprint of TestClosedLoopDeterministic.
+const (
+	closedSent     = 28328
+	closedReceived = 28322
+	closedFirstUs  = 69.101
+	closedLastUs   = 72.95
+)
 
 func TestClosedLoopLatenciesSane(t *testing.T) {
 	g := closedGen(t, hw.LPConfig(), 4, 200*time.Microsecond)

@@ -225,23 +225,22 @@ func (c Config) Validate() error {
 
 // Generator drives one service from a set of client machines. Create once
 // per scenario; call RunOnce per repetition. A generator is not safe for
-// concurrent RunOnce calls: it owns a persistent simulation engine and
-// request free list that successive runs reuse, which is what keeps
+// concurrent RunOnce calls: it owns persistent simulation engines and
+// request free lists that successive runs reuse, which is what keeps
 // steady-state request traffic allocation-free.
 type Generator struct {
 	cfg      Config
 	backend  services.Backend
 	machines []*hw.Machine
 
-	// engine and pool persist across runs: Reset restores run-visible
-	// state while keeping the event free list and the recycled requests.
-	engine *sim.Engine
-	pool   services.RequestPool
-
-	// sharded holds the per-shard engines/pools and the shard
-	// coordinator when cfg.Shards > 0 (see sharded.go); they persist
-	// across runs exactly like engine/pool above.
-	sharded *shardedState
+	// engines and pools hold one simulation engine and request free list
+	// per run worker: one on the single-engine path, Config.Shards on the
+	// sharded path, where set drives the engines (nil otherwise). Built
+	// on the first run and kept: Reset restores run-visible state while
+	// keeping the event free lists and the recycled requests.
+	engines []*sim.Engine
+	pools   []services.RequestPool
+	set     *sim.ShardSet
 }
 
 // MachineSpec returns the client-machine deployment shape New builds
@@ -428,16 +427,15 @@ type thread struct {
 	res *rng.Stream
 }
 
-// run carries one repetition's mutable state. On the legacy path there
-// is exactly one per repetition; on the sharded path there is one per
-// shard, and the sharding fields below are set — each shard's run owns
-// the threads of its shard's machines, its own request pool and ID
-// space, and buffers measurements for the epoch merge instead of
-// recording directly.
+// run is one worker of a repetition: the whole repetition on the
+// single-engine path, one shard of it on the sharded path (sr set). A
+// worker owns the threads of its machines, its engine, request pool and
+// ID space; every worker of a repetition shares its one recorder, which
+// sharded workers feed through the epoch merge instead of directly.
 type run struct {
 	g        *Generator
 	engine   *sim.Engine
-	threads  []*thread // all threads, shared across shard runs (disjoint ownership)
+	threads  []*thread // all threads, shared by every worker (disjoint ownership)
 	rec      *recorder
 	duration sim.Time
 	nextID   uint64
@@ -454,11 +452,10 @@ type run struct {
 	rp     routePreviewer
 	fstats ResilienceStats
 
-	// pool is the run's request free list: &Generator.pool on the legacy
-	// path, the shard's persistent pool on the sharded path.
+	// pool is the worker's request free list (&Generator.pools[shard]).
 	pool *services.RequestPool
 	// sr/shard identify the sharded run this is one shard of (sr nil on
-	// the legacy path).
+	// the single-engine path, where shard is 0).
 	sr    *shardedRun
 	shard int
 	// buf is the shard's time-ordered measurement buffer, merged into
@@ -500,67 +497,155 @@ func (r *recorder) result() RunResult {
 // returns its measurements. The environment — client and server machines,
 // service state, RNG streams — is reset first, matching the paper's
 // methodology of resetting between runs so samples are iid (§III).
+//
+// The single-engine and sharded paths share every step that draws from
+// stream, in one order. They fork only where the backend is reset onto
+// the engines, where the engines run, and at the cross-shard hand-offs
+// inside the event handlers (see sharded.go).
 func (g *Generator) RunOnce(stream *rng.Stream, duration time.Duration) (RunResult, error) {
 	if duration <= 0 {
 		return RunResult{}, fmt.Errorf("loadgen: non-positive run duration %v", duration)
 	}
-	if g.cfg.Shards > 0 {
-		return g.runSharded(stream, duration)
+	if err := g.resetEngines(); err != nil {
+		return RunResult{}, err
 	}
-	engine := reuseEngine(&g.engine)
-	for _, m := range g.machines {
-		m.ResetRun(stream.Split())
+	sr, err := g.newShardedRun() // nil on the single-engine path
+	if err != nil {
+		return RunResult{}, err
 	}
-	for _, m := range g.backend.Machines() {
-		m.ResetRun(stream.Split())
+	resetMachines(stream, g.machines, g.backend)
+	if err := g.resetBackend(sr, stream); err != nil {
+		return RunResult{}, err
 	}
-	g.backend.ResetRun(engine, stream.Split())
-
 	end := sim.Time(0).Add(duration)
 	g.backend.StartRun(end)
 
-	r := &run{
-		g:        g,
-		engine:   engine,
-		duration: end,
-		rec:      &recorder{warmupUntil: sim.Time(0).Add(g.cfg.Warmup)},
-		phases:   newPhaseSchedule(g.cfg.Phases, g.cfg.PhasesRepeat),
-		pool:     &g.pool,
+	workers := g.newWorkers(sr, end)
+	if err := g.setupThreads(workers, stream, end); err != nil {
+		return RunResult{}, err
 	}
-	if g.cfg.Resilience.Enabled() {
-		res := g.cfg.Resilience.resolved()
-		r.res = &res
-		r.rp, _ = g.backend.(routePreviewer)
-	}
-	lsched := faults.CompileLink(g.cfg.LinkFaults, end)
 
-	mixed := g.cfg.mixed()
+	// The recorder factory runs after the environment has drawn all its
+	// streams, so an exact run's simulation is byte-identical to a
+	// streaming run's — only the measurement reduction differs.
+	rec := workers[0].rec
+	if rec.lat, rec.lag, err = g.cfg.recorders()(stream); err != nil {
+		return RunResult{}, err
+	}
+
+	if sr == nil {
+		g.engines[0].RunUntil(end)
+	} else {
+		g.set.Run(end, sr.mergeRecords)
+	}
+
+	res := rec.result()
+	for _, w := range workers {
+		res.Sent += w.sent
+		res.Resilience.add(w.fstats)
+	}
+	res.fillMachineStats(g.machines, g.backend, duration)
+	return res, nil
+}
+
+// resetEngines readies the run's engines: built on the first run — one,
+// or Config.Shards under a ShardSet — and reset, keeping their free
+// lists, on every later one.
+func (g *Generator) resetEngines() error {
+	if g.engines != nil {
+		for _, e := range g.engines {
+			e.Reset()
+		}
+		return nil
+	}
+	engines := make([]*sim.Engine, max(g.cfg.Shards, 1))
+	for i := range engines {
+		engines[i] = sim.NewEngine()
+	}
+	if g.cfg.Shards > 0 {
+		set, err := sim.NewShardSet(engines, g.cfg.Net.MinDelay())
+		if err != nil {
+			return err
+		}
+		g.set = set
+	}
+	g.engines, g.pools = engines, make([]services.RequestPool, len(engines))
+	return nil
+}
+
+// newWorkers builds one worker per engine. All of them share the run's
+// recorder and its read-only configuration: the phase program and the
+// resolved resilience settings.
+func (g *Generator) newWorkers(sr *shardedRun, end sim.Time) []*run {
+	rec := &recorder{warmupUntil: sim.Time(0).Add(g.cfg.Warmup)}
+	phases := newPhaseSchedule(g.cfg.Phases, g.cfg.PhasesRepeat)
+	var res *ResilienceConfig
+	var rp routePreviewer
+	if g.cfg.Resilience.Enabled() {
+		rc := g.cfg.Resilience.resolved()
+		res = &rc
+		rp, _ = g.backend.(routePreviewer)
+	}
+	workers := make([]*run, len(g.engines))
+	for s := range workers {
+		workers[s] = &run{
+			g:        g,
+			engine:   g.engines[s],
+			rec:      rec,
+			duration: end,
+			phases:   phases,
+			res:      res,
+			rp:       rp,
+			pool:     &g.pools[s],
+			sr:       sr,
+			shard:    s,
+			// Disjoint per-shard ID spaces keep request IDs unique without
+			// cross-shard coordination (IDs only feed diagnostics).
+			nextID: uint64(s) << 48,
+		}
+	}
+	if sr != nil {
+		sr.workers = workers
+	}
+	return workers
+}
+
+// setupThreads builds every generator thread on the worker that owns its
+// machine (client machine m runs on worker m mod len(workers)) and arms
+// its first send. Per thread it draws from stream in one fixed order:
+// arrivals (or the per-class streams), payloads, the c2s/s2c link pair,
+// the resilience stream, then the initial phase. The order is the same at
+// every shard count, which is what keeps sharded output byte-identical.
+func (g *Generator) setupThreads(workers []*run, stream *rng.Stream, end sim.Time) error {
+	lsched := faults.CompileLink(g.cfg.LinkFaults, end)
 	var mix []ClassConfig
-	if mixed {
+	if g.cfg.mixed() {
 		mix = g.cfg.mixClasses()
 	}
-
-	nThreads := g.cfg.Machines * g.cfg.ThreadsPerMachine
+	tpm := g.cfg.ThreadsPerMachine
+	nThreads := g.cfg.Machines * tpm
 	perThreadRate := g.cfg.RateQPS / float64(nThreads)
+	threads := make([]*thread, 0, nThreads)
 	for i := 0; i < nThreads; i++ {
-		machine := g.machines[i/g.cfg.ThreadsPerMachine]
-		slot := i % g.cfg.ThreadsPerMachine
+		w := workers[(i/tpm)%len(workers)]
+		machine := g.machines[i/tpm]
+		slot := i % tpm
 		th := &thread{id: i, pace: machine.Core(slot), connBase: i * g.cfg.ConnsPerThread, conns: g.cfg.ConnsPerThread}
 		if g.cfg.TimeSensitive {
 			th.recv = th.pace
 		} else {
-			th.recv = machine.Core(g.cfg.ThreadsPerMachine + slot)
+			th.recv = machine.Core(tpm + slot)
 		}
-		if mixed {
+		if mix != nil {
 			// Mix path: one arrival source + draw stream per class, in
 			// class order, before the payload and link streams.
-			if err := r.setupClasses(th, mix, perThreadRate, stream); err != nil {
-				return RunResult{}, err
+			if err := w.setupClasses(th, mix, perThreadRate, stream); err != nil {
+				return err
 			}
 		} else {
 			arr, err := workload.NewExponentialArrivals(perThreadRate, stream.Split())
 			if err != nil {
-				return RunResult{}, err
+				return err
 			}
 			th.arrivals = arr
 		}
@@ -568,70 +653,45 @@ func (g *Generator) RunOnce(stream *rng.Stream, duration time.Duration) (RunResu
 		th.kvSource, _ = th.payloads.(KVPayloadSource)
 		linkStream := stream.Split()
 		var err error
-		th.c2s, err = netmodel.New(g.cfg.Net, linkStream)
-		if err != nil {
-			return RunResult{}, err
+		if th.c2s, err = netmodel.New(g.cfg.Net, linkStream); err != nil {
+			return err
 		}
-		th.s2c, err = netmodel.New(g.cfg.Net, linkStream.Split())
-		if err != nil {
-			return RunResult{}, err
+		if th.s2c, err = netmodel.New(g.cfg.Net, linkStream.Split()); err != nil {
+			return err
 		}
 		if lsched != nil {
 			th.c2s.SetDegrade(lsched)
 			th.s2c.SetDegrade(lsched)
 		}
-		if r.res != nil {
+		if w.res != nil {
 			th.res = stream.Split()
 		}
-		r.threads = append(r.threads, th)
+		threads = append(threads, th)
 
 		if !g.cfg.TimeSensitive {
 			// The pacing core spins from the start of the run and never
 			// sleeps: time-insensitive busy-wait pacing.
 			th.pace.Wake(0)
 		}
-		if mixed {
-			// Random initial phase per class avoids synchronized starts
-			// across both threads and classes.
+		// A random initial phase per thread (per class on the mix path)
+		// avoids synchronized starts.
+		if mix != nil {
 			for ci := range th.classes {
 				cs := &th.classes[ci]
 				cs.nextSend = sim.Time(0).Add(time.Duration(stream.Float64() * float64(time.Second) / (perThreadRate * cs.cfg.Fraction)))
-				r.scheduleClassSend(th, ci)
+				w.scheduleClassSend(th, ci)
 			}
 		} else {
-			// Random initial phase avoids synchronized thread starts.
 			th.nextSend = sim.Time(0).Add(time.Duration(stream.Float64() * float64(time.Second) / perThreadRate))
-			r.scheduleSend(th)
+			w.scheduleSend(th)
 		}
 	}
-
-	// The recorder factory runs after the environment has drawn all its
-	// streams, so an exact run's simulation is byte-identical to a
-	// streaming run's — only the measurement reduction differs.
-	var err error
-	if r.rec.lat, r.rec.lag, err = g.cfg.recorders()(stream); err != nil {
-		return RunResult{}, err
+	// Every worker indexes the full thread table (responses are looked up
+	// by req.Thread) but only fires events for its own machines' threads.
+	for _, w := range workers {
+		w.threads = threads
 	}
-
-	engine.RunUntil(end)
-
-	res := r.rec.result()
-	res.Sent = r.sent
-	res.Resilience = r.fstats
-	res.ClientWakes = make(map[string]int)
-	res.ServerWakes = make(map[string]int)
-	for _, m := range g.machines {
-		for s, n := range m.IdleDistribution() {
-			res.ClientWakes[s] += n
-		}
-		res.ClientEnergyProxy += m.EnergyProxy(duration)
-	}
-	for _, m := range g.backend.Machines() {
-		for s, n := range m.IdleDistribution() {
-			res.ServerWakes[s] += n
-		}
-	}
-	return res, nil
+	return nil
 }
 
 // OnEvent implements sim.EventSink: the run is one state machine over the

@@ -4,22 +4,21 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/faults"
-	"repro/internal/netmodel"
 	"repro/internal/rng"
 	"repro/internal/services"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
-// This file is the sharded run path: Config.Shards > 0 partitions one
-// repetition across K per-shard sim.Engines driven in parallel by a
-// sim.ShardSet, with the network link's minimum delay as conservative
-// lookahead. The partition unit is a whole machine — client machines and
-// backend replicas each carry machine-local mutable state (cores, DVFS,
-// stores), so a machine never straddles shards. Partition p of the
-// M+R-long list (client machines 0..M-1, then replicas 0..R-1) runs on
-// shard p mod K.
+// This file holds what the sharded path adds to RunOnce: with
+// Config.Shards > 0 one repetition runs on K per-shard sim.Engines driven
+// in parallel by a sim.ShardSet, with the network link's minimum delay as
+// conservative lookahead. Setup is not forked: RunOnce builds the same
+// threads from the same draws at any K, and only the layout (which worker
+// owns a machine), the backend reset and the engine run differ. The
+// partition unit is a whole machine — client machines and backend
+// replicas each carry machine-local mutable state (cores, DVFS, stores),
+// so a machine never straddles shards. Partition p of the M+R-long list
+// (client machines 0..M-1, then replicas 0..R-1) runs on shard p mod K.
 //
 // Cross-shard traffic crosses exactly where the model has a network
 // link, so the link delay bounds it below:
@@ -34,7 +33,7 @@ import (
 // Byte-identity with the single-engine run rests on four invariants:
 // every RNG stream is owned by one shard and consumed in the same order
 // the single engine consumes it; the setup draws from the master stream
-// in exactly RunOnce's order; every deferred or cross-shard event
+// in one order shared by both paths; every deferred or cross-shard event
 // carries its single-engine schedule instant as its ordering origin
 // (sim.Engine.AtSinkFrom / ShardSet.Send), so the engines' (deadline,
 // origin, seq) order reproduces the single engine's same-deadline FIFO
@@ -76,14 +75,6 @@ type ShardedBackend interface {
 	ResetRunSharded(engines []*sim.Engine, shardOf []int, stream *rng.Stream) error
 }
 
-// shardedState is the Generator's persistent sharding machinery, reused
-// across runs like the legacy engine and pool.
-type shardedState struct {
-	engines []*sim.Engine
-	pools   []services.RequestPool
-	set     *sim.ShardSet
-}
-
 // shardRecord is one buffered measurement awaiting the epoch merge.
 type shardRecord struct {
 	at       sim.Time // the evReceive instant: the global replay-order key
@@ -91,12 +82,11 @@ type shardRecord struct {
 	lat, lag time.Duration
 }
 
-// shardedRun ties one repetition's K shard runs together.
+// shardedRun is one repetition's shard layout and the state the K
+// workers share.
 type shardedRun struct {
-	g       *Generator
 	set     *sim.ShardSet
 	workers []*run // one per shard; workers[i] handles every event on shard i
-	rec     *recorder
 	// threadShard maps thread id → shard (all threads of a machine map
 	// to the machine's shard).
 	threadShard []int
@@ -110,8 +100,58 @@ type shardedRun struct {
 	heads []int
 }
 
-// shardOfMachine places client machine m: partition m of M+R.
-func (sr *shardedRun) shardOfMachine(m int) int { return m % len(sr.workers) }
+// newShardedRun lays a repetition out over g's K engines: partition p of
+// the M+R list runs on shard p mod K, and every thread on its machine's
+// shard. It draws nothing from the run stream, and returns nil on the
+// single-engine path.
+func (g *Generator) newShardedRun() (*shardedRun, error) {
+	if g.set == nil {
+		return nil, nil
+	}
+	k, m, tpm := len(g.engines), g.cfg.Machines, g.cfg.ThreadsPerMachine
+	cb, _ := g.backend.(ShardedBackend)
+	partitions := m + 1
+	if cb != nil {
+		partitions = m + cb.ShardPartitions()
+	}
+	if k > partitions {
+		return nil, fmt.Errorf("loadgen: %d shards exceed the %d machine+replica partitions", k, partitions)
+	}
+	sr := &shardedRun{
+		set:          g.set,
+		threadShard:  make([]int, m*tpm),
+		cluster:      cb,
+		backendShard: m % k,
+		lookahead:    g.cfg.Net.MinDelay(),
+		heads:        make([]int, k),
+	}
+	for i := range sr.threadShard {
+		sr.threadShard[i] = (i / tpm) % k
+	}
+	if cb != nil {
+		sr.replicaShard = make([]int, cb.ShardPartitions())
+		for i := range sr.replicaShard {
+			sr.replicaShard[i] = (m + i) % k
+		}
+	}
+	return sr, nil
+}
+
+// resetBackend resets the service onto the run's engines: onto the one
+// engine, onto the shard that owns a single-instance backend, or replica
+// by replica onto their shards. Each form draws one split of stream at
+// the same point of the setup.
+func (g *Generator) resetBackend(sr *shardedRun, stream *rng.Stream) error {
+	switch {
+	case sr == nil:
+		g.backend.ResetRun(g.engines[0], stream.Split())
+	case sr.cluster != nil:
+		return sr.cluster.ResetRunSharded(g.engines, sr.replicaShard, stream.Split())
+	default:
+		g.backend.ResetRun(g.engines[sr.backendShard], stream.Split())
+	}
+	return nil
+}
 
 // deliverArrive routes a freshly sent request: pick the replica (fixing
 // the destination shard), install the completion sink of the replica's
@@ -164,12 +204,13 @@ func (sr *shardedRun) completeSharded(w *run, req *services.Request, departed si
 }
 
 // mergeRecords is the epoch hook: replay every buffered measurement
-// below the watermark into the global recorder, in (receive instant,
+// below the watermark into the run's recorder, in (receive instant,
 // shard) order — the order the single engine would have recorded them.
 // It runs on worker 0 with all shards quiescent below the watermark; the
 // barrier's happens-before edges make the cross-shard buffer reads (and
 // the cursor writes the next epoch's appends follow) race-free.
 func (sr *shardedRun) mergeRecords(watermark sim.Time) {
+	rec := sr.workers[0].rec
 	for {
 		best := -1
 		for i, w := range sr.workers {
@@ -186,7 +227,7 @@ func (sr *shardedRun) mergeRecords(watermark sim.Time) {
 		}
 		e := sr.workers[best].buf[sr.heads[best]]
 		sr.heads[best]++
-		sr.rec.record(e.done, e.lat, e.lag)
+		rec.record(e.done, e.lat, e.lag)
 	}
 	// Compact consumed prefixes so buffers stay small: only records at or
 	// above the watermark (few — they are within one epoch window of the
@@ -198,209 +239,4 @@ func (sr *shardedRun) mergeRecords(watermark sim.Time) {
 			sr.heads[i] = 0
 		}
 	}
-}
-
-// runSharded is RunOnce's sharded twin: identical setup draws from the
-// master stream, K engines instead of one, and a ShardSet run instead of
-// RunUntil. See the file comment for the synchronization design.
-func (g *Generator) runSharded(stream *rng.Stream, duration time.Duration) (RunResult, error) {
-	k := g.cfg.Shards
-	lookahead := g.cfg.Net.MinDelay()
-
-	// Partition check: every shard needs at least one machine or replica.
-	partitions := g.cfg.Machines
-	cb, _ := g.backend.(ShardedBackend)
-	if cb != nil {
-		partitions += cb.ShardPartitions()
-	} else {
-		partitions++
-	}
-	if k > partitions {
-		return RunResult{}, fmt.Errorf("loadgen: %d shards exceed the %d machine+replica partitions", k, partitions)
-	}
-
-	// Persistent per-shard machinery, built on the first run.
-	if g.sharded == nil {
-		st := &shardedState{
-			engines: make([]*sim.Engine, k),
-			pools:   make([]services.RequestPool, k),
-		}
-		for i := range st.engines {
-			st.engines[i] = sim.NewEngine()
-		}
-		set, err := sim.NewShardSet(st.engines, lookahead)
-		if err != nil {
-			return RunResult{}, err
-		}
-		st.set = set
-		g.sharded = st
-	}
-	engines := g.sharded.engines
-	for _, e := range engines {
-		e.Reset()
-	}
-
-	// From here the setup mirrors RunOnce draw for draw; only the engine
-	// each consumer lands on differs.
-	for _, m := range g.machines {
-		m.ResetRun(stream.Split())
-	}
-	for _, m := range g.backend.Machines() {
-		m.ResetRun(stream.Split())
-	}
-
-	sr := &shardedRun{
-		g:            g,
-		set:          g.sharded.set,
-		rec:          &recorder{warmupUntil: sim.Time(0).Add(g.cfg.Warmup)},
-		lookahead:    lookahead,
-		heads:        make([]int, k),
-		backendShard: g.cfg.Machines % k,
-	}
-	if cb != nil {
-		sr.cluster = cb
-		sr.replicaShard = make([]int, cb.ShardPartitions())
-		for i := range sr.replicaShard {
-			sr.replicaShard[i] = (g.cfg.Machines + i) % k
-		}
-		if err := cb.ResetRunSharded(engines, sr.replicaShard, stream.Split()); err != nil {
-			return RunResult{}, err
-		}
-	} else {
-		g.backend.ResetRun(engines[sr.backendShard], stream.Split())
-	}
-
-	end := sim.Time(0).Add(duration)
-	g.backend.StartRun(end)
-
-	phases := newPhaseSchedule(g.cfg.Phases, g.cfg.PhasesRepeat)
-	var res *ResilienceConfig
-	var rp routePreviewer
-	if g.cfg.Resilience.Enabled() {
-		rc := g.cfg.Resilience.resolved()
-		res = &rc
-		rp, _ = g.backend.(routePreviewer)
-	}
-	lsched := faults.CompileLink(g.cfg.LinkFaults, end)
-	sr.workers = make([]*run, k)
-	threads := make([]*thread, 0, g.cfg.Machines*g.cfg.ThreadsPerMachine)
-	for s := 0; s < k; s++ {
-		sr.workers[s] = &run{
-			g:        g,
-			engine:   engines[s],
-			duration: end,
-			phases:   phases,
-			res:      res,
-			rp:       rp,
-			pool:     &g.sharded.pools[s],
-			sr:       sr,
-			shard:    s,
-			// Disjoint per-shard ID spaces keep request IDs unique without
-			// cross-shard coordination (IDs only feed diagnostics).
-			nextID: uint64(s) << 48,
-		}
-	}
-
-	mixed := g.cfg.mixed()
-	var mix []ClassConfig
-	if mixed {
-		mix = g.cfg.mixClasses()
-	}
-
-	nThreads := g.cfg.Machines * g.cfg.ThreadsPerMachine
-	sr.threadShard = make([]int, nThreads)
-	perThreadRate := g.cfg.RateQPS / float64(nThreads)
-	for i := 0; i < nThreads; i++ {
-		mi := i / g.cfg.ThreadsPerMachine
-		shard := sr.shardOfMachine(mi)
-		sr.threadShard[i] = shard
-		w := sr.workers[shard]
-		machine := g.machines[mi]
-		slot := i % g.cfg.ThreadsPerMachine
-		th := &thread{id: i, pace: machine.Core(slot), connBase: i * g.cfg.ConnsPerThread, conns: g.cfg.ConnsPerThread}
-		if g.cfg.TimeSensitive {
-			th.recv = th.pace
-		} else {
-			th.recv = machine.Core(g.cfg.ThreadsPerMachine + slot)
-		}
-		if mixed {
-			if err := w.setupClasses(th, mix, perThreadRate, stream); err != nil {
-				return RunResult{}, err
-			}
-		} else {
-			arr, err := workload.NewExponentialArrivals(perThreadRate, stream.Split())
-			if err != nil {
-				return RunResult{}, err
-			}
-			th.arrivals = arr
-		}
-		th.payloads = g.cfg.Payloads(stream.Split())
-		th.kvSource, _ = th.payloads.(KVPayloadSource)
-		linkStream := stream.Split()
-		var err error
-		th.c2s, err = netmodel.New(g.cfg.Net, linkStream)
-		if err != nil {
-			return RunResult{}, err
-		}
-		th.s2c, err = netmodel.New(g.cfg.Net, linkStream.Split())
-		if err != nil {
-			return RunResult{}, err
-		}
-		if lsched != nil {
-			th.c2s.SetDegrade(lsched)
-			th.s2c.SetDegrade(lsched)
-		}
-		if res != nil {
-			th.res = stream.Split()
-		}
-		threads = append(threads, th)
-
-		if !g.cfg.TimeSensitive {
-			th.pace.Wake(0)
-		}
-		if mixed {
-			for ci := range th.classes {
-				cs := &th.classes[ci]
-				cs.nextSend = sim.Time(0).Add(time.Duration(stream.Float64() * float64(time.Second) / (perThreadRate * cs.cfg.Fraction)))
-				w.scheduleClassSend(th, ci)
-			}
-		} else {
-			th.nextSend = sim.Time(0).Add(time.Duration(stream.Float64() * float64(time.Second) / perThreadRate))
-			w.scheduleSend(th)
-		}
-	}
-	// Every worker indexes the full thread table (responses are looked up
-	// by req.Thread), but only ever fires events for its own shard's.
-	for _, w := range sr.workers {
-		w.threads = threads
-	}
-
-	// Recorder factory last, after all environment draws — same position
-	// as the single-engine path.
-	var err error
-	if sr.rec.lat, sr.rec.lag, err = g.cfg.recorders()(stream); err != nil {
-		return RunResult{}, err
-	}
-
-	sr.set.Run(end, sr.mergeRecords)
-
-	out := sr.rec.result()
-	for _, w := range sr.workers {
-		out.Sent += w.sent
-		out.Resilience.add(w.fstats)
-	}
-	out.ClientWakes = make(map[string]int)
-	out.ServerWakes = make(map[string]int)
-	for _, m := range g.machines {
-		for s, n := range m.IdleDistribution() {
-			out.ClientWakes[s] += n
-		}
-		out.ClientEnergyProxy += m.EnergyProxy(duration)
-	}
-	for _, m := range g.backend.Machines() {
-		for s, n := range m.IdleDistribution() {
-			out.ServerWakes[s] += n
-		}
-	}
-	return out, nil
 }

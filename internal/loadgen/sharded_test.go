@@ -106,7 +106,7 @@ func TestShardedMatchesSingleEngineStreaming(t *testing.T) {
 	cfg := shardedCfg(true)
 	cfg.Recorders = metrics.StreamingFactory(metrics.StreamingConfig{})
 	ref := runCfg(t, cfg, newSynthetic(t), 11)
-	for _, k := range []int{2, 4} {
+	for _, k := range []int{1, 2, 4} {
 		cfg.Shards = k
 		diffResults(t, "streaming", ref, runCfg(t, cfg, newSynthetic(t), 11))
 	}
@@ -125,7 +125,7 @@ func TestShardedMatchesSingleEngineMixed(t *testing.T) {
 		{Duration: 20 * time.Millisecond, RateScale: 1.5},
 	}
 	ref := runCfg(t, cfg, newSynthetic(t), 13)
-	for _, k := range []int{2, 4} {
+	for _, k := range []int{1, 2, 4} {
 		cfg.Shards = k
 		diffResults(t, "mixed", ref, runCfg(t, cfg, newSynthetic(t), 13))
 	}
