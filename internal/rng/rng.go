@@ -238,87 +238,101 @@ func (s *Stream) Poisson(mean float64) int {
 	}
 }
 
-// Zipf draws ranks in [0, n) following a Zipf distribution with exponent
-// alpha > 0 (rank 0 most popular). It precomputes the CDF once, so repeated
-// draws are O(log n).
-type Zipf struct {
-	cdf []float64
-	s   *Stream
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent alpha.
-func NewZipf(s *Stream, n int, alpha float64) *Zipf {
-	if n <= 0 {
-		panic("rng: Zipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), alpha)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, s: s}
-}
-
-// Draw returns the next rank.
-func (z *Zipf) Draw() int {
-	u := z.s.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Discrete samples from an explicit finite distribution given by weights.
+// Discrete samples a finite distribution by inversion: a draw returns the
+// first outcome whose cumulative probability reaches a uniform variate u.
+// A guide table (Chen and Asau's indexed search) holds, for each of m
+// equal slices of [0, 1), the first outcome whose CDF reaches the slice's
+// lower edge; a draw starts there and steps forward, so it costs at most
+// 1 + n/m comparisons in expectation instead of a log₂ n bisection. With
+// m a power of two, u·m and the slice edges are exact in float64, so the
+// result is bit-for-bit the binary search's over the same CDF.
+//
+// m is the smallest power of two ≥ n/4: at most 5 expected comparisons,
+// on adjacent CDF entries. Draws index the guide uniformly but mostly hit
+// the CDF's popular head, so the guide's size costs cache misses that a
+// longer scan does not. Against a guide as long as the CDF, this one drew
+// ~5 ns slower at 100K outcomes in isolation, ~25 ns faster at 1M, and
+// ran the Memcached benchmark workload faster end to end.
+//
+// A Discrete holds no stream and is immutable once built: one table
+// serves any number of streams and goroutines, each passing its own
+// stream to Draw.
 type Discrete struct {
-	cdf []float64
-	s   *Stream
+	cdf   []float64
+	guide []int32 // guide[j]: first outcome whose CDF ≥ j/len(guide)
 }
 
 // NewDiscrete builds a sampler over len(weights) outcomes with the given
 // relative weights. Weights must be non-negative with a positive sum.
-func NewDiscrete(s *Stream, weights []float64) *Discrete {
-	if len(weights) == 0 {
+func NewDiscrete(weights []float64) *Discrete {
+	return newDiscrete(append([]float64(nil), weights...))
+}
+
+// NewZipf builds a sampler over ranks [0, n) following a Zipf
+// distribution with exponent alpha > 0: rank i has weight 1/(i+1)^alpha,
+// so rank 0 is the most popular.
+func NewZipf(n int, alpha float64) *Discrete {
+	if n <= 0 {
+		panic("rng: Zipf with non-positive n")
+	}
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1 / math.Pow(float64(i+1), alpha)
+	}
+	return newDiscrete(w)
+}
+
+// newDiscrete builds the sampler over the weights in w, overwriting w
+// with their CDF.
+func newDiscrete(w []float64) *Discrete {
+	if len(w) == 0 {
 		panic("rng: Discrete with no outcomes")
 	}
-	cdf := make([]float64, len(weights))
 	sum := 0.0
-	for i, w := range weights {
-		if w < 0 {
+	for i, x := range w {
+		if x < 0 {
 			panic("rng: Discrete with negative weight")
 		}
-		sum += w
-		cdf[i] = sum
+		sum += x
+		w[i] = sum
 	}
 	if sum <= 0 {
 		panic("rng: Discrete with zero total weight")
 	}
-	for i := range cdf {
-		cdf[i] /= sum
+	for i := range w {
+		w[i] /= sum
 	}
-	return &Discrete{cdf: cdf, s: s}
+	// The last entry is sum/sum = 1 exactly and u < 1, so every scan
+	// below and in rank stops inside the table.
+	m := 1
+	for 4*m < len(w) {
+		m <<= 1
+	}
+	guide := make([]int32, m)
+	i := 0
+	for j := range guide {
+		edge := float64(j) / float64(m)
+		for w[i] < edge {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return &Discrete{cdf: w, guide: guide}
 }
 
-// Draw returns the next outcome index.
-func (d *Discrete) Draw() int {
-	u := d.s.Float64()
-	lo, hi := 0, len(d.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// Draw returns the next outcome index, consuming one Float64 from s.
+func (d *Discrete) Draw(s *Stream) int {
+	return d.rank(s.Float64())
+}
+
+// rank returns the first outcome whose CDF is ≥ u, for u in [0, 1).
+// u lies in guide slice j = ⌊u·m⌋, whose edge j/m ≤ u, so the scan
+// starts at or before the answer and every outcome it passes has a CDF
+// below u.
+func (d *Discrete) rank(u float64) int {
+	i := int(d.guide[int(u*float64(len(d.guide)))])
+	for d.cdf[i] < u {
+		i++
 	}
-	return lo
+	return i
 }

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -233,11 +234,11 @@ func TestPoissonNonPositiveMean(t *testing.T) {
 
 func TestZipfSkew(t *testing.T) {
 	s := New(15)
-	z := NewZipf(s, 1000, 1.0)
+	z := NewZipf(1000, 1.0)
 	counts := make([]int, 1000)
 	const n = 100000
 	for i := 0; i < n; i++ {
-		counts[z.Draw()]++
+		counts[z.Draw(s)]++
 	}
 	if counts[0] <= counts[10] || counts[10] <= counts[500] {
 		t.Errorf("Zipf not rank-skewed: c0=%d c10=%d c500=%d", counts[0], counts[10], counts[500])
@@ -251,11 +252,15 @@ func TestZipfSkew(t *testing.T) {
 
 func TestDiscreteRespectsWeights(t *testing.T) {
 	s := New(16)
-	d := NewDiscrete(s, []float64{1, 0, 3})
+	weights := []float64{1, 0, 3}
+	d := NewDiscrete(weights)
+	if weights[0] != 1 || weights[1] != 0 || weights[2] != 3 {
+		t.Fatalf("NewDiscrete modified its weights: %v", weights)
+	}
 	counts := make([]int, 3)
 	const n = 40000
 	for i := 0; i < n; i++ {
-		counts[d.Draw()]++
+		counts[d.Draw(s)]++
 	}
 	if counts[1] != 0 {
 		t.Errorf("zero-weight outcome drawn %d times", counts[1])
@@ -267,13 +272,134 @@ func TestDiscreteRespectsWeights(t *testing.T) {
 }
 
 func TestDiscretePanics(t *testing.T) {
-	s := New(17)
 	for _, weights := range [][]float64{nil, {0, 0}, {1, -1}} {
 		func() {
 			defer func() { recover() }()
-			NewDiscrete(s, weights)
+			NewDiscrete(weights)
 			t.Errorf("NewDiscrete(%v) did not panic", weights)
 		}()
+	}
+}
+
+// bisectCDF is the sampler the guide table replaced, kept as the
+// reference it must match: the CDF accumulated term by term and
+// normalised, searched by bisection for the first entry ≥ u.
+type bisectCDF []float64
+
+func newBisectCDF(weights []float64) bisectCDF {
+	cdf := make(bisectCDF, len(weights))
+	sum := 0.0
+	for i, w := range weights {
+		sum += w
+		cdf[i] = sum
+	}
+	for i := range cdf {
+		cdf[i] /= sum
+	}
+	return cdf
+}
+
+func (c bisectCDF) rank(u float64) int {
+	lo, hi := 0, len(c)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if c[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+func zipfWeights(n int, alpha float64) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1 / math.Pow(float64(i+1), alpha)
+	}
+	return w
+}
+
+// TestDiscreteMatchesBisection pins the guide table's exactness: for
+// NewZipf at the sizes the simulator builds and for NewDiscrete weight
+// vectors with zero-weight outcomes at the ends and inside, the CDF is
+// bit-identical to the reference's and every probe ranks the same. The
+// probes are the places an off-by-one would show: each CDF value and its
+// float64 neighbours, each guide-slice edge and the value just below it,
+// 0, the largest Float64, and a long random run drawn through Draw.
+func TestDiscreteMatchesBisection(t *testing.T) {
+	type tableCase struct {
+		name string
+		d    *Discrete
+		ref  bisectCDF
+	}
+	zipf := func(name string, n int, alpha float64) tableCase {
+		return tableCase{name, NewZipf(n, alpha), newBisectCDF(zipfWeights(n, alpha))}
+	}
+	weights := func(name string, w ...float64) tableCase {
+		return tableCase{name, NewDiscrete(w), newBisectCDF(w)}
+	}
+	mixed := make([]float64, 37)
+	src := New(18)
+	for i := range mixed {
+		if src.Intn(3) > 0 {
+			mixed[i] = src.Float64()
+		}
+	}
+	mixed[36] = 0.5
+	cases := []tableCase{
+		zipf("zipf-1", 1, 0.99),
+		zipf("zipf-2", 2, 1),
+		zipf("zipf-3", 3, 0.5),
+		zipf("zipf-962-socialgraph", 962, 0.8),
+		zipf("zipf-1000", 1000, 1),
+		zipf("zipf-100000-memcached", 100_000, 0.99),
+		zipf("zipf-1048576-etc-default", 1<<20, 0.99),
+		weights("uniform-5", 1, 1, 1, 1, 1),
+		weights("uniform-8-cdf-on-edges", 1, 1, 1, 1, 1, 1, 1, 1),
+		weights("zero-inside", 1, 0, 3),
+		weights("zeros-leading", 0, 0, 1),
+		weights("zeros-trailing", 1, 0, 0),
+		weights("one-heavy", 1e-12, 1, 1e-12, 1e-12, 1e-12, 1e-12),
+		weights("random-with-zeros", mixed...),
+	}
+
+	const maxU = 1 - 1.0/(1<<53) // the largest value Float64 returns
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && len(tc.ref) > 100_000 {
+				t.Skip("the 1M-outcome table is probed in the full suite only")
+			}
+			d, ref := tc.d, tc.ref
+			for i := range ref {
+				if math.Float64bits(d.cdf[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("cdf[%d] = %v, reference %v", i, d.cdf[i], ref[i])
+				}
+			}
+			probes := []float64{0, maxU}
+			for _, c := range ref {
+				probes = append(probes, c, math.Nextafter(c, 0), math.Nextafter(c, 1))
+			}
+			m := float64(len(d.guide))
+			for j := range d.guide {
+				edge := float64(j) / m
+				probes = append(probes, edge, math.Nextafter(edge, 0))
+			}
+			for _, u := range probes {
+				if u < 0 || u >= 1 {
+					continue
+				}
+				if got, want := d.rank(u), ref.rank(u); got != want {
+					t.Fatalf("rank(%v) = %d, reference %d", u, got, want)
+				}
+			}
+			a, b := New(19), New(19)
+			for i := 0; i < 20000; i++ {
+				if got, want := d.Draw(a), ref.rank(b.Float64()); got != want {
+					t.Fatalf("draw %d = %d, reference %d", i, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -329,12 +455,28 @@ func BenchmarkExp(b *testing.B) {
 	}
 }
 
+var sinkRank int
+
+// BenchmarkZipfDraw measures one rank draw at the Memcached preload's
+// key space (100K) and the ETC default (1M), through the guide table and
+// through the bisection reference it replaced.
 func BenchmarkZipfDraw(b *testing.B) {
-	s := New(1)
-	z := NewZipf(s, 1<<20, 0.99)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		z.Draw()
+	for _, n := range []int{100_000, 1 << 20} {
+		d := NewZipf(n, 0.99)
+		ref := newBisectCDF(zipfWeights(n, 0.99))
+		b.Run(fmt.Sprintf("keys=%d/guide", n), func(b *testing.B) {
+			s := New(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkRank = d.Draw(s)
+			}
+		})
+		b.Run(fmt.Sprintf("keys=%d/bisect", n), func(b *testing.B) {
+			s := New(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkRank = ref.rank(s.Float64())
+			}
+		})
 	}
 }

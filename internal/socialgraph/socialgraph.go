@@ -273,11 +273,11 @@ func GenerateReed98Like(seed uint64) (*Graph, error) {
 		j := stream.Intn(i + 1)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
-	zipf := rng.NewZipf(stream, users, 0.8)
+	zipf := rng.NewZipf(users, 0.8)
 	edges := 0
 	for edges < targetEdges {
 		follower := UserID(stream.Intn(users))
-		followee := perm[zipf.Draw()]
+		followee := perm[zipf.Draw(stream)]
 		if follower == followee {
 			continue
 		}

@@ -70,7 +70,7 @@ func (c ETCConfig) Validate() error {
 	if c.GetRatio < 0 || c.GetRatio > 1 {
 		return fmt.Errorf("workload: GET ratio %v outside [0,1]", c.GetRatio)
 	}
-	if c.ZipfAlpha <= 0 {
+	if !(c.ZipfAlpha > 0) { // NaN too: it could never hit the rank-table cache
 		return fmt.Errorf("workload: Zipf alpha must be positive, got %v", c.ZipfAlpha)
 	}
 	return nil
@@ -106,29 +106,59 @@ func ETCKeys(n int) []string {
 	return keyTable[:n:n]
 }
 
+// Shared popularity tables. The Zipf rank sampler is a pure function of
+// (key space, skew) and immutable once built, so every ETC source in the
+// process draws through one table per pair. A table costs n powers and an
+// n-entry CDF, and every generator thread builds a source at every run
+// start. The lock is held across a build so concurrent first callers wait
+// for one table rather than each building a duplicate.
+var (
+	rankTablesMu sync.Mutex
+	rankTables   = map[rankKey]*rng.Discrete{}
+)
+
+type rankKey struct {
+	keys  int
+	alpha float64
+}
+
+// etcRanks returns the shared rank sampler for keys ranks at skew alpha,
+// building it on first use.
+func etcRanks(keys int, alpha float64) *rng.Discrete {
+	rankTablesMu.Lock()
+	defer rankTablesMu.Unlock()
+	k := rankKey{keys, alpha}
+	t, ok := rankTables[k]
+	if !ok {
+		t = rng.NewZipf(keys, alpha)
+		rankTables[k] = t
+	}
+	return t
+}
+
 // ETC draws requests following the ETC model. Not safe for concurrent use;
 // derive one per generator connection group.
 type ETC struct {
 	cfg    ETCConfig
 	stream *rng.Stream
-	zipf   *rng.Zipf
-	keys   []string // interned key table, index = popularity rank
+	ranks  *rng.Discrete // shared Zipf popularity table (etcRanks)
+	keys   []string      // interned key table, index = popularity rank
 }
 
-// NewETC builds an ETC request source.
+// NewETC builds an ETC request source. Its rank and key tables are the
+// process-wide shared ones, so building a source costs no table work.
 func NewETC(cfg ETCConfig, stream *rng.Stream) (*ETC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &ETC{cfg: cfg, stream: stream, zipf: rng.NewZipf(stream, cfg.Keys, cfg.ZipfAlpha),
+	return &ETC{cfg: cfg, stream: stream, ranks: etcRanks(cfg.Keys, cfg.ZipfAlpha),
 		keys: ETCKeys(cfg.Keys)}, nil
 }
 
 // Next draws one request. The key is an interned string from the shared
 // table — drawing a request allocates nothing.
 func (e *ETC) Next() KVRequest {
-	rank := e.zipf.Draw()
-	key := e.keys[rank]
+	key := e.keys[e.ranks.Draw(e.stream)]
 	if e.stream.Float64() < e.cfg.GetRatio {
 		return KVRequest{Op: OpGet, Key: key}
 	}

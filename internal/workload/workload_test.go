@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,6 +138,82 @@ func TestETCConfigValidation(t *testing.T) {
 	bad.ZipfAlpha = 0
 	if _, err := NewETC(bad, rng.New(1)); err == nil {
 		t.Error("zero alpha accepted")
+	}
+	bad.ZipfAlpha = math.NaN()
+	if _, err := NewETC(bad, rng.New(1)); err == nil {
+		t.Error("NaN alpha accepted")
+	}
+}
+
+// TestETCRankTableShared pins that ETC sources share one rank table per
+// (key space, skew) across the process, including sources built and
+// drawing concurrently, that sharing leaves each source's draws what they
+// are alone, and that a different key space or skew gets its own table.
+func TestETCRankTableShared(t *testing.T) {
+	cfg := DefaultETCConfig()
+	cfg.Keys = 5000
+	const n, draws = 8, 2000
+	got := make([]*ETC, n)
+	last := make([]KVRequest, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			e, err := NewETC(cfg, rng.New(uint64(i)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = e
+			for j := 0; j < draws; j++ {
+				last[i] = e.Next()
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, e := range got {
+		if e.ranks != got[0].ranks {
+			t.Errorf("source %d built its own rank table", i)
+		}
+		alone, err := NewETC(cfg, rng.New(uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want KVRequest
+		for j := 0; j < draws; j++ {
+			want = alone.Next()
+		}
+		if last[i] != want {
+			t.Errorf("source %d drew %+v concurrently, %+v alone", i, last[i], want)
+		}
+	}
+	for _, c := range []ETCConfig{{Keys: 5001, ZipfAlpha: cfg.ZipfAlpha}, {Keys: 5000, ZipfAlpha: 0.5}} {
+		c.GetRatio = cfg.GetRatio
+		e, err := NewETC(c, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.ranks == got[0].ranks {
+			t.Errorf("keys %d alpha %v shares the keys %d alpha %v table", c.Keys, c.ZipfAlpha, cfg.Keys, cfg.ZipfAlpha)
+		}
+	}
+}
+
+// BenchmarkNewETC measures building one ETC source, which every
+// Memcached generator thread does at the start of every run.
+func BenchmarkNewETC(b *testing.B) {
+	cfg := DefaultETCConfig()
+	cfg.Keys = 100_000 // the Memcached preload's key space
+	stream := rng.New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewETC(cfg, stream); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

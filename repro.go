@@ -126,7 +126,14 @@
 // ETC keys are interned in a shared table (workload.ETCKeys), request
 // bodies travel inline in pooled requests instead of boxed payloads, and
 // store lookups are size-only (kvstore.Fork.ValueSize) — gated below 0.2
-// allocs/request by TestMemcachedKVPathAllocFree.
+// allocs/request by TestMemcachedKVPathAllocFree. Key popularity is drawn
+// through one immutable Zipf table per (key space, skew) per process
+// (rng.NewZipf behind workload.NewETC), so a generator thread no longer
+// rebuilds a 100K-entry CDF at every run start, and a guide table makes
+// each rank draw O(1) expected instead of a bisection while returning
+// exactly the bisection's rank (TestDiscreteMatchesBisection): ~120 →
+// ~26 ns per draw at 100K keys (BenchmarkZipfDraw), ~8 ms and 800 KB →
+// ~0.2 µs and 80 B per workload.NewETC (BenchmarkNewETC).
 //
 // # Cluster layer
 //
