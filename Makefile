@@ -7,9 +7,11 @@ SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR10.json
+# The report is a local artifact (git-ignored); committed BENCH_PR*.json
+# files are trajectory points that bench-json and clean never touch.
+BENCH_JSON ?= bench-local.json
 # bench-diff compares against the last committed trajectory point.
-BENCH_BASE ?= BENCH_PR9.json
+BENCH_BASE ?= BENCH_PR10.json
 
 .PHONY: build test test-short race bench bench-json bench-diff smoke-presets profile clean
 
@@ -31,9 +33,9 @@ bench:
 
 # bench-json runs every benchmark once (smoke mode) and converts the
 # stream into a machine-readable report, the perf-trajectory artifact CI
-# archives per run. Override BENCHTIME/BENCH_JSON for longer local runs:
+# archives per run. Override BENCHTIME for longer local runs:
 #
-#	make bench-json BENCHTIME=2s BENCH_JSON=bench-local.json
+#	make bench-json BENCHTIME=2s
 BENCHTIME ?= 1x
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -benchmem ./... \

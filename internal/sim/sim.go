@@ -29,10 +29,12 @@
 // cancel and fire are O(1) amortized at any pending-event population,
 // where the historical binary min-heap paid O(log n) per operation — the
 // dominant engine cost once hundreds of thousands of events are pending
-// (million-QPS scenarios, hour-long virtual runs). The heap survives as a
-// second implementation of the internal queue interface so differential
-// tests can pin that the wheel fires events in byte-identical order; only
-// the wheel is on the production path.
+// (million-QPS scenarios, hour-long virtual runs). Firing an event is one
+// search of the wheel bounded by the run's limit, with no separate peek
+// at the next deadline. The heap survives as a second implementation of
+// the internal queue interface so differential tests can pin that the
+// wheel fires events in byte-identical order; only the wheel is on the
+// production path.
 package sim
 
 import (
@@ -152,14 +154,17 @@ func (a *event) less(b *event) bool {
 // the binary min-heap reference (heapQueue below, O(log n)) retained so
 // differential tests can pin that both fire events in identical order.
 //
-// Contract: pop returns the (deadline, at, seq)-minimal event; minDeadline
-// reports its deadline without popping and must not observably mutate;
-// remove detaches an event known to be queued; drain empties the queue
-// through the callback (in no particular order) and rewinds any internal
-// clock so the queue is ready for a fresh run.
+// Contract: pop(limit) removes and returns the (deadline, at, seq)-minimal
+// event when its deadline is at most limit, and otherwise returns nil
+// and keeps it queued; a push at or after the returned event's deadline
+// — or, after a nil return, at or after limit — must stay valid.
+// minDeadline reports the minimal deadline without popping and must not
+// observably mutate; remove detaches an event known to be queued; drain
+// empties the queue through the callback (in no particular order) and
+// rewinds any internal clock so the queue is ready for a fresh run.
 type pendingQueue interface {
 	push(ev *event)
-	pop() *event
+	pop(limit Time) *event
 	minDeadline() (Time, bool)
 	remove(ev *event)
 	size() int
@@ -201,8 +206,8 @@ type heapQueue struct{ h eventHeap }
 
 func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
 
-func (q *heapQueue) pop() *event {
-	if len(q.h) == 0 {
+func (q *heapQueue) pop(limit Time) *event {
+	if len(q.h) == 0 || q.h[0].deadline > limit {
 		return nil
 	}
 	return heap.Pop(&q.h).(*event)
@@ -236,7 +241,6 @@ type Engine struct {
 	nextSeq uint64
 	fired   uint64
 	grown   uint64 // events allocated fresh (free list empty)
-	running bool
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue,
@@ -406,8 +410,13 @@ func (e *Engine) Cancel(id EventID) {
 // recycled before its callback runs, so handlers scheduling new events
 // reuse the slot immediately; the fired event's ID is already stale by
 // the time the callback observes anything.
-func (e *Engine) Step() bool {
-	ev := e.queue.pop()
+func (e *Engine) Step() bool { return e.fire(Infinity) }
+
+// fire executes the earliest pending event if its deadline is at most
+// limit and reports whether it did — the one body behind Step, Run,
+// RunUntil and RunBefore.
+func (e *Engine) fire(limit Time) bool {
+	ev := e.queue.pop(limit)
 	if ev == nil {
 		return false
 	}
@@ -425,23 +434,16 @@ func (e *Engine) Step() bool {
 
 // Run executes events until the queue drains.
 func (e *Engine) Run() {
-	e.running = true
-	defer func() { e.running = false }()
-	for e.Step() {
+	for e.fire(Infinity) {
 	}
 }
 
 // RunUntil executes events with deadlines ≤ limit, then advances the clock
-// to limit. Events scheduled beyond limit remain queued.
+// to limit. Events scheduled beyond limit remain queued, and the clock
+// parks on limit with events at limit still schedulable: the queue's
+// bounded pop never moves its cursor past limit.
 func (e *Engine) RunUntil(limit Time) {
-	e.running = true
-	defer func() { e.running = false }()
-	for {
-		d, ok := e.queue.minDeadline()
-		if !ok || d > limit {
-			break
-		}
-		e.Step()
+	for e.fire(limit) {
 	}
 	if e.now < limit {
 		e.now = limit
@@ -451,19 +453,11 @@ func (e *Engine) RunUntil(limit Time) {
 // RunBefore executes events with deadlines strictly earlier than limit,
 // then advances the clock to limit. It is the epoch primitive of the
 // sharded runtime (shard.go): a shard granted the window [now, limit)
-// fires exactly the events it owns inside it, and stops with its clock
-// parked on the barrier instant so cross-shard events arriving *at*
-// limit are still schedulable.
+// fires exactly the events it owns inside it — RunUntil(limit-1)'s
+// firing — and stops with its clock parked on the barrier instant so
+// cross-shard events arriving *at* limit are still schedulable.
 func (e *Engine) RunBefore(limit Time) {
-	e.running = true
-	defer func() { e.running = false }()
-	for {
-		d, ok := e.queue.minDeadline()
-		if !ok || d >= limit {
-			break
-		}
-		e.Step()
-	}
+	e.RunUntil(limit - 1)
 	if e.now < limit {
 		e.now = limit
 	}

@@ -33,14 +33,39 @@ import "math/bits"
 // # Operation costs
 //
 // push and cancel are O(1): a chain append/unlink plus a bitmap update.
-// pop finds the lowest occupied slot of the lowest occupied level; if
-// that level is 0 the bucket's head is the minimum and pop is O(1). If
-// not, the bucket is cascaded — its chain is re-pushed against the
-// cursor advanced to the bucket's start, landing every event at a
-// strictly lower level — and the search repeats. Each event cascades at
-// most wheelLevels-1 times over its life regardless of the pending
+// pop finds the lowest occupied slot of the lowest occupied level. If
+// that level is 0, or the bucket holds a single event, the bucket's head
+// is the minimum and pop is O(1) (see "Lone buckets" below). Otherwise
+// the bucket is cascaded — its chain is re-pushed against the cursor
+// advanced to the bucket's start, landing every event at a strictly
+// lower level — and the search repeats. Each event cascades at most
+// wheelLevels-1 times over its life regardless of the pending
 // population, so schedule/fire is O(1) amortized where the binary heap
 // paid O(log n) per operation with cache-hostile pointer chasing.
+//
+// # Lone buckets
+//
+// Sparse traffic leaves most buckets above level 0 holding one event:
+// requests a few microseconds apart scheduled tens of microseconds ahead
+// land on level 2 and reach level 1 one to a bucket. A lone event in the
+// earliest bucket is the global minimum. An event on a higher level
+// exceeds the cursor in a higher bit group, where the lone event still
+// equals the cursor; every later slot on the lone event's level starts
+// after its bucket ends. So pop returns it directly and moves the cursor
+// to its deadline. Every other event keeps a valid (level, slot), since
+// the new cursor agrees with the old one in all bit groups above the
+// lone event's level. That is the state cascading the event down level
+// by level and popping it at level 0 reaches, without the cascades.
+//
+// # Bounded pops
+//
+// pop(limit) returns nil, leaving the event queued, when the minimum
+// deadline exceeds limit, and cascades a bucket only when the bucket's
+// start is at most limit. The cursor therefore never passes limit on a
+// pop that fires nothing, so the engine clock may park on limit
+// (RunUntil, RunBefore) and accept events scheduled at it. The "is the
+// next event due?" test thus rides on the search pop makes anyway, and
+// no run loop peeks with minDeadline before it pops.
 //
 // # Determinism
 //
@@ -54,7 +79,8 @@ import "math/bits"
 //     split across buckets at the moment either is placed.
 //   - Buckets above level 0 append in push order, exactly as before —
 //     their internal order never reaches pop directly, because a
-//     higher-level bucket is always cascaded first. A level-0 bucket
+//     higher-level bucket holding several events is always cascaded
+//     first (a lone event has no order to keep). A level-0 bucket
 //     holds a single deadline value and is what pop drains, so level-0
 //     pushes insert in (at, seq) order, walking back from the tail. For
 //     events scheduled "as of now" — every event outside the sharded
@@ -190,7 +216,9 @@ func (w *wheel) push(ev *event) {
 	w.count++
 }
 
-func (w *wheel) pop() *event {
+// pop removes and returns the minimal event if its deadline is at most
+// limit, and returns nil otherwise (see "Bounded pops").
+func (w *wheel) pop(limit Time) *event {
 	for {
 		if w.levelMask == 0 {
 			return nil
@@ -198,14 +226,19 @@ func (w *wheel) pop() *event {
 		l := bits.TrailingZeros16(w.levelMask)
 		slot := bits.TrailingZeros64(w.occupied[l])
 		b := &w.levels[l][slot]
-		if l == 0 {
-			// A level-0 bucket holds a single deadline in seq order:
-			// the head is the global minimum.
+		if l == 0 || b.head == b.tail {
+			// A level-0 bucket holds a single deadline in (at, seq) order,
+			// and a lone event in the earliest bucket is below every other
+			// deadline (see "Lone buckets"): either way the head is the
+			// global minimum.
 			ev := b.head
+			if ev.deadline > limit {
+				return nil
+			}
 			b.head = ev.next
 			if b.head == nil {
 				b.tail = nil
-				w.clearSlot(0, slot)
+				w.clearSlot(l, slot)
 			} else {
 				b.head.prev = nil
 			}
@@ -216,13 +249,19 @@ func (w *wheel) pop() *event {
 		}
 		// Cascade: advance the cursor to the bucket's start instant (≤
 		// every deadline it holds, > every deadline already fired) and
-		// redistribute the chain; each event lands at a level < l.
+		// redistribute the chain; each event lands at a level < l. A
+		// bucket starting beyond limit holds nothing due, and cascading
+		// it would move the cursor past the instant the clock parks at.
+		shift := uint(l * wheelBits)
+		high := uint64(w.cursor) &^ (uint64(1)<<(shift+wheelBits) - 1)
+		start := Time(high | uint64(slot)<<shift)
+		if start > limit {
+			return nil
+		}
 		head := b.head
 		b.head, b.tail = nil, nil
 		w.clearSlot(l, slot)
-		shift := uint(l * wheelBits)
-		high := uint64(w.cursor) &^ (uint64(1)<<(shift+wheelBits) - 1)
-		w.cursor = Time(high | uint64(slot)<<shift)
+		w.cursor = start
 		w.cascades++
 		if w.hysteresis {
 			w.cascadeChain(head)
@@ -338,9 +377,9 @@ func (w *wheel) clearSlot(l, slot int) {
 // minDeadline reports the earliest pending deadline without mutating the
 // wheel: the lowest occupied slot of the lowest occupied level bounds the
 // minimum, and for level 0 the bucket's single deadline is exact. For a
-// higher-level bucket the chain is scanned; that cost is paid at most
-// once per cascade (the subsequent pop moves the chain to lower levels),
-// so RunUntil's peek-then-step loop stays O(1) amortized.
+// higher-level bucket the chain is scanned. Firing never calls it — pop
+// takes the limit itself — so the scan is paid only by NextDeadline, once
+// per sharded epoch.
 func (w *wheel) minDeadline() (Time, bool) {
 	if w.levelMask == 0 {
 		return 0, false

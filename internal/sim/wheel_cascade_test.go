@@ -11,7 +11,9 @@ import (
 // batch bursts at far deadlines, a differential property test against
 // both the retained heap and the legacy per-event cascade, a
 // cascade-work assertion proving hysteresis splices instead of
-// re-pushing, and the dense-deep-horizon benchmark with its ≥1.5× gate.
+// re-pushing, and the dense-deep-horizon benchmark with its ≥1.5× gate —
+// plus the opposite regime, a sparse near horizon whose lone buckets pop
+// without cascading.
 
 // genDeepOps builds an op script whose delays are drawn per wheel level:
 // a random level l ∈ [0, 11) and a delay in [2^(6l), 2^min(6l+6, 62)),
@@ -19,14 +21,16 @@ import (
 // virtual deltas). A third of schedules extend a burst — a run of
 // identical far delays back to back, the shape a phase-program batch
 // arrival or an autoscaler tick fan-out produces — so cascades see long
-// same-deadline chains.
+// same-deadline chains. A quarter of a burst's events are handed off as
+// of an earlier origin, so those chains reach level 0 out of
+// (at, seq) order.
 func genDeepOps(rng *rand.Rand, n int) []dualOp {
 	ops := make([]dualOp, 0, n)
 	for len(ops) < n {
 		op := dualOp{kind: weightedKind(rng)}
 		op.pick = rng.Int()
 		op.horizon = time.Duration(1+rng.Intn(500)) * time.Microsecond
-		if op.kind == 0 || op.kind == 5 {
+		if op.kind == 0 || op.kind == 5 || op.kind == 6 {
 			l := rng.Intn(wheelLevels)
 			lo := uint(6 * l)
 			hi := uint(6*l + 6)
@@ -38,7 +42,11 @@ func genDeepOps(rng *rand.Rand, n int) []dualOp {
 			if op.kind == 0 && l >= 3 && rng.Intn(3) == 0 {
 				// Burst: replicate the same far deadline 8–128 times.
 				for burst := 8 + rng.Intn(120); burst > 0 && len(ops) < n; burst-- {
-					ops = append(ops, op)
+					burstOp := op
+					if rng.Intn(4) == 0 {
+						burstOp.kind, burstOp.pick = 6, rng.Int()
+					}
+					ops = append(ops, burstOp)
 				}
 				continue
 			}
@@ -237,4 +245,70 @@ func TestWheelCascadeHysteresisFaster(t *testing.T) {
 	}
 	t.Errorf("dense deep horizon: hysteresis %.0f ns/batch vs legacy %.0f ns/batch — below the 1.5× bar",
 		hystNs, legacyNs)
+}
+
+// sparseDriver keeps a schedule shaped like the paper-lp request traffic
+// running through an engine: sparsePending events stand pending, and each
+// fired event is replaced by one 4–65 µs ahead, so deadlines sit about
+// 0.75 µs apart. Nearly every event is placed on level 2 and, once its
+// level-2 bucket cascades, is alone in its level-1 bucket.
+type sparseDriver struct {
+	e   *Engine
+	s   countSink
+	rng uint64
+}
+
+// sparsePending × 0.75 µs spacing ≈ the 34.5 µs mean lead.
+const sparsePending = 46
+
+func newSparseDriver(e *Engine) *sparseDriver {
+	d := &sparseDriver{e: e, rng: 0x9E3779B97F4A7C15}
+	for i := 0; i < sparsePending; i++ {
+		d.e.AfterSink(d.lead(), &d.s, EventArg{U64: 1})
+	}
+	return d
+}
+
+func (d *sparseDriver) lead() time.Duration {
+	d.rng ^= d.rng << 13
+	d.rng ^= d.rng >> 7
+	d.rng ^= d.rng << 17
+	return 4*time.Microsecond + time.Duration(d.rng%uint64(61*time.Microsecond))
+}
+
+// iter is one steady-state step: fire the earliest event, schedule its
+// replacement.
+func (d *sparseDriver) iter() {
+	d.e.Step()
+	d.e.AfterSink(d.lead(), &d.s, EventArg{U64: 1})
+}
+
+// TestWheelSparseHorizonCascades pins the lone-bucket pop by its
+// mechanism count: on the sparse schedule at most 0.3 buckets cascade per
+// fired event. Cascading every bucket on the way to level 0 costs about
+// 1.1 — each event's lone level-1 bucket plus its share of a level-2 one.
+func TestWheelSparseHorizonCascades(t *testing.T) {
+	e := NewEngine()
+	d := newSparseDriver(e)
+	for i := 0; i < 100_000; i++ {
+		d.iter()
+	}
+	w := e.queue.(*wheel)
+	perEvent := float64(w.cascades) / float64(e.Fired())
+	t.Logf("%d cascades walking %d events for %d fired: %.3f cascades per fired event",
+		w.cascades, w.cascadeEvents, e.Fired(), perEvent)
+	if perEvent > 0.3 {
+		t.Errorf("%.3f cascades per fired event, want ≤ 0.3", perEvent)
+	}
+}
+
+// BenchmarkEngineSparseHorizon measures one schedule+fire on the sparse
+// paper-lp-shaped schedule (see sparseDriver). 0 B/op in steady state.
+func BenchmarkEngineSparseHorizon(b *testing.B) {
+	d := newSparseDriver(NewEngine())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.iter()
+	}
 }

@@ -11,8 +11,10 @@ import (
 // observable behaviour — firing order, clocks, cancellation semantics —
 // must be byte-identical between them. The random drivers below exercise
 // schedule/cancel/reschedule interleavings, including stale-ID (ABA)
-// cancels against recycled wheel slots, and the pending-population
-// benchmarks measure the O(log n) → O(1) win the wheel exists for.
+// cancels against recycled wheel slots, deferred-origin schedules and
+// RunBefore windows (the sharded runtime's two primitives), and the
+// pending-population benchmarks measure the O(log n) → O(1) win the
+// wheel exists for.
 
 // firing is one observed event execution.
 type firing struct {
@@ -23,9 +25,9 @@ type firing struct {
 // dualOp is one scripted queue operation, applied identically to both
 // engines.
 type dualOp struct {
-	kind    int // 0 schedule, 1 cancel live, 2 cancel stale, 3 step, 4 runUntil, 5 reschedule
+	kind    int // 0 schedule, 1 cancel live, 2 cancel stale, 3 step, 4 runUntil, 5 reschedule, 6 deferred-origin schedule, 7 runBefore
 	delay   time.Duration
-	pick    int // index into live (cancel/reschedule) or retired (stale cancel) IDs
+	pick    int // index into live (cancel/reschedule) or retired (stale cancel) IDs; origin draw (6) or window choice (7)
 	horizon time.Duration
 }
 
@@ -56,16 +58,20 @@ func genOps(rng *rand.Rand, n int) []dualOp {
 
 func weightedKind(rng *rand.Rand) int {
 	switch v := rng.Intn(100); {
-	case v < 45:
+	case v < 38:
 		return 0 // schedule
+	case v < 46:
+		return 6 // schedule as of an origin in [0, Now] — sharded hand-off
 	case v < 55:
 		return 1 // cancel a live event
 	case v < 62:
 		return 2 // cancel a stale (fired/canceled) ID — ABA probe
-	case v < 80:
+	case v < 78:
 		return 3 // step
-	case v < 90:
+	case v < 86:
 		return 4 // run until a horizon
+	case v < 92:
+		return 7 // run before a window bound — sharded epoch
 	default:
 		return 5 // reschedule: cancel live + schedule replacement
 	}
@@ -86,7 +92,16 @@ func (d *dualDriver) OnEvent(now Time, arg EventArg) {
 }
 
 func (d *dualDriver) schedule(delay time.Duration) {
-	id := d.e.AfterSink(delay, d, EventArg{U64: uint64(d.nextTag)})
+	d.track(d.e.AfterSink(delay, d, EventArg{U64: uint64(d.nextTag)}))
+}
+
+// scheduleFrom schedules delay after now with tie-breaking as of origin
+// (AtSinkFrom), the way the sharded runtime adopts hand-offs.
+func (d *dualDriver) scheduleFrom(origin Time, delay time.Duration) {
+	d.track(d.e.AtSinkFrom(origin, d.e.Now().Add(delay), d, EventArg{U64: uint64(d.nextTag)}))
+}
+
+func (d *dualDriver) track(id EventID) {
 	d.live = append(d.live, id)
 	d.liveTag = append(d.liveTag, d.nextTag)
 	d.nextTag++
@@ -143,11 +158,23 @@ func (d *dualDriver) apply(op dualOp) {
 			d.liveTag = append(d.liveTag[:i], d.liveTag[i+1:]...)
 			d.schedule(op.delay)
 		}
+	case 6:
+		now := d.e.Now()
+		d.scheduleFrom(Time(uint64(op.pick)%(uint64(now)+1)), op.delay)
+	case 7:
+		// Every other window ends exactly on the next pending deadline,
+		// which must stay queued.
+		limit := d.e.Now().Add(op.horizon)
+		if nd := d.e.NextDeadline(); op.pick%2 == 0 && nd != Infinity {
+			limit = nd
+		}
+		d.e.RunBefore(limit)
 	}
 }
 
 // TestWheelHeapIdenticalOrder is the determinism pin for the wheel: for
-// randomized schedule/cancel/reschedule/run interleavings, the wheel
+// randomized schedule/cancel/reschedule/run interleavings (deferred-origin
+// schedules and RunBefore windows included), the wheel
 // engine fires exactly the events the heap engine fires, at the same
 // instants, in the same order.
 func TestWheelHeapIdenticalOrder(t *testing.T) {
@@ -247,6 +274,61 @@ func TestWheelDeepDeadlines(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("firing %d at %v, want %v (full: %v)", i, got[i], want[i], got)
 		}
+	}
+}
+
+// TestWheelBoundedPopParksCursor pins the "bucket start ≤ limit" guard of
+// the wheel's bounded pop. Two events at 6096 and 6097 share a level-2
+// bucket starting at 4096 — at or below the 5000 limit, while the
+// earliest deadline is above it. Cascading that bucket lands both in one
+// level-1 bucket starting at 6080, beyond the limit; cascading it too
+// would move the cursor past the clock the run parks on limit, and
+// scheduling at Now would panic with "push behind cursor". After the
+// run, an event at Now and one handed off as of an earlier origin must
+// be accepted and fire first, in the heap's order.
+func TestWheelBoundedPopParksCursor(t *testing.T) {
+	const limit = Time(5000)
+	for _, run := range []struct {
+		name string
+		fn   func(*Engine, Time)
+	}{
+		{"RunUntil", (*Engine).RunUntil},
+		{"RunBefore", (*Engine).RunBefore},
+	} {
+		t.Run(run.name, func(t *testing.T) {
+			var fired [2][]firing
+			for i, e := range []*Engine{NewEngine(), newHeapEngine()} {
+				d := &dualDriver{e: e}
+				d.schedule(6096)
+				d.schedule(6097)
+				w, isWheel := e.queue.(*wheel)
+				if isWheel && d.live[0].ev.lvl != 2 {
+					t.Fatalf("6096 placed on level %d, want 2", d.live[0].ev.lvl)
+				}
+				run.fn(e, limit)
+				if e.Now() != limit || len(d.fired) != 0 {
+					t.Fatalf("after the run: now %v, fired %v; want %v and nothing", e.Now(), d.fired, limit)
+				}
+				d.schedule(0)              // AtSink(Now())
+				d.scheduleFrom(limit/2, 0) // AtSinkFrom(origin < Now, Now())
+				if isWheel && w.cascades != 1 {
+					t.Fatalf("the run cascaded %d buckets, want 1: the level-2 bucket, not the level-1 one it fed", w.cascades)
+				}
+				e.Run()
+				fired[i] = d.fired
+			}
+			want := []firing{{limit, 3}, {limit, 2}, {6096, 0}, {6097, 1}}
+			for i, name := range []string{"wheel", "heap"} {
+				if len(fired[i]) != len(want) {
+					t.Fatalf("%s fired %v, want %v", name, fired[i], want)
+				}
+				for j := range want {
+					if fired[i][j] != want[j] {
+						t.Fatalf("%s fired %v, want %v", name, fired[i], want)
+					}
+				}
+			}
+		})
 	}
 }
 
