@@ -1,13 +1,14 @@
-// Package kvstore implements a memcached-like in-memory key-value store:
-// a sharded hash table with per-shard LRU eviction, optional TTL expiry,
-// and hit/miss statistics.
+// Package kvstore implements memcached-like in-memory key-value storage:
+// Store, a sharded string-keyed hash table with per-shard LRU eviction,
+// TTL expiry and hit/miss statistics, and Snapshot, an immutable base of
+// items addressed by integer ID that Forks overlay copy-on-write.
 //
-// The store plays two roles in the reproduction. First, it is the real data
-// path behind the simulated Memcached service: the service model executes
-// actual Get/Set operations against a populated store, so cache behaviour
-// (hits, misses, evictions) is genuine rather than assumed. Second, its
-// measured per-operation CPU cost calibrates the ~10 µs service-time scale
-// the paper cites for Memcached ([4], [7]).
+// The two play different roles in the reproduction. The simulated
+// Memcached service runs on Snapshot and Fork: it preloads one Snapshot
+// indexed by ETC popularity rank and executes real Get/Set operations on
+// a Fork of it, so hits and misses are genuine rather than assumed. Store
+// stands alone; its measured per-operation CPU cost calibrates the ~10 µs
+// service-time scale the paper cites for Memcached ([4], [7]).
 package kvstore
 
 import (

@@ -32,8 +32,8 @@ const (
 //
 // The store is a copy-on-write fork of a preload snapshot shared by every
 // instance with the same workload parameters: the ETC key space is
-// preloaded once per process and frozen, each instance overlays its own
-// writes, and a run reset drops the overlay. That keeps run isolation —
+// frozen once per process, indexed by rank, each instance overlays its
+// own writes, and a run reset drops the overlay. That keeps run isolation —
 // SETs overwrite preloaded values and a GET's cost depends on the stored
 // value's size, so runs must each observe the pristine store (§III) —
 // while N concurrent sweep cells cost one preload instead of N.
@@ -44,22 +44,23 @@ type Memcached struct {
 	etcCfg  workload.ETCConfig
 }
 
-// memcachedZeroBuf backs preload and run-time Sets (the store copies the
-// value, so one read-only buffer serves every instance).
+// memcachedZeroBuf backs every stored value: the preload and run-time
+// Sets store views of it, so one read-only buffer serves every instance.
 var memcachedZeroBuf = make([]byte, kvstore.MaxValueSize)
 
 // preloadSnapshots caches the frozen preloaded key space per workload
 // configuration. Preloading is deterministic — a fixed labeled stream
 // drives the value-size draws — so instances sharing a configuration
-// would build byte-identical stores; they fork one snapshot instead.
+// would build identical snapshots; they fork one instead.
 var (
 	preloadMu        sync.Mutex
 	preloadSnapshots = map[workload.ETCConfig]*kvstore.Snapshot{}
 )
 
-// preloadSnapshot returns the shared frozen preload for etcCfg, building
-// it on first use. The lock is held across the build so concurrent
-// constructors wait for one preload rather than racing to duplicate it.
+// preloadSnapshot returns the shared frozen preload for etcCfg, building it
+// on first use under the lock, so concurrent constructors wait for one
+// build. ID i, the key of rank i, is a view of memcachedZeroBuf sized by
+// the i-th value-size draw.
 func preloadSnapshot(etcCfg workload.ETCConfig) (*kvstore.Snapshot, error) {
 	preloadMu.Lock()
 	defer preloadMu.Unlock()
@@ -70,15 +71,14 @@ func preloadSnapshot(etcCfg workload.ETCConfig) (*kvstore.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := kvstore.New(kvstore.Config{Shards: 64})
-	keys := workload.ETCKeys(etcCfg.Keys) // interned: shared with every generator
-	for i := 0; i < etcCfg.Keys; i++ {
-		size := etc.ValueSize()
-		if err := store.Set(keys[i], memcachedZeroBuf[:size], 0); err != nil {
-			return nil, err
-		}
+	entries := make([]kvstore.Entry, etcCfg.Keys)
+	for i := range entries {
+		entries[i].Value = memcachedZeroBuf[:etc.ValueSize()]
 	}
-	sn := store.Snapshot()
+	sn, err := kvstore.NewSnapshot(entries)
+	if err != nil {
+		return nil, err
+	}
 	preloadSnapshots[etcCfg] = sn
 	return sn, nil
 }
@@ -191,14 +191,15 @@ func (m *Memcached) Arrive(req *Request, now sim.Time) {
 	req.ServerArrive = now
 
 	// Execute the real operation to determine outcome and response size.
-	// Both store calls are allocation-free: a GET's cost depends only on
-	// the stored value's size (ValueSize skips Get's copy-out), and SETs
-	// store views of the shared immutable zero buffer (SetShared skips
-	// the defensive copy).
+	// The store is addressed by kv.Rank (kv.Key only routes and sizes the
+	// request). Both calls are allocation-free: a GET's cost depends only
+	// on the stored value's size (ValueSize skips Get's copy-out), and SETs
+	// store views of the shared immutable zero buffer (SetShared skips the
+	// defensive copy).
 	var cost time.Duration
 	switch kv.Op {
 	case workload.OpGet:
-		size, err := m.store.ValueSize(kv.Key, int64(now))
+		size, err := m.store.ValueSize(kv.Rank, int64(now))
 		if err != nil {
 			cost = memcachedGetBase + memcachedMissAdj
 			req.ResponseBytes = 24 // miss response header
@@ -207,7 +208,7 @@ func (m *Memcached) Arrive(req *Request, now sim.Time) {
 			req.ResponseBytes = 24 + size
 		}
 	case workload.OpSet:
-		if err := m.store.SetShared(kv.Key, memcachedZeroBuf[:kv.ValueSize], 0); err != nil {
+		if err := m.store.SetShared(kv.Rank, memcachedZeroBuf[:kv.ValueSize], 0); err != nil {
 			panic(fmt.Sprintf("services: memcached preloaded store rejected set: %v", err))
 		}
 		cost = memcachedSetBase + time.Duration(float64(kv.ValueSize)*memcachedPerByte)

@@ -52,8 +52,8 @@ type Request struct {
 	// KV carries a key-value request body inline (HasKV set) instead of
 	// boxed in Payload: storing a struct with a string field in an
 	// interface heap-allocates, and for the Memcached path that boxing
-	// was the last per-request allocation once keys were interned. The
-	// key string itself is shared from the workload's interned table.
+	// was the last per-request allocation once keys were interned. Its
+	// interned Key routes the request; the Memcached store reads its Rank.
 	KV    workload.KVRequest
 	HasKV bool
 

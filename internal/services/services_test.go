@@ -56,26 +56,26 @@ func TestMemcachedServesGetAndSet(t *testing.T) {
 		t.Errorf("name = %s", m.Name())
 	}
 	// GET of a preloaded key: hit, service ≈ 10µs, response carries value.
-	dep, req := drive(t, m, workload.KVRequest{Op: workload.OpGet, Key: "etc-000000000042"})
+	dep, req := drive(t, m, workload.KVRequest{Op: workload.OpGet, Key: "etc-000000000042", Rank: 42})
 	if got := time.Duration(dep); got < 5*time.Microsecond || got > 60*time.Microsecond {
 		t.Errorf("GET service time %v, want ≈10µs", got)
-	}
-	if req.ResponseBytes <= 24 {
-		t.Errorf("GET hit response = %d bytes, want value payload", req.ResponseBytes)
 	}
 	if m.Store().Stats().Hits == 0 {
 		t.Error("real store recorded no hit")
 	}
+	if size, err := m.Store().ValueSize(42, 0); err != nil || req.ResponseBytes != 24+size {
+		t.Errorf("GET hit response = %d bytes, want 24 + rank 42's %d-byte value (%v)", req.ResponseBytes, size, err)
+	}
 
-	// GET of a missing key: miss, small response.
-	_, req = drive(t, m, workload.KVRequest{Op: workload.OpGet, Key: "absent"})
+	// GET of a key past the preloaded ranks: miss, small response.
+	_, req = drive(t, m, workload.KVRequest{Op: workload.OpGet, Key: "absent", Rank: cfg.Keys})
 	if req.ResponseBytes != 24 {
 		t.Errorf("miss response = %d bytes, want 24", req.ResponseBytes)
 	}
 
 	// SET stores for real.
 	before := m.Store().Len()
-	drive(t, m, workload.KVRequest{Op: workload.OpSet, Key: "new-key", ValueSize: 128})
+	drive(t, m, workload.KVRequest{Op: workload.OpSet, Key: "new-key", Rank: cfg.Keys + 1, ValueSize: 128})
 	if m.Store().Len() != before+1 {
 		t.Error("SET did not store")
 	}
@@ -103,8 +103,8 @@ func TestMemcachedResetRunRestoresStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const key = "etc-000000000007"
-	orig, err := m.Store().Get(key, 0)
+	const rank = 7
+	orig, err := m.Store().Get(rank, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,13 +112,13 @@ func TestMemcachedResetRunRestoresStore(t *testing.T) {
 	// A run SETs the key with a different value size; a GET's modelled
 	// cost depends on that size, so without a restore the next run would
 	// observe this run's write.
-	drive(t, m, workload.KVRequest{Op: workload.OpSet, Key: key, ValueSize: len(orig) + 999})
-	if v, _ := m.Store().Get(key, 0); len(v) != len(orig)+999 {
+	drive(t, m, workload.KVRequest{Op: workload.OpSet, Key: "etc-000000000007", Rank: rank, ValueSize: len(orig) + 999})
+	if v, _ := m.Store().Get(rank, 0); len(v) != len(orig)+999 {
 		t.Fatalf("set not applied: len=%d", len(v))
 	}
 
 	m.ResetRun(sim.NewEngine(), rng.New(5))
-	v, err := m.Store().Get(key, 0)
+	v, err := m.Store().Get(rank, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,14 +194,56 @@ func TestMemcachedInstancesShareSnapshot(t *testing.T) {
 		t.Error("different key spaces share a snapshot")
 	}
 
-	const key = "etc-000000000009"
-	orig, err := a.Store().Get(key, 0)
+	const rank = 9
+	orig, err := a.Store().Get(rank, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive(t, a, workload.KVRequest{Op: workload.OpSet, Key: key, ValueSize: len(orig) + 123})
-	if v, _ := b.Store().Get(key, 0); len(v) != len(orig) {
+	drive(t, a, workload.KVRequest{Op: workload.OpSet, Key: "etc-000000000009", Rank: rank, ValueSize: len(orig) + 123})
+	if v, _ := b.Store().Get(rank, 0); len(v) != len(orig) {
 		t.Errorf("sibling instance sees a's write: len=%d, want %d", len(v), len(orig))
+	}
+}
+
+// TestMemcachedPreloadByRank pins the preload: the default key space's
+// item and byte counts, which any change to the value-size draws moves,
+// and that ID i holds the i-th value-size draw of the memcached-preload
+// stream, so a GET of rank i prices rank i's value.
+func TestMemcachedPreloadByRank(t *testing.T) {
+	m, err := NewMemcached(DefaultMemcachedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := m.Store()
+	if store.Len() != 100_000 || store.Bytes() != 32_973_675 {
+		t.Errorf("preload presents %d items, %d bytes; want 100000, 32973675", store.Len(), store.Bytes())
+	}
+	etc, err := workload.NewETC(m.ETCConfig(), rng.NewLabeled(12345, "memcached-preload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < store.Len(); id++ {
+		want := etc.ValueSize()
+		if got, err := store.ValueSize(id, 0); err != nil || got != want {
+			t.Fatalf("ID %d holds %d bytes (%v), want draw %d = %d", id, got, err, id, want)
+		}
+	}
+}
+
+// BenchmarkMemcachedPreload measures building the default 100K-key
+// preload from a cold cache, as the first Memcached instance of a process
+// does.
+func BenchmarkMemcachedPreload(b *testing.B) {
+	etcCfg := workload.DefaultETCConfig()
+	etcCfg.Keys = DefaultMemcachedConfig().Keys
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		preloadMu.Lock()
+		delete(preloadSnapshots, etcCfg)
+		preloadMu.Unlock()
+		if _, err := preloadSnapshot(etcCfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -197,6 +197,11 @@ func TestWheelCascadeHysteresisReducesWork(t *testing.T) {
 
 func benchmarkCascadeDense(b *testing.B, newEngine func() *Engine) {
 	d := newDenseDriver(newEngine(), 256)
+	// Start from steady state: the event pool grows by ~30 KB over the
+	// first batches, which at the N a slow host picks reads as 1 B/op.
+	for i := 0; i < 64; i++ {
+		d.iter()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -147,16 +147,16 @@ func TestArrivalConfigDeterministic(t *testing.T) {
 func TestArrivalConfigValidate(t *testing.T) {
 	bad := []ArrivalConfig{
 		{Process: "bogus"},
-		{Process: ArrivalGamma},                                    // cv unset
-		{Process: ArrivalGamma, CV: -1},                            // cv negative
-		{Process: ArrivalGamma, CV: math.NaN()},                    // cv NaN
-		{Process: ArrivalWeibull},                                  // shape unset
-		{Process: ArrivalWeibull, Shape: -0.5},                     // shape negative
-		{Process: ArrivalWeibull, Shape: math.Inf(1)},              // shape inf
-		{Process: ArrivalOnOff},                                    // means unset
-		{Process: ArrivalOnOff, OnMean: time.Second},               // off unset
-		{Process: ArrivalOnOff, OnMean: -time.Second, OffMean: 1},  // on negative
-		{Process: ArrivalOnOff, OnMean: time.Second, OffMean: -1},  // off negative
+		{Process: ArrivalGamma},                                   // cv unset
+		{Process: ArrivalGamma, CV: -1},                           // cv negative
+		{Process: ArrivalGamma, CV: math.NaN()},                   // cv NaN
+		{Process: ArrivalWeibull},                                 // shape unset
+		{Process: ArrivalWeibull, Shape: -0.5},                    // shape negative
+		{Process: ArrivalWeibull, Shape: math.Inf(1)},             // shape inf
+		{Process: ArrivalOnOff},                                   // means unset
+		{Process: ArrivalOnOff, OnMean: time.Second},              // off unset
+		{Process: ArrivalOnOff, OnMean: -time.Second, OffMean: 1}, // on negative
+		{Process: ArrivalOnOff, OnMean: time.Second, OffMean: -1}, // off negative
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -34,8 +34,9 @@ func (o Op) String() string {
 // KVRequest is one generated key-value request.
 type KVRequest struct {
 	Op        Op
-	Key       string
-	ValueSize int // bytes; 0 for GET
+	Key       string // ETCKeys(n)[Rank]: routers hash it, the wire size counts it
+	Rank      int    // popularity rank: the Memcached store's item ID
+	ValueSize int    // bytes; 0 for GET
 }
 
 // ETCConfig parameterizes the ETC workload model. The constants follow the
@@ -77,12 +78,11 @@ func (c ETCConfig) Validate() error {
 }
 
 // Interned ETC key table. Key strings are a pure function of rank
-// ("etc-%012d"), so every generator thread, every run and the Memcached
-// preload can share one immutable table instead of fmt.Sprintf-ing a
-// fresh string per request — the last per-request allocation on the
-// key-value hot path. The table grows monotonically to the largest key
-// space requested and is never mutated after publication; ETCKeys hands
-// out sub-slices of it.
+// ("etc-%012d"), so every generator thread and every run can share one
+// immutable table instead of fmt.Sprintf-ing a fresh string per request
+// — the last per-request allocation on the key-value hot path. The table
+// grows monotonically to the largest key space requested and is never
+// mutated after publication; ETCKeys hands out sub-slices of it.
 var (
 	keyTableMu sync.Mutex
 	keyTable   []string
@@ -158,11 +158,11 @@ func NewETC(cfg ETCConfig, stream *rng.Stream) (*ETC, error) {
 // Next draws one request. The key is an interned string from the shared
 // table — drawing a request allocates nothing.
 func (e *ETC) Next() KVRequest {
-	key := e.keys[e.ranks.Draw(e.stream)]
+	rank := e.ranks.Draw(e.stream)
 	if e.stream.Float64() < e.cfg.GetRatio {
-		return KVRequest{Op: OpGet, Key: key}
+		return KVRequest{Op: OpGet, Key: e.keys[rank], Rank: rank}
 	}
-	return KVRequest{Op: OpSet, Key: key, ValueSize: e.ValueSize()}
+	return KVRequest{Op: OpSet, Key: e.keys[rank], Rank: rank, ValueSize: e.ValueSize()}
 }
 
 // ValueSize draws a value size in bytes from the generalized-Pareto ETC

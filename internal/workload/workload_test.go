@@ -49,6 +49,41 @@ func TestETCPopularitySkew(t *testing.T) {
 	}
 }
 
+// TestETCKeyIsRankKey pins the rank↔key invariant the Memcached store
+// relies on (it is addressed by Rank while routers hash Key): every draw,
+// GET and SET, carries Key == ETCKeys(n)[Rank]. It also replays each
+// draw from a second stream in the documented order (rank, then the
+// GET/SET coin, then a SET's value size), so a change to that order or to
+// the rank a draw reports fails here.
+func TestETCKeyIsRankKey(t *testing.T) {
+	cfg := DefaultETCConfig()
+	cfg.Keys = 5000
+	e, err := NewETC(cfg, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, keys := &ETC{cfg: cfg, stream: rng.New(7)}, ETCKeys(cfg.Keys)
+	ops := map[Op]int{}
+	for i := 0; i < 20000; i++ {
+		r := e.Next()
+		if r.Rank < 0 || r.Rank >= cfg.Keys || r.Key != keys[r.Rank] {
+			t.Fatalf("draw %d: %v key %q carries rank %d", i, r.Op, r.Key, r.Rank)
+		}
+		want := KVRequest{Rank: e.ranks.Draw(ref.stream)}
+		want.Key = keys[want.Rank]
+		if ref.stream.Float64() >= cfg.GetRatio {
+			want.Op, want.ValueSize = OpSet, ref.ValueSize()
+		}
+		if r != want {
+			t.Fatalf("draw %d = %+v, replay %+v", i, r, want)
+		}
+		ops[r.Op]++
+	}
+	if ops[OpGet] == 0 || ops[OpSet] == 0 {
+		t.Fatalf("draws covered %v, want both GETs and SETs", ops)
+	}
+}
+
 func TestETCValueSizes(t *testing.T) {
 	e := newETC(t, 3)
 	var sum float64
