@@ -41,18 +41,18 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// goldenSweep is the reduced Memcached study the sweep-backed goldens
-// render: all three server variants at two load points, three runs each.
-func goldenSweep(t *testing.T) *Sweep {
+// goldenSweep is a reduced study the sweep-backed goldens render: the
+// three server variants the Memcached and HDSearch studies use, at two
+// load points, three runs each.
+func goldenSweep(t *testing.T, service experiment.Service, rates []float64, samples int) *Sweep {
 	t.Helper()
 	variants := []experiment.ServerVariant{
 		experiment.SMTVariants()[0], // SMToff == C1Eoff baseline
 		experiment.SMTVariants()[1],
 		experiment.C1EVariants()[1],
 	}
-	sw, err := RunServiceSweep(experiment.ServiceMemcached, variants,
-		[]float64{50_000, 200_000},
-		SweepOptions{Runs: 3, Seed: 2024, TargetSamples: 500, Workers: -1})
+	sw, err := RunServiceSweep(service, variants, rates,
+		SweepOptions{Runs: 3, Seed: 2024, TargetSamples: samples, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,23 @@ func goldenSweep(t *testing.T) *Sweep {
 }
 
 func TestGoldenMemcachedFigures(t *testing.T) {
-	sw := goldenSweep(t)
+	sw := goldenSweep(t, experiment.ServiceMemcached, []float64{50_000, 200_000}, 500)
 	checkGolden(t, "fig2_small.golden", Fig2(sw))
 	checkGolden(t, "fig3_small.golden", Fig3(sw))
 	checkGolden(t, "fig8_small.golden", Fig8(sw))
 	checkGolden(t, "table4_small.golden", TableIV(sw, 2024).Render())
+}
+
+// TestGoldenHDSearchFigure pins HDSearch's simulated output: the bucket's
+// search cost and response size both follow the LSH index's candidate
+// count, so a change to the index that moved a single query's count
+// shifts the rendered medians.
+func TestGoldenHDSearchFigure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("HDSearch sweep is slow under -race")
+	}
+	sw := goldenSweep(t, experiment.ServiceHDSearch, []float64{1000, 2500}, 300)
+	checkGolden(t, "fig4_small.golden", Fig4(sw))
 }
 
 func TestGoldenStaticTables(t *testing.T) {
