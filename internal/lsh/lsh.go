@@ -7,15 +7,19 @@
 // The index uses random-hyperplane signatures (Charikar, STOC'02): each of
 // L tables hashes a vector to a B-bit signature whose bits are the signs of
 // projections onto random hyperplanes; vectors with small angular distance
-// collide with high probability. A query probes its bucket in every table,
-// gathers candidates, and ranks them by exact cosine similarity.
+// collide with high probability. A query probes its bucket in every table
+// and gathers the distinct vectors found there as candidates.
+//
+// The index counts a query's candidates and does not rank them. The
+// HDSearch model reads only that count: it sets the bucket's search cost,
+// and min(top-k, count) sets the response size. The ranking a real bucket
+// performs, exact cosine similarity over the candidates, lives in the
+// package's tests as the oracle the count is checked against, together
+// with the brute-force scan that measures the index's recall.
 package lsh
 
 import (
-	"container/heap"
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/rng"
 )
@@ -32,18 +36,6 @@ func (v Vector) Dot(u Vector) float64 {
 	return s
 }
 
-// Norm returns the Euclidean norm.
-func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// CosineSimilarity returns v·u / (|v||u|), or 0 for zero vectors.
-func CosineSimilarity(v, u Vector) float64 {
-	nv, nu := v.Norm(), u.Norm()
-	if nv == 0 || nu == 0 {
-		return 0
-	}
-	return v.Dot(u) / (nv * nu)
-}
-
 // Config sizes the index.
 type Config struct {
 	Dim    int // vector dimensionality
@@ -52,14 +44,22 @@ type Config struct {
 	Seed   uint64
 }
 
-// Index is an LSH index over cosine similarity. Build once with Add, then
-// Query concurrently (Add is not safe concurrently with Query).
+// Index is an LSH index over cosine similarity. Vector IDs are their Add
+// order, from 0.
+//
+// An Index is not safe for concurrent use: Candidates writes the index's
+// mark array. Each owner builds its own index and queries it from one
+// goroutine at a time; every HDSearch replica builds its own, and one
+// worker or one shard drives it.
 type Index struct {
 	cfg    Config
 	planes [][]Vector // [table][bit] hyperplane normals
 	tables []map[uint64][]int
-	data   []Vector
-	ids    []string
+	// mark[id] == gen once Candidates has counted vector id for the
+	// current query. gen starts each query one higher, so no reset is
+	// needed until it wraps.
+	mark []uint32
+	gen  uint32
 }
 
 // New creates an empty index.
@@ -88,8 +88,9 @@ func New(cfg Config) (*Index, error) {
 	return idx, nil
 }
 
-// Len returns the number of indexed vectors.
-func (idx *Index) Len() int { return len(idx.data) }
+// Len returns the number of indexed vectors, which is the ID the next Add
+// assigns.
+func (idx *Index) Len() int { return len(idx.mark) }
 
 // signature hashes v in table t.
 func (idx *Index) signature(t int, v Vector) uint64 {
@@ -102,118 +103,44 @@ func (idx *Index) signature(t int, v Vector) uint64 {
 	return sig
 }
 
-// Add indexes a vector under an identifier. The vector is not copied.
-func (idx *Index) Add(id string, v Vector) error {
+// Add indexes v under the ID Len(). The index keeps v's bucket
+// memberships, not v.
+func (idx *Index) Add(v Vector) error {
 	if len(v) != idx.cfg.Dim {
 		return fmt.Errorf("lsh: vector dimension %d ≠ index dimension %d", len(v), idx.cfg.Dim)
 	}
-	n := len(idx.data)
-	idx.data = append(idx.data, v)
-	idx.ids = append(idx.ids, id)
+	id := len(idx.mark)
+	idx.mark = append(idx.mark, 0)
 	for t := range idx.tables {
 		sig := idx.signature(t, v)
-		idx.tables[t][sig] = append(idx.tables[t][sig], n)
+		idx.tables[t][sig] = append(idx.tables[t][sig], id)
 	}
 	return nil
 }
 
-// Result is one ranked neighbour.
-type Result struct {
-	ID         string
-	Similarity float64
-}
-
-// QueryStats reports the work a query performed, which the HDSearch service
-// model uses to derive a data-dependent service time.
-type QueryStats struct {
-	Candidates int // distinct vectors scored
-	Probes     int // buckets touched
-}
-
-// Query returns the top-k indexed vectors by cosine similarity to q among
-// the LSH candidates. Results are ordered most-similar first.
-func (idx *Index) Query(q Vector, k int) ([]Result, QueryStats, error) {
+// Candidates returns the number of distinct indexed vectors in q's bucket
+// across all tables: the vectors an LSH query scores by exact similarity.
+func (idx *Index) Candidates(q Vector) (int, error) {
 	if len(q) != idx.cfg.Dim {
-		return nil, QueryStats{}, fmt.Errorf("lsh: query dimension %d ≠ index dimension %d", len(q), idx.cfg.Dim)
+		return 0, fmt.Errorf("lsh: query dimension %d ≠ index dimension %d", len(q), idx.cfg.Dim)
 	}
-	if k < 1 {
-		return nil, QueryStats{}, fmt.Errorf("lsh: k must be ≥1, got %d", k)
+	idx.gen++
+	if idx.gen == 0 {
+		// Marks from the previous cycle would match the reused values.
+		clear(idx.mark)
+		idx.gen = 1
 	}
-	var stats QueryStats
-	seen := make(map[int]struct{})
-	h := &resultHeap{}
-	heap.Init(h)
-	for t := range idx.tables {
-		sig := idx.signature(t, q)
-		bucket := idx.tables[t][sig]
-		if len(bucket) > 0 {
-			stats.Probes++
-		}
-		for _, i := range bucket {
-			if _, dup := seen[i]; dup {
-				continue
-			}
-			seen[i] = struct{}{}
-			sim := CosineSimilarity(q, idx.data[i])
-			if h.Len() < k {
-				heap.Push(h, Result{ID: idx.ids[i], Similarity: sim})
-			} else if sim > (*h)[0].Similarity {
-				(*h)[0] = Result{ID: idx.ids[i], Similarity: sim}
-				heap.Fix(h, 0)
+	gen, n := idx.gen, 0
+	for t, table := range idx.tables {
+		for _, id := range table[idx.signature(t, q)] {
+			if idx.mark[id] != gen {
+				idx.mark[id] = gen
+				n++
 			}
 		}
 	}
-	stats.Candidates = len(seen)
-	out := make([]Result, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Result)
-	}
-	return out, stats, nil
+	return n, nil
 }
-
-// BruteForce returns the exact top-k by scanning every vector — the
-// ground-truth baseline used to measure LSH recall.
-func (idx *Index) BruteForce(q Vector, k int) ([]Result, error) {
-	if len(q) != idx.cfg.Dim {
-		return nil, fmt.Errorf("lsh: query dimension %d ≠ index dimension %d", len(q), idx.cfg.Dim)
-	}
-	all := make([]Result, len(idx.data))
-	for i := range idx.data {
-		all[i] = Result{ID: idx.ids[i], Similarity: CosineSimilarity(q, idx.data[i])}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].Similarity > all[b].Similarity })
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k], nil
-}
-
-// Recall computes |lsh ∩ exact| / |exact| for two result lists.
-func Recall(lshResults, exact []Result) float64 {
-	if len(exact) == 0 {
-		return 0
-	}
-	in := make(map[string]struct{}, len(exact))
-	for _, r := range exact {
-		in[r.ID] = struct{}{}
-	}
-	hits := 0
-	for _, r := range lshResults {
-		if _, ok := in[r.ID]; ok {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(exact))
-}
-
-// resultHeap is a min-heap by similarity (root = weakest of the top-k).
-type resultHeap []Result
-
-func (h resultHeap) Len() int           { return len(h) }
-func (h resultHeap) Less(i, j int) bool { return h[i].Similarity < h[j].Similarity }
-func (h resultHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x any)        { *h = append(*h, x.(Result)) }
-func (h *resultHeap) Pop() any          { old := *h; n := len(old); r := old[n-1]; *h = old[:n-1]; return r }
 
 // GenerateDataset creates n random unit-ish vectors for tests, benchmarks,
 // and the HDSearch service model, clustered so LSH has structure to find:

@@ -14,26 +14,29 @@ import (
 
 // HDSearch cost-model constants, calibrated for the paper's ≈400 µs–1.5 ms
 // end-to-end latency band (Fig. 4). The bucket's search cost is data
-// dependent: it scales with the number of LSH candidates the real index
-// actually scores for the query.
+// dependent: it scales with the number of candidates the query's LSH
+// buckets hold, which a real bucket would score.
 const (
 	hdMidtierParse  = 45 * time.Microsecond
 	hdMidtierMerge  = 70 * time.Microsecond
 	hdBucketBase    = 180 * time.Microsecond
 	hdBucketPerCand = 90 * time.Nanosecond
 	hdSigma         = 0.15
+	// hdMeanCandidates is the mean candidate count of NewQuery's queries
+	// on the default index (564–573 over 2000 draws at seeds 1–3).
+	hdMeanCandidates = 570
 )
 
 // HDSearch models the MicroSuite image-similarity service (§IV-B): a
-// three-tier structure (client → midtier → bucket) where the bucket runs
-// nearest-neighbour queries against a real LSH index. The paper deploys
-// each tier on its own machine; the midtier↔bucket hop crosses a rack link.
+// three-tier structure (client → midtier → bucket) where the bucket probes
+// a real LSH index for each query. The paper deploys each tier on its own
+// machine; the midtier↔bucket hop crosses a rack link.
 type HDSearch struct {
 	midtierM *hw.Machine
 	bucketM  *hw.Machine
 	midtier  *Tier
 	bucket   *Tier
-	index    *lsh.Index
+	index    *lsh.Index     // this backend's own: Candidates writes its marks
 	link     *netmodel.Link // midtier↔bucket, per-run jitter stream
 	queryGen *rng.Stream
 	dataset  []lsh.Vector
@@ -106,8 +109,8 @@ func NewHDSearch(cfg HDSearchConfig) (*HDSearch, error) {
 		return nil, err
 	}
 	dataset := lsh.GenerateDataset(cfg.DatasetSize, cfg.Dim, 32, 778)
-	for i, v := range dataset {
-		if err := index.Add(fmt.Sprintf("img-%d", i), v); err != nil {
+	for _, v := range dataset {
+		if err := index.Add(v); err != nil {
 			return nil, err
 		}
 	}
@@ -130,7 +133,7 @@ func (h *HDSearch) Machines() []*hw.Machine { return []*hw.Machine{h.midtierM, h
 
 // MeanServiceTime implements Backend (bucket is the bottleneck tier).
 func (h *HDSearch) MeanServiceTime() float64 {
-	return (hdBucketBase + 2000*hdBucketPerCand).Seconds()
+	return (hdBucketBase + hdMeanCandidates*hdBucketPerCand).Seconds()
 }
 
 // NewQuery draws a feature-vector query near the dataset distribution.
@@ -197,13 +200,13 @@ func (h *HDSearch) SetDegrade(d *faults.DegradeSchedule) {
 // are typed link deliveries.
 const (
 	hdStageParse  int = iota // midtier parses the query
-	hdStageSearch            // bucket runs the LSH query
+	hdStageSearch            // bucket probes the LSH index
 	hdStageMerge             // midtier merges and replies
 )
 
 // Arrive implements Backend: parse on the midtier, search on the bucket
-// (real LSH query), merge back on the midtier, then respond. The payload
-// must be an lsh.Vector query.
+// (its cost set by the query's LSH candidate count), merge back on the
+// midtier, then respond. The payload must be an lsh.Vector query.
 func (h *HDSearch) Arrive(req *Request, now sim.Time) {
 	if _, ok := req.Payload.(lsh.Vector); !ok {
 		panic(fmt.Sprintf("services: hdsearch got payload %T", req.Payload))
@@ -225,7 +228,7 @@ func (h *HDSearch) JobDone(end sim.Time, req *Request) {
 		h.link.Deliver(h.midtier.engine, end, len(q)*8, h, sim.EventArg{Ptr: req})
 	case hdStageSearch:
 		// Bucket → midtier response, then merge and reply. Scratch holds
-		// the result count the search stage produced.
+		// the search stage's result count, min(topK, candidates).
 		req.Stage = hdStageMerge
 		h.link.Deliver(h.bucket.engine, end, int(req.Scratch)*32, h, sim.EventArg{Ptr: req})
 	case hdStageMerge:
@@ -242,13 +245,12 @@ func (h *HDSearch) OnEvent(now sim.Time, arg sim.EventArg) {
 	req := arg.Ptr.(*Request)
 	switch req.Stage {
 	case hdStageSearch:
-		q := req.Payload.(lsh.Vector)
-		results, stats, err := h.index.Query(q, h.topK)
+		n, err := h.index.Candidates(req.Payload.(lsh.Vector))
 		if err != nil {
 			panic(fmt.Sprintf("services: hdsearch query failed: %v", err))
 		}
-		req.Scratch = int64(len(results))
-		searchCost := hdBucketBase + time.Duration(stats.Candidates)*hdBucketPerCand
+		req.Scratch = int64(min(h.topK, n))
+		searchCost := hdBucketBase + time.Duration(n)*hdBucketPerCand
 		searchCost = time.Duration(float64(searchCost)*h.bucket.Noise(hdSigma)) + h.bucket.StackCost()
 		h.bucket.Submit(now, searchCost, req, h)
 	case hdStageMerge:

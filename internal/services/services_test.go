@@ -303,8 +303,32 @@ func TestHDSearchThreeTierFlow(t *testing.T) {
 	if got < 250*time.Microsecond || got > 2*time.Millisecond {
 		t.Errorf("hdsearch end-to-end service %v, want ≈300µs–1ms", got)
 	}
-	if req.ResponseBytes <= 64 {
-		t.Errorf("response bytes = %d, want results payload", req.ResponseBytes)
+	if want := 64 + 48*cfg.TopK; req.ResponseBytes != want {
+		t.Errorf("response bytes = %d, want %d (header + TopK results)", req.ResponseBytes, want)
+	}
+}
+
+// TestHDSearchMeanServiceTime checks the nominal bucket search cost
+// against the candidate counts of a seeded NewQuery stream.
+func TestHDSearchMeanServiceTime(t *testing.T) {
+	h, err := NewHDSearch(DefaultHDSearchConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := rng.New(1)
+	const draws = 2000
+	total := 0
+	for i := 0; i < draws; i++ {
+		n, err := h.index.Candidates(h.NewQuery(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += n
+	}
+	mean := float64(total) / draws
+	want := (hdBucketBase + time.Duration(mean*float64(hdBucketPerCand))).Seconds()
+	if got := h.MeanServiceTime(); got < 0.95*want || got > 1.05*want {
+		t.Errorf("MeanServiceTime = %.1f µs, want %.1f µs ±5%% (%.0f mean candidates)", got*1e6, want*1e6, mean)
 	}
 }
 
