@@ -157,7 +157,7 @@ func BenchmarkRequestPathAllocs(b *testing.B) {
 		}
 	})
 	b.Run("memcached", func(b *testing.B) {
-		// The KV path: ETC payloads over the real store. With the
+		// The KV path: ETC payloads over the Memcached store. With the
 		// interned key table, inline KV bodies, and the size-only store
 		// lookup this is as allocation-free as the synthetic path.
 		backend, err := services.NewMemcached(services.DefaultMemcachedConfig())

@@ -26,9 +26,9 @@ const (
 
 // Memcached is the paper's primary benchmark: a key-value cache instance
 // with 10 worker threads pinned on a single socket, serving the ETC
-// workload. Operations execute against a real key-value store; the
-// request's worker occupancy is derived from the operation's actual
-// outcome (hit, miss, value size).
+// workload. Each operation executes against a store of value sizes by
+// key rank; the request's worker occupancy is derived from the
+// operation's outcome (hit or miss, and the value's size).
 //
 // The store is a copy-on-write fork of a preload snapshot shared by every
 // instance with the same workload parameters: the ETC key space is
@@ -44,10 +44,6 @@ type Memcached struct {
 	etcCfg  workload.ETCConfig
 }
 
-// memcachedZeroBuf backs every stored value: the preload and run-time
-// Sets store views of it, so one read-only buffer serves every instance.
-var memcachedZeroBuf = make([]byte, kvstore.MaxValueSize)
-
 // preloadSnapshots caches the frozen preloaded key space per workload
 // configuration. Preloading is deterministic — a fixed labeled stream
 // drives the value-size draws — so instances sharing a configuration
@@ -59,8 +55,7 @@ var (
 
 // preloadSnapshot returns the shared frozen preload for etcCfg, building it
 // on first use under the lock, so concurrent constructors wait for one
-// build. ID i, the key of rank i, is a view of memcachedZeroBuf sized by
-// the i-th value-size draw.
+// build. ID i, the key of rank i, holds the i-th value-size draw.
 func preloadSnapshot(etcCfg workload.ETCConfig) (*kvstore.Snapshot, error) {
 	preloadMu.Lock()
 	defer preloadMu.Unlock()
@@ -71,11 +66,11 @@ func preloadSnapshot(etcCfg workload.ETCConfig) (*kvstore.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]kvstore.Entry, etcCfg.Keys)
-	for i := range entries {
-		entries[i].Value = memcachedZeroBuf[:etc.ValueSize()]
+	sizes := make([]int32, etcCfg.Keys)
+	for i := range sizes {
+		sizes[i] = int32(etc.ValueSize()) // ValueSize is at most 1 MiB
 	}
-	sn, err := kvstore.NewSnapshot(entries)
+	sn, err := kvstore.NewSnapshot(sizes)
 	if err != nil {
 		return nil, err
 	}
@@ -157,10 +152,6 @@ func (m *Memcached) MeanServiceTime() float64 {
 // ETCConfig returns the workload parameters matching the preloaded store.
 func (m *Memcached) ETCConfig() workload.ETCConfig { return m.etcCfg }
 
-// Store exposes the instance's copy-on-write store view for examples and
-// diagnostics.
-func (m *Memcached) Store() *kvstore.Fork { return m.store }
-
 // ResetRun implements Backend. Dropping the overlay discards every key
 // the previous run wrote, so each run observes the identical pristine
 // store regardless of which runs executed before it (or concurrently on
@@ -190,25 +181,23 @@ func (m *Memcached) Arrive(req *Request, now sim.Time) {
 	}
 	req.ServerArrive = now
 
-	// Execute the real operation to determine outcome and response size.
-	// The store is addressed by kv.Rank (kv.Key only routes and sizes the
-	// request). Both calls are allocation-free: a GET's cost depends only
-	// on the stored value's size (ValueSize skips Get's copy-out), and SETs
-	// store views of the shared immutable zero buffer (SetShared skips the
-	// defensive copy).
+	// Execute the operation on the store to determine outcome and response
+	// size. The store is addressed by kv.Rank (kv.Key only routes and sizes
+	// the request) and keeps only value sizes, which is all the cost model
+	// reads: a GET's cost depends on whether it hits and on the stored
+	// value's size.
 	var cost time.Duration
 	switch kv.Op {
 	case workload.OpGet:
-		size, err := m.store.ValueSize(kv.Rank, int64(now))
-		if err != nil {
-			cost = memcachedGetBase + memcachedMissAdj
-			req.ResponseBytes = 24 // miss response header
-		} else {
+		if size, ok := m.store.ValueSize(kv.Rank); ok {
 			cost = memcachedGetBase + time.Duration(float64(size)*memcachedPerByte)
 			req.ResponseBytes = 24 + size
+		} else {
+			cost = memcachedGetBase + memcachedMissAdj
+			req.ResponseBytes = 24 // miss response header
 		}
 	case workload.OpSet:
-		if err := m.store.SetShared(kv.Rank, memcachedZeroBuf[:kv.ValueSize], 0); err != nil {
+		if err := m.store.Set(kv.Rank, kv.ValueSize); err != nil {
 			panic(fmt.Sprintf("services: memcached preloaded store rejected set: %v", err))
 		}
 		cost = memcachedSetBase + time.Duration(float64(kv.ValueSize)*memcachedPerByte)

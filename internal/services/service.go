@@ -2,10 +2,10 @@
 // pools executing requests on simulated machines (package hw), with FIFO
 // queueing, C-state wake penalties on idle workers, SMT-aware network-stack
 // costs, and background-interference "hiccups". Four backends implement the
-// paper's benchmarks (§IV-B): Memcached (over a real key-value store),
-// HDSearch (a three-tier service over a real LSH index), Social Network
-// (a service chain over a real social graph), and the tunable-latency
-// synthetic workload.
+// paper's benchmarks (§IV-B): Memcached (over a copy-on-write store of
+// value sizes by key rank), HDSearch (a three-tier service over a real
+// LSH index), Social Network (a service chain over a real social graph),
+// and the tunable-latency synthetic workload.
 package services
 
 import (

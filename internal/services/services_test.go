@@ -60,11 +60,8 @@ func TestMemcachedServesGetAndSet(t *testing.T) {
 	if got := time.Duration(dep); got < 5*time.Microsecond || got > 60*time.Microsecond {
 		t.Errorf("GET service time %v, want ≈10µs", got)
 	}
-	if m.Store().Stats().Hits == 0 {
-		t.Error("real store recorded no hit")
-	}
-	if size, err := m.Store().ValueSize(42, 0); err != nil || req.ResponseBytes != 24+size {
-		t.Errorf("GET hit response = %d bytes, want 24 + rank 42's %d-byte value (%v)", req.ResponseBytes, size, err)
+	if size, ok := m.store.ValueSize(42); !ok || req.ResponseBytes != 24+size {
+		t.Errorf("GET hit response = %d bytes, want 24 + rank 42's %d-byte value (held: %v)", req.ResponseBytes, size, ok)
 	}
 
 	// GET of a key past the preloaded ranks: miss, small response.
@@ -73,11 +70,10 @@ func TestMemcachedServesGetAndSet(t *testing.T) {
 		t.Errorf("miss response = %d bytes, want 24", req.ResponseBytes)
 	}
 
-	// SET stores for real.
-	before := m.Store().Len()
+	// SET stores the value's size under its rank.
 	drive(t, m, workload.KVRequest{Op: workload.OpSet, Key: "new-key", Rank: cfg.Keys + 1, ValueSize: 128})
-	if m.Store().Len() != before+1 {
-		t.Error("SET did not store")
+	if size, ok := m.store.ValueSize(cfg.Keys + 1); !ok || size != 128 {
+		t.Errorf("after SET rank %d holds %d bytes (held: %v), want 128", cfg.Keys+1, size, ok)
 	}
 }
 
@@ -104,26 +100,22 @@ func TestMemcachedResetRunRestoresStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rank = 7
-	orig, err := m.Store().Get(rank, 0)
-	if err != nil {
-		t.Fatal(err)
+	orig, ok := m.store.ValueSize(rank)
+	if !ok {
+		t.Fatalf("preloaded rank %d missing", rank)
 	}
 
 	// A run SETs the key with a different value size; a GET's modelled
 	// cost depends on that size, so without a restore the next run would
 	// observe this run's write.
-	drive(t, m, workload.KVRequest{Op: workload.OpSet, Key: "etc-000000000007", Rank: rank, ValueSize: len(orig) + 999})
-	if v, _ := m.Store().Get(rank, 0); len(v) != len(orig)+999 {
-		t.Fatalf("set not applied: len=%d", len(v))
+	drive(t, m, workload.KVRequest{Op: workload.OpSet, Key: "etc-000000000007", Rank: rank, ValueSize: orig + 999})
+	if size, _ := m.store.ValueSize(rank); size != orig+999 {
+		t.Fatalf("set not applied: size=%d", size)
 	}
 
 	m.ResetRun(sim.NewEngine(), rng.New(5))
-	v, err := m.Store().Get(rank, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v) != len(orig) {
-		t.Errorf("after ResetRun len(value) = %d, want preloaded %d", len(v), len(orig))
+	if size, ok := m.store.ValueSize(rank); !ok || size != orig {
+		t.Errorf("after ResetRun value size = %d (held: %v), want preloaded %d", size, ok, orig)
 	}
 }
 
@@ -170,7 +162,7 @@ func TestMemcachedInstancesShareSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Store().Base() != b.Store().Base() {
+	if a.store.Base() != b.store.Base() {
 		t.Fatal("same-config instances do not share a preload snapshot")
 	}
 	// An SMT-variant server still shares it (preload is workload-keyed).
@@ -180,7 +172,7 @@ func TestMemcachedInstancesShareSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Store().Base() != c.Store().Base() {
+	if a.store.Base() != c.store.Base() {
 		t.Error("server-config variant rebuilt the preload")
 	}
 	// A different key space does not.
@@ -190,43 +182,49 @@ func TestMemcachedInstancesShareSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Store().Base() == d.Store().Base() {
+	if a.store.Base() == d.store.Base() {
 		t.Error("different key spaces share a snapshot")
 	}
 
 	const rank = 9
-	orig, err := a.Store().Get(rank, 0)
-	if err != nil {
-		t.Fatal(err)
+	orig, ok := a.store.ValueSize(rank)
+	if !ok {
+		t.Fatalf("preloaded rank %d missing", rank)
 	}
-	drive(t, a, workload.KVRequest{Op: workload.OpSet, Key: "etc-000000000009", Rank: rank, ValueSize: len(orig) + 123})
-	if v, _ := b.Store().Get(rank, 0); len(v) != len(orig) {
-		t.Errorf("sibling instance sees a's write: len=%d, want %d", len(v), len(orig))
+	drive(t, a, workload.KVRequest{Op: workload.OpSet, Key: "etc-000000000009", Rank: rank, ValueSize: orig + 123})
+	if size, _ := b.store.ValueSize(rank); size != orig {
+		t.Errorf("sibling instance sees a's write: size=%d, want %d", size, orig)
 	}
 }
 
 // TestMemcachedPreloadByRank pins the preload: the default key space's
-// item and byte counts, which any change to the value-size draws moves,
-// and that ID i holds the i-th value-size draw of the memcached-preload
-// stream, so a GET of rank i prices rank i's value.
+// ID count and value bytes, which any change to the value-size draws
+// moves, and that ID i holds the i-th value-size draw of the
+// memcached-preload stream, so a GET of rank i prices rank i's value.
 func TestMemcachedPreloadByRank(t *testing.T) {
 	m, err := NewMemcached(DefaultMemcachedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := m.Store()
-	if store.Len() != 100_000 || store.Bytes() != 32_973_675 {
-		t.Errorf("preload presents %d items, %d bytes; want 100000, 32973675", store.Len(), store.Bytes())
-	}
 	etc, err := workload.NewETC(m.ETCConfig(), rng.NewLabeled(12345, "memcached-preload"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := 0; id < store.Len(); id++ {
+	const ids = 100_000
+	var total int
+	for id := 0; id < ids; id++ {
 		want := etc.ValueSize()
-		if got, err := store.ValueSize(id, 0); err != nil || got != want {
-			t.Fatalf("ID %d holds %d bytes (%v), want draw %d = %d", id, got, err, id, want)
+		got, ok := m.store.ValueSize(id)
+		if !ok || got != want {
+			t.Fatalf("ID %d holds %d bytes (held: %v), want draw %d = %d", id, got, ok, id, want)
 		}
+		total += got
+	}
+	if size, ok := m.store.ValueSize(ids); ok {
+		t.Errorf("ID %d past the preload holds %d bytes, want a miss", ids, size)
+	}
+	if total != 32_973_675 {
+		t.Errorf("preload holds %d value bytes, want 32973675", total)
 	}
 }
 

@@ -135,14 +135,15 @@
 // bodies travel inline in pooled requests instead of boxed payloads, and
 // store lookups are size-only (kvstore.Fork.ValueSize) — gated below 0.2
 // allocs/request by TestMemcachedKVPathAllocFree. The store is addressed
-// by popularity rank (workload.KVRequest.Rank), not by key string: the
-// preload is one slice of entries indexed by rank, built as views of a
-// shared zero buffer, so a lookup probes the overlay with an integer and
-// indexes the base instead of hashing a key string into two maps. That
-// is ~200 → ~73 ns per lookup (BenchmarkForkValueSize) and ~280 ms,
-// 98 MB → ~13 ms, 3.2 MB per preload (BenchmarkMemcachedPreload) on a
-// 2-vCPU Xeon host. Key popularity is drawn through one immutable Zipf
-// table per (key space, skew) per process
+// by popularity rank (workload.KVRequest.Rank), not by key string, and it
+// keeps only what the cost model reads, each value's size: the preload
+// is one []int32 indexed by rank, so a lookup probes the overlay with an
+// integer and indexes the base instead of hashing a key string into two
+// maps. Addressing by rank took ~200 → ~73 ns per lookup
+// (BenchmarkForkValueSize) and ~280 ms, 98 MB → ~13 ms, 3.2 MB per
+// preload (BenchmarkMemcachedPreload) on a 2-vCPU Xeon host; keeping
+// only sizes took the preload to 0.4 MB. Key popularity is drawn through
+// one immutable Zipf table per (key space, skew) per process
 // (rng.NewZipf behind workload.NewETC), so a generator thread no longer
 // rebuilds a 100K-entry CDF at every run start, and a guide table makes
 // each rank draw O(1) expected instead of a bisection while returning
