@@ -147,7 +147,13 @@ func TestEnvPoolSweepDeterministic(t *testing.T) {
 	seqOpts.Backends = seqPool
 	seq := runSweep(t, seqOpts)
 
+	// Four cells of one key can run at once, each holding up to four
+	// leases until it ends, so one key may have 16 builds: past the
+	// default idle cap, where a release is dropped rather than pooled.
+	// A cap at the build bound below pools every release, so the idle
+	// count must equal the build count unless a lease leaked.
 	parPool := envpool.New()
+	parPool.MaxIdlePerKey = 8 * 4
 	parOpts := sweepOpts(4)
 	parOpts.Backends = parPool
 	par := runSweep(t, parOpts)

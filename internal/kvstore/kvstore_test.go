@@ -8,268 +8,116 @@ import (
 	"testing/quick"
 )
 
+// These tests check the single-fork basics: a value set is read back, an
+// ID never set misses, an overwrite replaces the size, the item size limit
+// holds, and one fork is safe under concurrent callers.
+
 func TestSetGet(t *testing.T) {
-	s := New(Config{})
-	if err := s.Set("k", []byte("v"), 0); err != nil {
+	f := frozen(t, 0, 0).Fork()
+	if err := f.Set(7, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get("k", 0)
-	if err != nil {
-		t.Fatal(err)
+	size, ok := f.ValueSize(7)
+	if !ok {
+		t.Fatal("ValueSize(7) missed after Set")
 	}
-	if string(got) != "v" {
-		t.Errorf("Get = %q, want v", got)
+	if size != 1 {
+		t.Errorf("ValueSize(7) = %d, want 1", size)
 	}
 }
 
 func TestGetMissing(t *testing.T) {
-	s := New(Config{})
-	if _, err := s.Get("nope", 0); !errors.Is(err, ErrNotFound) {
-		t.Errorf("want ErrNotFound, got %v", err)
+	f := frozen(t, 4, 10).Fork()
+	for _, id := range []int{4, 99, -1} {
+		if size, ok := f.ValueSize(id); ok {
+			t.Errorf("ValueSize(%d) = %d, true; want a miss", id, size)
+		}
 	}
 }
 
+// TestOverwriteUpdatesValueAndBytes pins that a second Set of one ID
+// replaces its value size, both for an ID only the overlay holds and for
+// one the base holds.
 func TestOverwriteUpdatesValueAndBytes(t *testing.T) {
-	s := New(Config{})
-	s.Set("k", []byte("short"), 0)
-	s.Set("k", []byte("a much longer value"), 0)
-	got, err := s.Get("k", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "a much longer value" {
-		t.Errorf("Get after overwrite = %q", got)
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
-	}
-	if s.Bytes() != int64(len("a much longer value")) {
-		t.Errorf("Bytes = %d, want %d", s.Bytes(), len("a much longer value"))
-	}
-}
-
-func TestGetReturnsCopy(t *testing.T) {
-	s := New(Config{})
-	s.Set("k", []byte("abc"), 0)
-	v, _ := s.Get("k", 0)
-	v[0] = 'X'
-	v2, _ := s.Get("k", 0)
-	if string(v2) != "abc" {
-		t.Error("Get exposed internal buffer")
-	}
-}
-
-func TestSetCopiesInput(t *testing.T) {
-	s := New(Config{})
-	buf := []byte("abc")
-	s.Set("k", buf, 0)
-	buf[0] = 'X'
-	v, _ := s.Get("k", 0)
-	if string(v) != "abc" {
-		t.Error("Set aliased caller buffer")
-	}
-}
-
-func TestDelete(t *testing.T) {
-	s := New(Config{})
-	s.Set("k", []byte("v"), 0)
-	if !s.Delete("k") {
-		t.Error("Delete of present key returned false")
-	}
-	if s.Delete("k") {
-		t.Error("Delete of absent key returned true")
-	}
-	if _, err := s.Get("k", 0); !errors.Is(err, ErrNotFound) {
-		t.Error("key still present after delete")
-	}
-	if s.Len() != 0 || s.Bytes() != 0 {
-		t.Errorf("Len=%d Bytes=%d after delete, want 0/0", s.Len(), s.Bytes())
-	}
-}
-
-func TestTTLExpiry(t *testing.T) {
-	s := New(Config{})
-	s.Set("k", []byte("v"), 100)
-	if _, err := s.Get("k", 50); err != nil {
-		t.Errorf("unexpired key not readable: %v", err)
-	}
-	if _, err := s.Get("k", 100); !errors.Is(err, ErrNotFound) {
-		t.Error("expired key still readable")
-	}
-	st := s.Stats()
-	if st.Expirations != 1 {
-		t.Errorf("expirations = %d, want 1", st.Expirations)
-	}
-	if s.Len() != 0 {
-		t.Error("expired key not removed")
-	}
-}
-
-func TestLRUEviction(t *testing.T) {
-	// Single shard, capacity 10 bytes → storing 3×4 bytes evicts oldest.
-	s := New(Config{Shards: 1, MaxBytesPerShard: 10})
-	s.Set("a", []byte("xxxx"), 0)
-	s.Set("b", []byte("yyyy"), 0)
-	s.Set("c", []byte("zzzz"), 0) // 12 bytes > 10 → evict "a"
-	if _, err := s.Get("a", 0); !errors.Is(err, ErrNotFound) {
-		t.Error("LRU victim still present")
-	}
-	if _, err := s.Get("b", 0); err != nil {
-		t.Error("recently used key evicted")
-	}
-	if got := s.Stats().Evictions; got != 1 {
-		t.Errorf("evictions = %d, want 1", got)
-	}
-}
-
-func TestLRUTouchOnGet(t *testing.T) {
-	s := New(Config{Shards: 1, MaxBytesPerShard: 10})
-	s.Set("a", []byte("xxxx"), 0)
-	s.Set("b", []byte("yyyy"), 0)
-	s.Get("a", 0) // touch a → b becomes LRU
-	s.Set("c", []byte("zzzz"), 0)
-	if _, err := s.Get("a", 0); err != nil {
-		t.Error("touched key evicted")
-	}
-	if _, err := s.Get("b", 0); !errors.Is(err, ErrNotFound) {
-		t.Error("untouched key survived eviction")
+	f := frozen(t, 4, 10).Fork()
+	for _, id := range []int{2, 50} {
+		if err := f.Set(id, len("short")); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Set(id, len("a much longer value")); err != nil {
+			t.Fatal(err)
+		}
+		size, ok := f.ValueSize(id)
+		if !ok {
+			t.Fatalf("ValueSize(%d) missed after overwrite", id)
+		}
+		if size != len("a much longer value") {
+			t.Errorf("ValueSize(%d) after overwrite = %d, want %d", id, size, len("a much longer value"))
+		}
 	}
 }
 
 func TestValueSizeLimit(t *testing.T) {
-	s := New(Config{})
-	big := make([]byte, MaxValueSize+1)
-	if err := s.Set("k", big, 0); !errors.Is(err, ErrTooLarge) {
+	f := frozen(t, 0, 0).Fork()
+	if err := f.Set(1, MaxValueSize+1); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized value: want ErrTooLarge, got %v", err)
 	}
-}
-
-func TestStatsHitRate(t *testing.T) {
-	s := New(Config{})
-	s.Set("k", []byte("v"), 0)
-	s.Get("k", 0)
-	s.Get("k", 0)
-	s.Get("miss", 0)
-	st := s.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 2/1", st.Hits, st.Misses)
+	if size, ok := f.ValueSize(1); ok {
+		t.Errorf("rejected Set stored a value of %d bytes", size)
 	}
-	if hr := st.HitRate(); hr < 0.66 || hr > 0.67 {
-		t.Errorf("hit rate = %v, want 2/3", hr)
-	}
-	if (Stats{}).HitRate() != 0 {
-		t.Error("empty stats hit rate should be 0")
+	if err := f.Set(1, MaxValueSize); err != nil {
+		t.Errorf("value at the limit rejected: %v", err)
 	}
 }
 
-func TestShardRounding(t *testing.T) {
-	s := New(Config{Shards: 5})
-	if len(s.shards) != 8 {
-		t.Errorf("shards = %d, want 8 (next power of two)", len(s.shards))
-	}
-}
-
+// TestConcurrentAccess runs Set and ValueSize on one fork from parallel
+// goroutines (run under -race). Each goroutine writes its own IDs, so
+// each must read back exactly what it wrote.
 func TestConcurrentAccess(t *testing.T) {
-	s := New(Config{Shards: 8})
+	f := frozen(t, 100, 5).Fork()
+	const goroutines = 8
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				key := fmt.Sprintf("key-%d-%d", g, i%50)
-				s.Set(key, []byte("value"), 0)
-				s.Get(key, 0)
-				if i%10 == 0 {
-					s.Delete(key)
+				id := g*50 + i%50
+				size := 1 + i%50 + g
+				if err := f.Set(id, size); err != nil {
+					errs <- err
+					return
+				}
+				if got, ok := f.ValueSize(id); !ok || got != size {
+					errs <- fmt.Errorf("goroutine %d: ValueSize(%d) = %d, %v; want %d", g, id, got, ok, size)
+					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	// No assertion beyond absence of races (run with -race) and sane state.
-	if s.Len() < 0 {
-		t.Error("negative length")
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
-// Property: after Set(k, v), Get(k) returns v (no TTL, no eviction bound).
+// Property: after Set(id, size) with size in range, ValueSize(id) returns
+// size; a size out of range is rejected and leaves the ID as it was.
 func TestPropertySetThenGet(t *testing.T) {
-	s := New(Config{})
-	f := func(key string, value []byte) bool {
-		if len(value) > MaxValueSize {
-			return true
+	f := frozen(t, 16, 3).Fork()
+	check := func(id int16, raw int32) bool {
+		size := int(raw) % (2 * MaxValueSize)
+		before, beforeOK := f.ValueSize(int(id))
+		err := f.Set(int(id), size)
+		got, ok := f.ValueSize(int(id))
+		if size < 0 || size > MaxValueSize {
+			return errors.Is(err, ErrTooLarge) && got == before && ok == beforeOK
 		}
-		if err := s.Set(key, value, 0); err != nil {
-			return false
-		}
-		got, err := s.Get(key, 0)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(value) {
-			return false
-		}
-		for i := range got {
-			if got[i] != value[i] {
-				return false
-			}
-		}
-		return true
+		return err == nil && ok && got == size
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: Bytes equals the sum of stored value lengths under any
-// insert/delete sequence.
-func TestPropertyByteAccounting(t *testing.T) {
-	f := func(ops []struct {
-		Key   uint8
-		Value []byte
-		Del   bool
-	}) bool {
-		s := New(Config{Shards: 4})
-		model := make(map[string][]byte)
-		for _, op := range ops {
-			k := fmt.Sprintf("k%d", op.Key)
-			if op.Del {
-				s.Delete(k)
-				delete(model, k)
-			} else if len(op.Value) <= MaxValueSize {
-				s.Set(k, op.Value, 0)
-				model[k] = op.Value
-			}
-		}
-		var want int64
-		for _, v := range model {
-			want += int64(len(v))
-		}
-		return s.Bytes() == want && s.Len() == len(model)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkGetHit(b *testing.B) {
-	s := New(Config{Shards: 16})
-	for i := 0; i < 10000; i++ {
-		s.Set(fmt.Sprintf("key-%d", i), make([]byte, 100), 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Get(fmt.Sprintf("key-%d", i%10000), 0)
-	}
-}
-
-func BenchmarkSet(b *testing.B) {
-	s := New(Config{Shards: 16})
-	v := make([]byte, 100)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Set(fmt.Sprintf("key-%d", i%10000), v, 0)
 	}
 }
