@@ -5,8 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/experiment"
+	"repro/internal/faults"
+	"repro/internal/hw"
+	"repro/internal/loadgen"
 )
 
 // Golden-file regression tests: every renderer's output over a small
@@ -77,6 +82,47 @@ func TestGoldenHDSearchFigure(t *testing.T) {
 	}
 	sw := goldenSweep(t, experiment.ServiceHDSearch, []float64{1000, 2500}, 300)
 	checkGolden(t, "fig4_small.golden", Fig4(sw))
+}
+
+// TestGoldenSocialNetFigures pins Social Network's simulated output: the
+// Figure 6 sweep over the baseline server, as RunSocialNetStudy runs it,
+// and a replicated fleet with a crashed replica, timeouts and retries.
+// The fleet's replica shares move if a replica's ResetRun draws one
+// split more or fewer from its stream, since cluster.ReplicaSet passes
+// replica 0 the set's own stream and splits the same stream for the
+// other replicas, the router and the fault schedule.
+func TestGoldenSocialNetFigures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every SocialNet backend builds a social graph, slow under -race")
+	}
+	sw, err := RunServiceSweep(experiment.ServiceSocialNet, experiment.SMTVariants()[:1], []float64{200, 600},
+		SweepOptions{Runs: 3, Seed: 2024, TargetSamples: 300, Workers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig6_small.golden", Fig6(sw))
+
+	fleet := Preset{
+		Name:        "socialnet-fleet",
+		Description: "3 SocialNet replicas behind consistent hashing, replica 1 crashed mid-run",
+		Service:     experiment.ServiceSocialNet,
+		Client:      hw.LPConfig(),
+		ClientName:  "LP",
+		Server:      hw.ServerBaselineConfig(),
+		Rates:       []float64{400, 800},
+		Replicas:    3,
+		Router:      cluster.RouterConsistentHash,
+		Faults: &faults.Plan{
+			Crashes: []faults.CrashWindow{{Replica: 1, Start: 0.3, End: 0.6}},
+		},
+		Resilience: &loadgen.ResilienceConfig{Timeout: 8 * time.Millisecond, Retries: 2},
+	}
+	pr, err := RunPreset(fleet, SweepOptions{Runs: 2, Seed: 2024, TargetSamples: 300, Workers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "socialnet_fleet_small.golden",
+		pr.Render()+"\n\n"+pr.LoadBalanceTable()+"\n\n"+pr.AvailabilityTable()+"\n")
 }
 
 func TestGoldenStaticTables(t *testing.T) {
