@@ -57,13 +57,17 @@ bench-diff:
 # without paying the full-size minutes. Full size is simply the same
 # commands without the -runs/-samples overrides. The -spec lines do the
 # same for the declarative workload-spec front door: a preset
-# re-expressed as a spec and a phase-program spec, through both CLIs.
+# re-expressed as a spec and a phase-program spec, through both CLIs. The
+# fig6 line runs Social Network as a consistent-hash fleet with client
+# timeouts and retries, so a figure grid's -replicas, -router, -timeout
+# and -retries overrides are exercised end to end.
 smoke-presets:
 	$(GO) run ./cmd/repro -experiment million-qps -runs 1 -samples 2000
 	$(GO) run ./cmd/repro -experiment cluster -runs 1 -samples 2000
 	$(GO) run ./cmd/repro -experiment sharded -runs 1 -samples 2000
 	$(GO) run ./cmd/repro -experiment hour-long -runs 1 -samples 2000
 	$(GO) run ./cmd/repro -experiment faulty-cluster -runs 1 -samples 2000
+	$(GO) run ./cmd/repro -experiment fig6 -runs 1 -samples 300 -replicas 3 -router consistent-hash -timeout 10ms -retries 1
 	$(GO) run ./cmd/repro -spec examples/cluster.yaml -runs 1 -samples 2000
 	$(GO) run ./cmd/repro -spec examples/sharded.yaml -runs 1 -samples 2000
 	$(GO) run ./cmd/repro -spec examples/phases-spike.yaml -runs 1 -samples 2000

@@ -5,7 +5,7 @@
 // A sweep is a grid of scenarios, many of which differ only in client
 // configuration or offered load — dimensions a backend is blind to.
 // Without pooling, every grid cell rebuilds its service from scratch
-// (preload, index construction, graph seeding, tier wiring); with
+// (preload, index construction, tier wiring); with
 // pooling, cells that share a (service, server-config) key lease an idle
 // prebuilt instance and return it when done, so the build cost is paid
 // once per distinct key per concurrency slot rather than once per cell.

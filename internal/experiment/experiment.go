@@ -542,7 +542,7 @@ func (s Scenario) generatorConfig(backend services.Backend, warmup time.Duration
 		cfg.ConnsPerThread = 10
 		cfg.TimeSensitive = true
 		cfg.Payloads = func(stream *rng.Stream) loadgen.PayloadSource {
-			return userSource{s: b, stream: stream}
+			return fixedSource{bytes: 180}
 		}
 	case *services.Synthetic:
 		// Same mutilate-style deployment as Memcached.
@@ -587,15 +587,6 @@ type querySource struct {
 func (s querySource) Next() (any, int) {
 	q := s.h.NewQuery(s.stream)
 	return q, len(q) * 8
-}
-
-type userSource struct {
-	s      *services.SocialNet
-	stream *rng.Stream
-}
-
-func (s userSource) Next() (any, int) {
-	return s.s.RandomUser(s.stream), 180
 }
 
 type fixedSource struct{ bytes int }

@@ -58,9 +58,10 @@ func TestParallelRunByteIdentical(t *testing.T) {
 
 // TestParallelRunByteIdenticalAllServices pins the guarantee on every
 // backend, since run isolation depends on each service's ResetRun being
-// complete (Memcached in particular must restore its store). The hdsearch
-// case runs under -short too, so the race detector sees parallel workers
-// drive HDSearch backends, whose LSH indexes carry per-query mark state.
+// complete (Memcached in particular must restore its store). Every case
+// runs under -short too, so the race detector sees parallel workers drive
+// each backend, HDSearch's LSH indexes with their per-query mark state
+// among them.
 func TestParallelRunByteIdenticalAllServices(t *testing.T) {
 	cases := []Scenario{
 		{Service: ServiceHDSearch, RateQPS: 1_000, TargetSamples: 400},
@@ -74,9 +75,6 @@ func TestParallelRunByteIdenticalAllServices(t *testing.T) {
 		s.Runs = 4
 		s.Seed = 11
 		t.Run(string(s.Service), func(t *testing.T) {
-			if testing.Short() && s.Service == ServiceSocialNet {
-				t.Skip("slow under -race")
-			}
 			s.Workers = 1
 			seq, err := Run(s)
 			if err != nil {

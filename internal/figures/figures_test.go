@@ -3,6 +3,7 @@ package figures
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/experiment"
 )
@@ -177,6 +178,30 @@ func TestSweepProgressCallback(t *testing.T) {
 	}
 	if len(lines) != 2 { // LP + HP
 		t.Errorf("progress lines = %d, want 2", len(lines))
+	}
+}
+
+// TestSweepAppliesResilienceOptions checks that a figure grid honours the
+// Timeout and Retries options as presets do: SocialNet's ≈2.5 ms mean
+// latency is far past a 1 ms timeout, so every run must carry resilience
+// metrics with timeouts counted.
+func TestSweepAppliesResilienceOptions(t *testing.T) {
+	opts := tinyOpts()
+	opts.Timeout = time.Millisecond
+	opts.Retries = 2
+	sw, err := RunServiceSweep(experiment.ServiceSocialNet,
+		experiment.SMTVariants()[:1], []float64{300}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cl := range sw.Clients {
+		for i, run := range sw.Get(cl, sw.Variants[0], 0).Runs {
+			if run.Resilience == nil {
+				t.Errorf("%s run %d: no resilience metrics under a %v timeout", cl, i, opts.Timeout)
+			} else if run.Resilience.Stats.Timeouts == 0 {
+				t.Errorf("%s run %d: no timeouts under a %v timeout", cl, i, opts.Timeout)
+			}
+		}
 	}
 }
 

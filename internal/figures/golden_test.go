@@ -92,9 +92,6 @@ func TestGoldenHDSearchFigure(t *testing.T) {
 // replica 0 the set's own stream and splits the same stream for the
 // other replicas, the router and the fault schedule.
 func TestGoldenSocialNetFigures(t *testing.T) {
-	if testing.Short() {
-		t.Skip("every SocialNet backend builds a social graph, slow under -race")
-	}
 	sw, err := RunServiceSweep(experiment.ServiceSocialNet, experiment.SMTVariants()[:1], []float64{200, 600},
 		SweepOptions{Runs: 3, Seed: 2024, TargetSamples: 300, Workers: -1})
 	if err != nil {

@@ -205,22 +205,13 @@ type PresetResult struct {
 
 // presetScenario assembles the scenario for one rate of a preset under
 // the given options: the preset supplies full-size defaults, the
-// options' Runs/TargetSamples override them (the smoke knob CI uses).
+// options' Runs/TargetSamples override them (the smoke knob CI uses),
+// and SweepOptions.override applies the fleet, engine and resilience
+// overrides.
 func presetScenario(p Preset, rate float64, opts SweepOptions) experiment.Scenario {
 	samples := p.TargetSamples
 	if opts.TargetSamples > 0 {
 		samples = opts.TargetSamples
-	}
-	replicas, router := p.Replicas, p.Router
-	if opts.Replicas > 0 {
-		replicas = opts.Replicas
-	}
-	if opts.Router != "" {
-		router = opts.Router
-	}
-	shards := p.Shards
-	if opts.Shards > 0 {
-		shards = opts.Shards
 	}
 	duration := p.Duration
 	if opts.TargetSamples > 0 {
@@ -228,24 +219,7 @@ func presetScenario(p Preset, rate float64, opts SweepOptions) experiment.Scenar
 		// shrinks duration-sized (phase-program) presets to smoke scale.
 		duration = 0
 	}
-	resilience := p.Resilience
-	if opts.Timeout > 0 || opts.Retries > 0 || opts.Hedge > 0 {
-		res := loadgen.ResilienceConfig{}
-		if resilience != nil {
-			res = *resilience
-		}
-		if opts.Timeout > 0 {
-			res.Timeout = opts.Timeout
-		}
-		if opts.Retries > 0 {
-			res.Retries = opts.Retries
-		}
-		if opts.Hedge > 0 {
-			res.Hedge = opts.Hedge
-		}
-		resilience = &res
-	}
-	return experiment.Scenario{
+	return opts.override(experiment.Scenario{
 		Service:       p.Service,
 		Label:         p.ClientName + "-" + p.Name,
 		Client:        p.Client,
@@ -260,15 +234,15 @@ func presetScenario(p Preset, rate float64, opts SweepOptions) experiment.Scenar
 		SynthDelay:    p.SynthDelay,
 		Seed:          opts.Seed,
 		SampleMode:    opts.SampleMode,
-		Replicas:      replicas,
-		Router:        router,
+		Replicas:      p.Replicas,
+		Router:        p.Router,
 		Autoscale:     p.Autoscale,
-		Shards:        shards,
+		Shards:        p.Shards,
 		Faults:        p.Faults,
-		Resilience:    resilience,
+		Resilience:    p.Resilience,
 		HiccupRate:    p.HiccupRate,
 		HiccupMean:    p.HiccupMean,
-	}
+	})
 }
 
 // PresetFromSpec compiles a loaded workload spec into a Preset, the

@@ -8,6 +8,7 @@ import (
 	"repro/internal/envpool"
 	"repro/internal/experiment"
 	"repro/internal/hw"
+	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 )
@@ -87,6 +88,40 @@ func (o SweepOptions) envContext() (context.Context, int) {
 		backends = envpool.New()
 	}
 	return envpool.WithPool(sched.WithBudget(context.Background(), budget), backends), workers
+}
+
+// override applies the options' fleet, engine and resilience overrides to
+// a scenario built in a preset's or grid's own shape: each set option
+// replaces the scenario's value, and each zero value keeps it. Timeout,
+// Retries and Hedge override single fields of the scenario's resilience
+// config, starting from a fresh one when the scenario has none.
+func (o SweepOptions) override(s experiment.Scenario) experiment.Scenario {
+	if o.Replicas > 0 {
+		s.Replicas = o.Replicas
+	}
+	if o.Router != "" {
+		s.Router = o.Router
+	}
+	if o.Shards > 0 {
+		s.Shards = o.Shards
+	}
+	if o.Timeout > 0 || o.Retries > 0 || o.Hedge > 0 {
+		res := loadgen.ResilienceConfig{}
+		if s.Resilience != nil {
+			res = *s.Resilience
+		}
+		if o.Timeout > 0 {
+			res.Timeout = o.Timeout
+		}
+		if o.Retries > 0 {
+			res.Retries = o.Retries
+		}
+		if o.Hedge > 0 {
+			res.Hedge = o.Hedge
+		}
+		s.Resilience = &res
+	}
+	return s
 }
 
 func (o SweepOptions) runs(def int) int {
@@ -174,7 +209,7 @@ func RunServiceSweep(service experiment.Service, variants []experiment.ServerVar
 		func(int) (struct{}, error) { return struct{}{}, nil },
 		func(ctx context.Context, _ struct{}, i int) (experiment.Result, error) {
 			c := cells[i]
-			res, err := experiment.RunContext(ctx, experiment.Scenario{
+			res, err := experiment.RunContext(ctx, opts.override(experiment.Scenario{
 				Service:       service,
 				Label:         c.client + "-" + c.variant.Name,
 				Client:        c.cfg,
@@ -184,10 +219,7 @@ func RunServiceSweep(service experiment.Service, variants []experiment.ServerVar
 				TargetSamples: opts.TargetSamples,
 				Seed:          opts.Seed,
 				SampleMode:    opts.SampleMode,
-				Replicas:      opts.Replicas,
-				Router:        opts.Router,
-				Shards:        opts.Shards,
-			})
+			}))
 			if err != nil {
 				return experiment.Result{}, fmt.Errorf("figures: %s %s-%s @%s: %w", service, c.client, c.variant.Name, FormatRate(c.rate), err)
 			}
@@ -280,7 +312,7 @@ func RunSyntheticStudy(opts SweepOptions) (*SyntheticSweep, error) {
 		func(int) (struct{}, error) { return struct{}{}, nil },
 		func(ctx context.Context, _ struct{}, i int) (experiment.Result, error) {
 			c := cells[i]
-			res, err := experiment.RunContext(ctx, experiment.Scenario{
+			res, err := experiment.RunContext(ctx, opts.override(experiment.Scenario{
 				Service:       experiment.ServiceSynthetic,
 				Label:         fmt.Sprintf("%s-d%d", c.client, c.delay.Microseconds()),
 				Client:        c.cfg,
@@ -291,10 +323,7 @@ func RunSyntheticStudy(opts SweepOptions) (*SyntheticSweep, error) {
 				SynthDelay:    c.delay,
 				Seed:          opts.Seed,
 				SampleMode:    opts.SampleMode,
-				Replicas:      opts.Replicas,
-				Router:        opts.Router,
-				Shards:        opts.Shards,
-			})
+			}))
 			if err != nil {
 				return experiment.Result{}, fmt.Errorf("figures: synthetic %s delay=%v @%s: %w", c.client, c.delay, FormatRate(c.rate), err)
 			}

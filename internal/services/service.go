@@ -4,8 +4,9 @@
 // costs, and background-interference "hiccups". Four backends implement the
 // paper's benchmarks (§IV-B): Memcached (over a copy-on-write store of
 // value sizes by key rank), HDSearch (a three-tier service over a real
-// LSH index), Social Network (a service chain over a real social graph),
-// and the tunable-latency synthetic workload.
+// LSH index), Social Network (a four-container service chain whose
+// timeline reads each return a fixed number of posts), and the
+// tunable-latency synthetic workload.
 package services
 
 import (

@@ -9,7 +9,6 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/socialgraph"
 )
 
 // Social Network cost-model constants, calibrated for the paper's ≈2–3 ms
@@ -24,31 +23,31 @@ const (
 	snCacheCost     = 200 * time.Microsecond
 	snSigma         = 0.18
 	snStorageSigma  = 0.45
+	// snTimelinePosts is how many posts every read-user-timeline returns:
+	// the paper's client reads 10 posts per request from a database
+	// seeded with 20 posts per user, so every read finds 10.
+	snTimelinePosts = 10
 )
 
 // SocialNet models the DeathStarBench Social Network application (§IV-B):
 // a chain of services (front-end → user-timeline → storage → cache) all
 // deployed on a single node under Docker Swarm, communicating over the
-// container bridge. Timeline reads execute against a real social graph
-// seeded like the paper's Reed98 dataset.
+// container bridge. Every request reads one user's timeline of
+// snTimelinePosts posts, which sets the user-timeline stage's cost and
+// the reply's size.
 type SocialNet struct {
 	machine  *hw.Machine
 	nginx    *Tier
 	timeline *Tier
 	storage  *Tier
 	cache    *Tier
-	graph    *socialgraph.Graph
 	bridge   *netmodel.Link
-	userGen  *rng.Stream
-	readLim  int
 }
 
-// SocialNetConfig configures the deployment.
+// SocialNetConfig configures the deployment's server hardware and
+// background interference.
 type SocialNetConfig struct {
-	ServerHW     hw.Config
-	SeedPosts    int // posts per user composed before each experiment
-	TimelineRead int // posts returned by read-user-timeline
-	GraphSeed    uint64
+	ServerHW hw.Config
 	// HiccupRate / HiccupMean tune the background-interference model on
 	// every container's tier (zero values keep the calibrated defaults).
 	HiccupRate float64
@@ -57,15 +56,12 @@ type SocialNetConfig struct {
 
 // DefaultSocialNetConfig mirrors the paper's single-node deployment.
 func DefaultSocialNetConfig() SocialNetConfig {
-	return SocialNetConfig{ServerHW: hw.ServerBaselineConfig(), SeedPosts: 20, TimelineRead: 10, GraphSeed: 42}
+	return SocialNetConfig{ServerHW: hw.ServerBaselineConfig()}
 }
 
 // NewSocialNet builds the deployment: one 20-core node (the paper's
 // c220g5 socket pair) partitioned among the four service containers.
 func NewSocialNet(cfg SocialNetConfig) (*SocialNet, error) {
-	if cfg.SeedPosts < 0 || cfg.TimelineRead < 1 {
-		return nil, fmt.Errorf("services: invalid socialnet config %+v", cfg)
-	}
 	machine, err := hw.NewMachine("socialnet-node", 20, cfg.ServerHW)
 	if err != nil {
 		return nil, err
@@ -90,21 +86,12 @@ func NewSocialNet(cfg SocialNetConfig) (*SocialNet, error) {
 	if err != nil {
 		return nil, err
 	}
-	graph, err := socialgraph.GenerateReed98Like(cfg.GraphSeed)
-	if err != nil {
-		return nil, err
-	}
-	if err := graph.SeedPosts(cfg.SeedPosts, rng.NewLabeled(cfg.GraphSeed, "socialnet-seed"), 0); err != nil {
-		return nil, err
-	}
 	return &SocialNet{
 		machine:  machine,
 		nginx:    nginx,
 		timeline: timeline,
 		storage:  storage,
 		cache:    cache,
-		graph:    graph,
-		readLim:  cfg.TimelineRead,
 	}, nil
 }
 
@@ -116,14 +103,6 @@ func (s *SocialNet) Machines() []*hw.Machine { return []*hw.Machine{s.machine} }
 
 // MeanServiceTime implements Backend (storage dominates).
 func (s *SocialNet) MeanServiceTime() float64 { return snStorageBase.Seconds() }
-
-// Graph exposes the social graph for examples and diagnostics.
-func (s *SocialNet) Graph() *socialgraph.Graph { return s.graph }
-
-// RandomUser draws a user ID for request generation.
-func (s *SocialNet) RandomUser(stream *rng.Stream) socialgraph.UserID {
-	return socialgraph.UserID(stream.Intn(s.graph.NumUsers()))
-}
 
 // TierStats implements TierStatsProvider.
 func (s *SocialNet) TierStats() []TierStats {
@@ -144,7 +123,11 @@ func (s *SocialNet) ResetRun(engine *sim.Engine, stream *rng.Stream) {
 	s.storage.ResetRun(engine, stream.Split())
 	s.cache.ResetRun(engine, stream.Split())
 	s.bridge = netmodel.Loopback(stream.Split())
-	s.userGen = stream.Split()
+	// Nothing reads this sixth split, but it must stay:
+	// cluster.ReplicaSet.ResetRun passes replica 0 the set's own stream,
+	// then splits that same stream for replicas 1..N−1, the router and
+	// the fault schedule, so one split fewer here reseeds all of them.
+	stream.Split()
 }
 
 // StartRun implements Backend.
@@ -195,11 +178,8 @@ const (
 
 // Arrive implements Backend: a read-user-timeline request flows
 // nginx → user-timeline → post-storage → timeline-cache → nginx reply.
-// The payload must be a socialgraph.UserID.
+// The payload is not read: every request reads snTimelinePosts posts.
 func (s *SocialNet) Arrive(req *Request, now sim.Time) {
-	if _, ok := req.Payload.(socialgraph.UserID); !ok {
-		panic(fmt.Sprintf("services: socialnet got payload %T", req.Payload))
-	}
 	req.ServerArrive = now
 	req.Stage = snStageNginx
 
@@ -211,8 +191,7 @@ func (s *SocialNet) Arrive(req *Request, now sim.Time) {
 // all but the last are followed by a bridge crossing into the next tier.
 func (s *SocialNet) JobDone(end sim.Time, req *Request) {
 	if req.Stage == snStageReply {
-		// Scratch holds the post count the timeline stage materialized.
-		req.ResponseBytes = 256 + int(req.Scratch)*200
+		req.ResponseBytes = 256 + snTimelinePosts*200
 		req.complete(end)
 		return
 	}
@@ -231,13 +210,7 @@ func (s *SocialNet) OnEvent(now sim.Time, arg sim.EventArg) {
 	req := arg.Ptr.(*Request)
 	switch req.Stage {
 	case snStageTimeline:
-		user := req.Payload.(socialgraph.UserID)
-		posts, err := s.graph.ReadUserTimeline(user, s.readLim)
-		if err != nil {
-			panic(fmt.Sprintf("services: socialnet timeline read failed: %v", err))
-		}
-		req.Scratch = int64(len(posts))
-		tlCost := snTimelineBase + time.Duration(len(posts))*snTimelinePerPC
+		tlCost := snTimelineBase + snTimelinePosts*snTimelinePerPC
 		tlCost = time.Duration(float64(tlCost)*s.timeline.Noise(snSigma)) + s.timeline.StackCost()
 		s.timeline.Submit(now, tlCost, req, s)
 	case snStageStorage:
