@@ -165,9 +165,11 @@ func (g *ClosedLoopGenerator) RunOnce(stream *rng.Stream, duration time.Duration
 	}
 
 	// As in Generator.RunOnce, recorders come last so the environment's
-	// stream draws are independent of the measurement mode.
+	// stream draws are independent of the measurement mode. A closed
+	// loop's sample count follows the service's speed, so none is
+	// expected up front.
 	var err error
-	if r.rec.lat, r.rec.lag, err = g.cfg.recorders()(stream); err != nil {
+	if r.rec.lat, r.rec.lag, err = g.cfg.recorders()(stream, 0); err != nil {
 		return ClosedLoopResult{}, err
 	}
 

@@ -175,6 +175,17 @@ func (c Config) recorders() metrics.Factory {
 	return metrics.ExactFactory
 }
 
+// expectedSamples is how many post-warmup samples a run of the given
+// duration records at the offered rate: RateQPS over the measured
+// window, duration − Warmup. The recorders size their buffers from it.
+func (c Config) expectedSamples(duration time.Duration) int {
+	window := duration - c.Warmup
+	if window <= 0 {
+		return 0
+	}
+	return int(c.RateQPS * window.Seconds())
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Machines < 1 || c.ThreadsPerMachine < 1 || c.ConnsPerThread < 1 {
@@ -529,7 +540,7 @@ func (g *Generator) RunOnce(stream *rng.Stream, duration time.Duration) (RunResu
 	// streams, so an exact run's simulation is byte-identical to a
 	// streaming run's — only the measurement reduction differs.
 	rec := workers[0].rec
-	if rec.lat, rec.lag, err = g.cfg.recorders()(stream); err != nil {
+	if rec.lat, rec.lag, err = g.cfg.recorders()(stream, g.cfg.expectedSamples(duration)); err != nil {
 		return RunResult{}, err
 	}
 

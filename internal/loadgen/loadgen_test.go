@@ -2,6 +2,9 @@ package loadgen
 
 import (
 	"math"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -124,6 +127,53 @@ func TestWarmupFiltering(t *testing.T) {
 	frac := float64(len(res.LatenciesUs)) / float64(res.Received)
 	if frac < 0.7 || frac > 0.9 {
 		t.Errorf("post-warmup fraction = %v, want ≈0.8", frac)
+	}
+}
+
+// referenceSummary is stats.Summarize over a comparison sort: the
+// oracle for the exact recorder's radix-sorted reduction.
+func referenceSummary(x []float64) stats.Summary {
+	c := slices.Clone(x)
+	sort.Float64s(c)
+	n := len(c)
+	med := c[n/2]
+	if n%2 == 0 {
+		med = (c[n/2-1] + c[n/2]) / 2
+	}
+	return stats.Summary{
+		N: n, Mean: stats.Mean(c), Median: med, StdDev: stats.StdDev(c), Min: c[0], Max: c[n-1],
+		P90: stats.PercentileSorted(c, 90), P95: stats.PercentileSorted(c, 95), P99: stats.PercentileSorted(c, 99),
+	}
+}
+
+// TestExactRunReduction checks an exact fixed-rate run's summaries
+// against the reference reduction of its raw samples, and that each
+// sample buffer was allocated once: sized for the expected count plus
+// its 4·√count slack, and never regrown.
+func TestExactRunReduction(t *testing.T) {
+	// 20K QPS over a 280 ms window: ~5600 samples per series, enough
+	// for the radix sort rather than the small-input comparison sort.
+	const dur = 300 * time.Millisecond
+	g := syntheticGen(t, hw.LPConfig(), 20_000, true)
+	res, err := g.RunOnce(rng.New(11), dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceSummary(res.LatenciesUs); !reflect.DeepEqual(res.Latency, want) {
+		t.Errorf("latency summary %+v, reference %+v", res.Latency, want)
+	}
+	if want := referenceSummary(res.SendLagUs); !reflect.DeepEqual(res.SendLag, want) {
+		t.Errorf("send-lag summary %+v, reference %+v", res.SendLag, want)
+	}
+	expected := g.cfg.expectedSamples(dur)
+	limit := expected + int(math.Ceil(4*math.Sqrt(float64(expected))))
+	for _, s := range []struct {
+		name string
+		xs   []float64
+	}{{"latency", res.LatenciesUs}, {"send lag", res.SendLagUs}} {
+		if n, c := len(s.xs), cap(s.xs); n < 4000 || n > c || c > limit {
+			t.Errorf("%s: len %d, cap %d; want 4000 ≤ len ≤ cap ≤ %d (%d expected + slack)", s.name, n, c, limit, expected)
+		}
 	}
 }
 

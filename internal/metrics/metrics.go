@@ -14,6 +14,11 @@
 //     historical path, which is what keeps the figure golden files
 //     unchanged, and its retained samples feed the §III procedures that
 //     need raw data (Shapiro–Wilk, ADF, the independence diagnostics).
+//     The reduction is linear-time (stats.Sorted is a radix sort), and
+//     the sample buffer is sized once per run from the run's expected
+//     sample count, so a run that records about that many never regrows
+//     it. Nothing outlives the run: each run's factory call allocates
+//     fresh buffers, and no pool or cache keeps them for the next one.
 //
 //   - Streaming reduces online in O(1) memory per run, independent of
 //     the sample count: mean/variance/min/max via Welford's algorithm
@@ -40,6 +45,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -67,8 +73,17 @@ type Exact struct {
 	xs []float64
 }
 
-// NewExact returns an empty exact recorder.
-func NewExact() *Exact { return &Exact{} }
+// NewExact returns an empty exact recorder whose buffer holds expected
+// samples plus 4·√expected of slack, four standard deviations of a
+// Poisson count, so a run that records about what it expected never
+// regrows it. Recording past that still works; the buffer then grows by
+// append.
+func NewExact(expected int) *Exact {
+	if expected <= 0 {
+		return &Exact{}
+	}
+	return &Exact{xs: make([]float64, 0, expected+int(math.Ceil(4*math.Sqrt(float64(expected)))))}
+}
 
 // Record appends the sample.
 func (e *Exact) Record(v float64) { e.xs = append(e.xs, v) }
@@ -77,7 +92,8 @@ func (e *Exact) Record(v float64) { e.xs = append(e.xs, v) }
 func (e *Exact) N() int { return len(e.xs) }
 
 // Summary reduces with stats.Summarize, bit-identical to summarizing
-// the retained slice directly.
+// the retained slice directly. It sorts a copy, so Samples keeps record
+// order.
 func (e *Exact) Summary() stats.Summary { return stats.Summarize(e.xs) }
 
 // Samples returns every recorded sample.
@@ -314,22 +330,27 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // Factory builds one run's recorder pair — latency and send lag — from
-// the run's RNG stream. Exact factories must not consume the stream, so
-// that exact-mode simulations stay byte-identical to the historical
-// retain-everything path; streaming factories split it for their
-// reservoirs after the run's environment has drawn its own streams.
-type Factory func(stream *rng.Stream) (latency, sendLag Recorder, err error)
+// the run's RNG stream and the number of post-warmup samples the run
+// expects to record (0 when unknown). Exact factories must not consume
+// the stream, so that exact-mode simulations stay byte-identical to the
+// historical retain-everything path; streaming factories split it for
+// their reservoirs after the run's environment has drawn its own
+// streams. A factory is called once per run and whatever it builds
+// belongs to that run alone.
+type Factory func(stream *rng.Stream, expected int) (latency, sendLag Recorder, err error)
 
-// ExactFactory builds retain-everything recorder pairs. It never
-// touches the stream.
-func ExactFactory(*rng.Stream) (Recorder, Recorder, error) {
-	return NewExact(), NewExact(), nil
+// ExactFactory builds retain-everything recorder pairs, each buffer
+// pre-sized for expected samples (see NewExact) and reduced by a
+// linear-time sort. It never touches the stream.
+func ExactFactory(_ *rng.Stream, expected int) (Recorder, Recorder, error) {
+	return NewExact(expected), NewExact(expected), nil
 }
 
 // StreamingFactory returns a Factory building streaming recorder pairs
-// with the given configuration.
+// with the given configuration. Their memory does not depend on the
+// sample count, so they ignore the expected count.
 func StreamingFactory(cfg StreamingConfig) Factory {
-	return func(stream *rng.Stream) (Recorder, Recorder, error) {
+	return func(stream *rng.Stream, _ int) (Recorder, Recorder, error) {
 		lat, err := NewStreaming(cfg, stream.Split())
 		if err != nil {
 			return nil, nil, err

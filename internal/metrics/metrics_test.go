@@ -19,19 +19,39 @@ func heavyTailed(stream *rng.Stream) float64 {
 }
 
 func TestExactMatchesSummarize(t *testing.T) {
-	stream := rng.New(1)
-	e := NewExact()
-	var xs []float64
-	for i := 0; i < 5_000; i++ {
-		v := heavyTailed(stream)
-		e.Record(v)
-		xs = append(xs, v)
+	// Expecting fewer samples than arrive exercises the append fallback.
+	for _, expected := range []int{0, 3_000, 5_000} {
+		stream := rng.New(1)
+		e := NewExact(expected)
+		var xs []float64
+		for i := 0; i < 5_000; i++ {
+			v := heavyTailed(stream)
+			e.Record(v)
+			xs = append(xs, v)
+		}
+		if !reflect.DeepEqual(e.Summary(), stats.Summarize(xs)) {
+			t.Errorf("expected=%d: Exact summary differs from stats.Summarize — exact-mode byte-identity broken", expected)
+		}
+		if !reflect.DeepEqual(e.Samples(), xs) {
+			t.Errorf("expected=%d: exact samples are not the recorded sequence", expected)
+		}
 	}
-	if !reflect.DeepEqual(e.Summary(), stats.Summarize(xs)) {
-		t.Error("Exact summary differs from stats.Summarize — exact-mode byte-identity broken")
+}
+
+func TestNewExactSizesForExpectedCount(t *testing.T) {
+	// 4·√10000 = 400 samples of slack.
+	e := NewExact(10_000)
+	if got := cap(e.Samples()); got != 10_400 {
+		t.Fatalf("cap = %d, want 10400", got)
 	}
-	if len(e.Samples()) != len(xs) {
-		t.Errorf("exact retained %d of %d samples", len(e.Samples()), len(xs))
+	for i := 0; i < 10_400; i++ {
+		e.Record(float64(i))
+	}
+	if got := cap(e.Samples()); got != 10_400 {
+		t.Errorf("recording within the slack regrew the buffer to cap %d", got)
+	}
+	if got := cap(NewExact(0).Samples()); got != 0 {
+		t.Errorf("NewExact(0) cap = %d, want 0", got)
 	}
 }
 
@@ -45,7 +65,7 @@ func TestStreamingWithinBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewExact()
+	e := NewExact(n)
 	stream := rng.New(7)
 	for i := 0; i < n; i++ {
 		v := heavyTailed(stream)
@@ -176,7 +196,7 @@ func TestExactFactoryLeavesStreamUntouched(t *testing.T) {
 	// The exact factory must not consume the run stream: exact-mode
 	// simulations have to stay byte-identical to the historical path.
 	a, b := rng.New(21), rng.New(21)
-	if _, _, err := ExactFactory(a); err != nil {
+	if _, _, err := ExactFactory(a, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if a.Uint64() != b.Uint64() {
@@ -190,7 +210,7 @@ func TestExactFactoryLeavesStreamUntouched(t *testing.T) {
 func BenchmarkRecorderMemoryPerSample(b *testing.B) {
 	b.Run("exact", func(b *testing.B) {
 		b.ReportAllocs()
-		e := NewExact()
+		e := NewExact(0)
 		stream := rng.New(1)
 		for i := 0; i < b.N; i++ {
 			e.Record(heavyTailed(stream))

@@ -19,9 +19,15 @@
 //     Workers claim jobs in increasing index order and never abandon a
 //     claimed job, so the lowest failing index is reached on every
 //     schedule, making the returned error independent of timing.
+//   - A failure stops new claims but does not cancel the jobs already
+//     claimed: they run with the parent's context and finish with their
+//     own result, as they would in the sequential loop. Were they
+//     cancelled, a lower-indexed job still in flight would return
+//     context.Canceled and be reported in place of the job that failed.
 //
 // Cancellation of the parent context stops the pool promptly: no new jobs
-// are claimed, in-flight jobs finish, and ctx.Err() is returned.
+// are claimed, in-flight jobs see the cancellation, and ctx.Err() is
+// returned.
 //
 // When the context carries a Budget (WithBudget), every worker must hold
 // one of the budget's tokens before it claims jobs, so pools at different
@@ -153,15 +159,17 @@ func MapWorkers[W, T any](ctx context.Context, p Pool, n int,
 		defer budget.acquire()
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Jobs run with the token their worker holds; a nested pool started
-	// by fn finds the marker and lends onward.
+	// Jobs run with the parent's context, so only the parent's
+	// cancellation reaches them; a failure cancels claimCtx, which stops
+	// claims and token waits. Jobs also carry the token their worker
+	// holds; a nested pool started by fn finds the marker and lends
+	// onward.
 	jobCtx := ctx
 	if budget != nil {
 		jobCtx = withToken(ctx, budget)
 	}
+	claimCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
 	results := make([]T, n)
 	var (
@@ -197,7 +205,7 @@ func MapWorkers[W, T any](ctx context.Context, p Pool, n int,
 				if int(next.Load()) >= n {
 					return // batch already fully claimed; skip the wait
 				}
-				if !budget.tryAcquire(ctx) {
+				if !budget.tryAcquire(claimCtx) {
 					return
 				}
 				defer budget.release()
@@ -209,7 +217,7 @@ func MapWorkers[W, T any](ctx context.Context, p Pool, n int,
 				// job always executes. Workers claim indices in increasing
 				// order; together these guarantee the lowest failing index
 				// is reached on every schedule (see package comment).
-				if ctx.Err() != nil {
+				if claimCtx.Err() != nil {
 					return
 				}
 				i := int(next.Add(1)) - 1
@@ -248,7 +256,7 @@ func MapWorkers[W, T any](ctx context.Context, p Pool, n int,
 		return nil, firstErr
 	}
 	// With no job failure, the only way jobs were skipped is a parent
-	// cancellation; report it. (Our deferred cancel has not fired yet.)
+	// cancellation; report it.
 	for i := range done {
 		if !done[i] {
 			return nil, ctx.Err()

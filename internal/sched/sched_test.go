@@ -96,6 +96,31 @@ func TestLowestFailingJobWins(t *testing.T) {
 	}
 }
 
+// TestLastJobFailureReportedAtAnyWidth runs four jobs where only the
+// last fails and the others wait on their context. A sibling's failure
+// must not cancel jobs already claimed, or a lower-indexed one returns
+// context.Canceled and is reported instead; every width must report the
+// failing job, as the sequential loop does.
+func TestLastJobFailureReportedAtAnyWidth(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		_, err := Map(context.Background(), Pool{Workers: workers}, 4,
+			func(ctx context.Context, i int) (int, error) {
+				if i == 3 {
+					return 0, fmt.Errorf("cell %d failed", i)
+				}
+				select {
+				case <-ctx.Done():
+					return 0, ctx.Err()
+				case <-time.After(20 * time.Millisecond):
+					return i, nil
+				}
+			})
+		if err == nil || err.Error() != "job 3: cell 3 failed" {
+			t.Errorf("workers=%d: err = %v, want job 3: cell 3 failed", workers, err)
+		}
+	}
+}
+
 func TestErrorStopsRemainingJobs(t *testing.T) {
 	var ran atomic.Int64
 	_, err := Map(context.Background(), Pool{Workers: 2}, 10_000,

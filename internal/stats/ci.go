@@ -72,9 +72,8 @@ func NonParametricCI(x []float64, confidence float64) (Interval, error) {
 		hiRank = n
 	}
 	c := Sorted(x)
-	med := Median(c)
 	return Interval{
-		Point:      med,
+		Point:      medianSorted(c),
 		Lower:      c[loRank-1],
 		Upper:      c[hiRank-1],
 		Confidence: confidence,

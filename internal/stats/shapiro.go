@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ShapiroWilkResult holds the test statistic and p-value of a Shapiro–Wilk
@@ -33,8 +32,7 @@ func ShapiroWilk(x []float64) (ShapiroWilkResult, error) {
 		return ShapiroWilkResult{}, fmt.Errorf("stats: Shapiro–Wilk approximation invalid beyond 5000 samples, have %d", n)
 	}
 
-	sorted := append([]float64(nil), x...)
-	sort.Float64s(sorted)
+	sorted := Sorted(x)
 	if sorted[0] == sorted[n-1] {
 		return ShapiroWilkResult{}, fmt.Errorf("stats: Shapiro–Wilk undefined for constant data")
 	}

@@ -549,7 +549,8 @@ type (
 // Median returns the sample median.
 func Median(x []float64) float64 { return stats.Median(x) }
 
-// Percentile returns the p-th percentile (p in [0,100]).
+// Percentile returns the p-th percentile (p in [0,100]), or NaN for an
+// empty x or a NaN p.
 func Percentile(x []float64, p float64) float64 { return stats.Percentile(x, p) }
 
 // NonParametricCI computes the paper's Eq. 1–2 distribution-free CI for

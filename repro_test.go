@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"math"
 	"testing"
 
 	"repro"
@@ -51,6 +52,9 @@ func TestFacadeStats(t *testing.T) {
 	}
 	if repro.Percentile(x, 99) < repro.Percentile(x, 50) {
 		t.Error("percentiles not monotone")
+	}
+	if p := repro.Percentile(x, math.NaN()); !math.IsNaN(p) {
+		t.Errorf("Percentile(x, NaN) = %v, want NaN", p)
 	}
 	iv, err := repro.NonParametricCI(x, 0.95)
 	if err != nil {
