@@ -60,7 +60,9 @@ bench-diff:
 # re-expressed as a spec and a phase-program spec, through both CLIs. The
 # fig6 line runs Social Network as a consistent-hash fleet with client
 # timeouts and retries, so a figure grid's -replicas, -router, -timeout
-# and -retries overrides are exercised end to end.
+# and -retries overrides are exercised end to end; the labsim lines with
+# -retries, -hedge and -timeout do the same for a preset's and a spec's
+# resilience overrides through the shared flag layer.
 smoke-presets:
 	$(GO) run ./cmd/repro -experiment million-qps -runs 1 -samples 2000
 	$(GO) run ./cmd/repro -experiment cluster -runs 1 -samples 2000
@@ -76,6 +78,8 @@ smoke-presets:
 	$(GO) run ./cmd/labsim -preset sharded -runs 1 -samples 2000
 	$(GO) run ./cmd/labsim -preset cluster -runs 1 -samples 2000
 	$(GO) run ./cmd/labsim -preset faulty-cluster -runs 1 -samples 2000
+	$(GO) run ./cmd/labsim -preset faulty-cluster -runs 1 -samples 2000 -retries 1 -hedge 500us
+	$(GO) run ./cmd/labsim -spec examples/cluster.yaml -runs 1 -samples 2000 -timeout 2ms -retries 1
 	$(GO) run ./cmd/labsim -spec examples/onoff-sessions.yaml -runs 1 -samples 2000
 	$(GO) run ./cmd/labsim -spec examples/straggler.yaml -runs 1 -samples 2000
 

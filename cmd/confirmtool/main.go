@@ -4,7 +4,8 @@
 // needed for a 95% confidence interval with bounded error — parametric
 // (Jain Eq. 3) and non-parametric (CONFIRM).
 //
-// Input is one sample per line (plain numbers), from a file or stdin:
+// Input is one finite sample per line (plain numbers; blank lines and
+// #-comments are skipped), from a file or stdin:
 //
 //	confirmtool -err 1 samples.txt
 //	labsim ... | awk '{print $2}' | confirmtool
@@ -15,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -119,8 +121,8 @@ func readSamples(r io.Reader) ([]float64, error) {
 			continue
 		}
 		v, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %q is not a number", line, text)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("line %d: %q is not a finite number", line, text)
 		}
 		out = append(out, v)
 	}

@@ -30,12 +30,13 @@
 // cluster stats whenever the scenario injects faults or enables
 // resilience.
 //
-// -preset loads a large-scale scenario (million-qps, cluster, sharded,
-// faulty-cluster, hour-long)
-// as the flag defaults: service, client, server, rate, run count,
-// sample target and replica shape come from the preset (million-qps
-// uses its peak rate), and any flag set explicitly on the command line
-// still wins — so
+// -preset runs a large-scale scenario (million-qps, cluster, sharded,
+// faulty-cluster, hour-long) at its peak rate: service, client, server,
+// run count, sample target, fleet, faults and resilience come from the
+// preset, so with the same -seed (repro's default is 2024) it prints the
+// numbers of repro -experiment NAME's peak-rate row. The preset owns the
+// scenario shape, so the shape flags (-service, -client*, -server-*,
+// -delay) conflict with it; every other flag still applies — so
 //
 //	labsim -preset million-qps -runs 1 -samples 2000
 //
@@ -48,15 +49,19 @@
 //
 // -spec runs a declarative workload spec (package internal/spec) at its
 // peak rate: class mixes, bursty arrivals and phase programs come from
-// the file. The spec owns the scenario shape, so -preset and the
-// shape flags (-service, -client*, -server-*, -delay, -replicas,
-// -router, -shards) conflict with it; the smoke knobs (-rate, -runs, -samples,
-// -seed, -parallel, -samplemode, -point) still apply:
+// the file. The spec owns the scenario shape, so -preset and the shape
+// flags conflict with it; -rate, -point and the flags shared with repro
+// (-runs -samples -seed -parallel -samplemode -replicas -router -shards
+// -timeout -retries -hedge) still apply, the last six as overrides of
+// the spec's fleet, engine and resilience shape:
 //
 //	labsim -spec examples/onoff-sessions.yaml -runs 2 -samples 2000
 //
-// All flag combinations — including an unknown router or -router
-// without -replicas — are validated before any simulation starts.
+// The shared flags come from package internal/cliflags and are validated
+// before any simulation starts: the scenario, with every override
+// applied, must pass the scenario validator, so an unknown router,
+// -router without a fleet, or a shard count above the partition count
+// fails at once.
 package main
 
 import (
@@ -64,208 +69,30 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/cliflags"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/envpool"
 	"repro/internal/experiment"
-	"repro/internal/faults"
 	"repro/internal/figures"
 	"repro/internal/hw"
-	"repro/internal/loadgen"
-	"repro/internal/metrics"
-	"repro/internal/spec"
 	"repro/internal/stats"
 )
 
 func main() {
-	var (
-		preset     = flag.String("preset", "", "load a scale preset's defaults: million-qps|cluster|sharded|faulty-cluster|hour-long (explicit flags still win)")
-		specPath   = flag.String("spec", "", "run a workload spec file (YAML or JSON); conflicts with -preset and the scenario-shape flags")
-		service    = flag.String("service", "memcached", "memcached|hdsearch|socialnet|synthetic")
-		rate       = flag.Float64("rate", 100_000, "offered load in QPS")
-		clientName = flag.String("client", "LP", "client preset: LP or HP")
-		maxCState  = flag.String("client-max-cstate", "", "override client deepest C-state (C0,C1,C1E,C6)")
-		governor   = flag.String("client-governor", "", "override client governor (powersave|performance)")
-		turbo      = flag.Bool("client-turbo", true, "client turbo mode")
-		serverSMT  = flag.Bool("server-smt", false, "enable SMT on the server")
-		serverC1E  = flag.Bool("server-c1e", false, "enable C1E on the server")
-		delay      = flag.Duration("delay", 0, "synthetic service added busy-wait")
-		point      = flag.String("point", "in-app", "measurement point: in-app|kernel-socket|nic")
-		runs       = flag.Int("runs", 10, "repetitions")
-		samples    = flag.Int("samples", 0, "post-warmup samples per run (0 = default)")
-		seed       = flag.Uint64("seed", 1, "experiment seed")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent repetitions (results are identical for any value)")
-		sampleMode = flag.String("samplemode", "auto", "per-run sample reduction: auto|exact|streaming")
-		replicas   = flag.Int("replicas", 0, "run the backend as N replicas behind -router (0 = single backend)")
-		router     = flag.String("router", "", "replica routing policy: round-robin|least-outstanding|consistent-hash")
-		shards     = flag.Int("shards", 0, "partition each run across N simulation engines (0 = single engine; results identical for any value)")
-		timeout    = flag.Duration("timeout", 0, "per-request client timeout enabling the resilience stack (0 = preset default)")
-		retries    = flag.Int("retries", 0, "bounded retry budget per request; requires -timeout or a resilient preset (0 = preset default)")
-		hedge      = flag.Duration("hedge", 0, "hedged-request delay, must be below the timeout; requires -timeout or a resilient preset (0 = preset default)")
-	)
-	flag.Parse()
-
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "labsim:", err)
 		os.Exit(1)
 	}
-
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	var presetServer *hw.Config
-	var presetFaults *faults.Plan
-	var presetResilience *loadgen.ResilienceConfig
-	var presetHiccupRate float64
-	var presetHiccupMean time.Duration
-	if *preset != "" {
-		p, ok := figures.PresetByName(*preset)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "labsim: unknown preset %q; available:\n%s\n", *preset, figures.PresetUsage())
-			os.Exit(1)
-		}
-		// Preset values are defaults: a flag the user set explicitly wins.
-		if !set["service"] {
-			*service = string(p.Service)
-		}
-		if !set["client"] {
-			*clientName = p.ClientName
-		}
-		if !set["rate"] {
-			*rate = p.Rates[len(p.Rates)-1] // the preset's peak rate
-		}
-		if !set["runs"] {
-			*runs = p.Runs
-		}
-		if !set["samples"] {
-			*samples = p.TargetSamples
-		}
-		if !set["server-smt"] && !set["server-c1e"] {
-			presetServer = &p.Server
-		}
-		if !set["replicas"] {
-			*replicas = p.Replicas
-		}
-		if !set["router"] {
-			*router = p.Router
-		}
-		if !set["shards"] {
-			*shards = p.Shards
-		}
-		presetFaults = p.Faults
-		presetResilience = p.Resilience
-		presetHiccupRate, presetHiccupMean = p.HiccupRate, p.HiccupMean
-	}
-
-	if err := checkFlags(set, *specPath, *replicas, *router, *shards, *service); err != nil {
-		fail(err)
-	}
-	if w := cliflags.ShardWarning(*shards, *replicas); w != "" {
-		fmt.Fprintln(os.Stderr, "labsim:", w)
-	}
-
-	mode, err := metrics.ParseMode(*sampleMode)
+	sc, warning, err := scenario(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fail(err)
 	}
-
-	var mp core.MeasurementPoint
-	switch *point {
-	case "in-app":
-		mp = core.InApp
-	case "kernel-socket":
-		mp = core.KernelSocket
-	case "nic":
-		mp = core.NICHardware
-	default:
-		fail(fmt.Errorf("unknown measurement point %q", *point))
+	if warning != "" {
+		fmt.Fprintln(os.Stderr, "labsim:", warning)
 	}
-
-	var sc experiment.Scenario
-	if *specPath != "" {
-		s, err := spec.Load(*specPath)
-		if err != nil {
-			fail(err)
-		}
-		rates := s.SweepRates()
-		specRate := rates[len(rates)-1] // the spec's peak rate, like -preset
-		if set["rate"] {
-			specRate = *rate
-		}
-		sc = s.Scenario(specRate)
-		if set["runs"] {
-			sc.Runs = *runs
-		}
-		if set["samples"] {
-			// The smoke knob wins outright, as with presets: an explicit
-			// sample target also shrinks duration-sized specs.
-			sc.TargetSamples = *samples
-			sc.Duration = 0
-		}
-	} else {
-		client, err := clientConfig(*clientName, *maxCState, *governor, *turbo)
-		if err != nil {
-			fail(err)
-		}
-		server := hw.ServerBaselineConfig()
-		if presetServer != nil {
-			server = *presetServer
-		}
-		if *serverSMT {
-			server = server.WithSMT(true)
-		}
-		if *serverC1E {
-			server = server.WithMaxCState("C1E")
-		}
-		sc = experiment.Scenario{
-			Service:       experiment.Service(*service),
-			Label:         *clientName,
-			Client:        client,
-			Server:        server,
-			RateQPS:       *rate,
-			Runs:          *runs,
-			TargetSamples: *samples,
-			SynthDelay:    *delay,
-			Replicas:      *replicas,
-			Router:        *router,
-			Shards:        *shards,
-			Faults:        presetFaults,
-			Resilience:    presetResilience,
-			HiccupRate:    presetHiccupRate,
-			HiccupMean:    presetHiccupMean,
-		}
-	}
-	if err := cliflags.CheckResilience(*timeout, *retries, *hedge,
-		sc.Resilience != nil && sc.Resilience.Enabled()); err != nil {
-		fail(err)
-	}
-	if *timeout > 0 || *retries > 0 || *hedge > 0 {
-		res := loadgen.ResilienceConfig{}
-		if sc.Resilience != nil {
-			res = *sc.Resilience
-		}
-		if *timeout > 0 {
-			res.Timeout = *timeout
-		}
-		if *retries > 0 {
-			res.Retries = *retries
-		}
-		if *hedge > 0 {
-			res.Hedge = *hedge
-		}
-		sc.Resilience = &res
-	}
-	sc.Point = mp
-	sc.Seed = *seed
-	sc.Workers = *parallel
-	sc.SampleMode = mode
-
-	ctx := envpool.NewContext(context.Background(), *parallel)
+	ctx := envpool.NewContext(context.Background(), sc.Workers)
 	res, err := experiment.RunContext(ctx, sc)
 	if err != nil {
 		fail(err)
@@ -343,50 +170,80 @@ func main() {
 	}
 }
 
-// specOwnedFlags are the scenario-shape flags a workload spec defines
-// itself; setting one alongside -spec is a conflict, not an override.
-var specOwnedFlags = []string{
-	"preset", "service", "client", "client-max-cstate", "client-governor",
-	"client-turbo", "server-smt", "server-c1e", "delay", "replicas", "router",
-	"shards",
+// shapeFlags select the scenario shape; a -spec file or a -preset owns
+// its shape, so setting one of them beside either is a conflict.
+var shapeFlags = []string{"service", "client", "client-max-cstate", "client-governor",
+	"client-turbo", "server-smt", "server-c1e", "delay"}
+
+// measurementPoints maps -point spellings to measurement points.
+var measurementPoints = map[string]core.MeasurementPoint{
+	"in-app": core.InApp, "kernel-socket": core.KernelSocket, "nic": core.NICHardware,
 }
 
-// checkFlags validates flag combinations before any simulation starts:
-// -spec against the spec-owned shape flags, and the router/replicas
-// pairing (after preset defaults resolved, so -preset cluster alone is
-// fine).
-func checkFlags(set map[string]bool, specPath string, replicas int, router string, shards int, service string) error {
-	if specPath != "" {
-		var conflicts []string
-		for _, name := range specOwnedFlags {
-			if set[name] {
-				conflicts = append(conflicts, "-"+name)
-			}
+// scenario reads labsim's command line into the one scenario it runs,
+// plus the -shards warning (empty for none). The base preset is the
+// -spec file, the -preset, or the unnamed one the shape flags describe;
+// the shared flags resolve and validate against it through cliflags, and
+// figures.PresetScenario builds the scenario at the base's peak rate or
+// at -rate.
+func scenario(fs *flag.FlagSet, args []string) (experiment.Scenario, string, error) {
+	var (
+		preset     = fs.String("preset", "", "run a scale preset at its peak rate: million-qps|cluster|sharded|faulty-cluster|hour-long (conflicts with the shape flags)")
+		service    = fs.String("service", "memcached", "memcached|hdsearch|socialnet|synthetic")
+		rate       = fs.Float64("rate", 100_000, "offered load in QPS (with -preset or -spec: overrides the peak rate)")
+		clientName = fs.String("client", "LP", "client preset: LP or HP")
+		maxCState  = fs.String("client-max-cstate", "", "override client deepest C-state (C0,C1,C1E,C6)")
+		governor   = fs.String("client-governor", "", "override client governor (powersave|performance)")
+		turbo      = fs.Bool("client-turbo", true, "client turbo mode")
+		serverSMT  = fs.Bool("server-smt", false, "enable SMT on the server")
+		serverC1E  = fs.Bool("server-c1e", false, "enable C1E on the server")
+		delay      = fs.Duration("delay", 0, "synthetic service added busy-wait")
+		point      = fs.String("point", "in-app", "measurement point: in-app|kernel-socket|nic")
+	)
+	f := cliflags.Register(fs, 1, 10)
+	if err := fs.Parse(args); err != nil {
+		return experiment.Scenario{}, "", err
+	}
+	base, err := f.Base("preset", shapeFlags...)
+	if err != nil {
+		return experiment.Scenario{}, "", err
+	}
+	if base == nil {
+		if *preset != "" {
+			return experiment.Scenario{}, "", fmt.Errorf("unknown preset %q; available:\n%s", *preset, figures.PresetUsage())
 		}
-		if len(conflicts) > 0 {
-			return fmt.Errorf("%s conflict with -spec (the spec owns the scenario shape; -rate -runs -samples -seed -parallel -samplemode -point still apply)",
-				strings.Join(conflicts, " "))
+		client, err := clientConfig(*clientName, *maxCState, *governor, *turbo)
+		if err != nil {
+			return experiment.Scenario{}, "", err
 		}
-		return nil
-	}
-	if replicas < 0 {
-		return fmt.Errorf("-replicas must be ≥ 0, got %d", replicas)
-	}
-	if router != "" {
-		if _, err := cluster.NewRouter(router); err != nil {
-			return err
+		server := hw.ServerBaselineConfig()
+		if *serverSMT {
+			server = server.WithSMT(true)
 		}
-		if replicas <= 0 {
-			return fmt.Errorf("-router %s requires -replicas", router)
+		if *serverC1E {
+			server = server.WithMaxCState("C1E")
+		}
+		base = &figures.Preset{
+			Service: experiment.Service(*service), Client: client, ClientName: *clientName,
+			Server: server, Rates: []float64{*rate}, Runs: f.Runs, SynthDelay: *delay,
 		}
 	}
-	if set["shards"] && shards < 1 {
-		return fmt.Errorf("-shards must be ≥ 1, got %d", shards)
+	opts, warning, err := f.Options(base)
+	if err != nil {
+		return experiment.Scenario{}, "", err
 	}
-	if p := experiment.ShardPartitions(experiment.Service(service), replicas); shards > p {
-		return fmt.Errorf("-shards %d exceeds the %d machine+replica partitions", shards, p)
+	mp, ok := measurementPoints[*point]
+	if !ok {
+		return experiment.Scenario{}, "", fmt.Errorf("unknown measurement point %q", *point)
 	}
-	return nil
+	qps := base.Rates[len(base.Rates)-1]
+	if f.Set("rate") {
+		qps = *rate
+	}
+	sc := figures.PresetScenario(*base, qps, opts)
+	sc.Point = mp
+	sc.Workers = f.Parallel
+	return sc, warning, nil
 }
 
 func clientConfig(preset, maxCState, governor string, turbo bool) (hw.Config, error) {

@@ -1,140 +1,179 @@
 package main
 
 import (
+	"flag"
+	"io"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/cliflags"
+	"repro/internal/experiment"
+	"repro/internal/figures"
+	"repro/internal/spec"
 )
 
-// TestCheckFlags is the fail-fast table: -spec against spec-owned shape
-// flags, and the router/replicas pairing, rejected before any
-// simulation starts.
-func TestCheckFlags(t *testing.T) {
-	cases := []struct {
-		name     string
-		set      []string
-		spec     string
-		replicas int
-		router   string
-		shards   int
-		service  string
-		wantErr  string // substring; empty = no error
-	}{
-		{name: "defaults"},
-		{name: "spec-alone", spec: "x.yaml"},
-		{name: "spec-smoke-knobs", spec: "x.yaml", set: []string{"rate", "runs", "samples", "seed", "parallel", "samplemode", "point"}},
-		{name: "spec-and-preset", spec: "x.yaml", set: []string{"preset"}, wantErr: "-preset"},
-		{name: "spec-and-service", spec: "x.yaml", set: []string{"service"}, wantErr: "-service"},
-		{name: "spec-and-client", spec: "x.yaml", set: []string{"client"}, wantErr: "-client"},
-		{name: "spec-and-server", spec: "x.yaml", set: []string{"server-smt", "server-c1e"}, wantErr: "-server-smt -server-c1e"},
-		{name: "spec-and-delay", spec: "x.yaml", set: []string{"delay"}, wantErr: "-delay"},
-		{name: "spec-and-cluster", spec: "x.yaml", set: []string{"replicas", "router"}, wantErr: "-replicas -router"},
-		{name: "router-and-replicas", replicas: 4, router: "consistent-hash"},
-		{name: "router-no-replicas", router: "round-robin", wantErr: "requires -replicas"},
-		{name: "unknown-router", replicas: 2, router: "random", wantErr: "router"},
-		{name: "negative-replicas", replicas: -2, wantErr: "≥ 0"},
-		{name: "spec-and-shards", spec: "x.yaml", set: []string{"shards"}, wantErr: "-shards"},
-		{name: "shards-unset-default"},
-		{name: "shards-valid", set: []string{"shards"}, shards: 4, service: "memcached"},
-		{name: "shards-zero-explicit", set: []string{"shards"}, wantErr: "-shards must be ≥ 1"},
-		{name: "shards-negative", set: []string{"shards"}, shards: -2, wantErr: "-shards must be ≥ 1"},
-		{name: "shards-over-partitions", set: []string{"shards"}, shards: 6, service: "memcached", wantErr: "partitions"},
-		{name: "shards-over-partitions-small-client", set: []string{"shards"}, shards: 3, service: "hdsearch", wantErr: "partitions"},
-		{name: "shards-with-replicas", set: []string{"shards"}, shards: 6, replicas: 3, router: "consistent-hash", service: "memcached"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			set := map[string]bool{}
-			for _, name := range tc.set {
-				set[name] = true
-			}
-			err := checkFlags(set, tc.spec, tc.replicas, tc.router, tc.shards, tc.service)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("checkFlags = %v, want nil", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("checkFlags = nil, want error containing %q", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
-			}
-		})
-	}
+// parseArgs resolves one labsim command line, given as a single string.
+func parseArgs(args string) (experiment.Scenario, string, error) {
+	fs := flag.NewFlagSet("labsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return scenario(fs, strings.Fields(args))
 }
 
-// TestCheckResilienceFlags pins labsim's fail-fast contract for the
-// client resilience knobs, which it checks through the shared
-// cliflags.CheckResilience (whose merged table lives in that package):
-// negatives, dependent flags and the hedge/timeout ordering are rejected
-// before any simulation starts.
-func TestCheckResilienceFlags(t *testing.T) {
-	cases := []struct {
-		name      string
-		timeout   time.Duration
-		retries   int
-		hedge     time.Duration
-		resilient bool
-		wantErr   string // substring; empty = no error
-	}{
-		{name: "defaults"},
-		{name: "timeout-alone", timeout: time.Millisecond},
-		{name: "full-stack", timeout: 2 * time.Millisecond, retries: 3, hedge: time.Millisecond},
-		{name: "negative-timeout", timeout: -time.Millisecond, wantErr: "-timeout"},
-		{name: "negative-retries", retries: -1, wantErr: "-retries"},
-		{name: "negative-hedge", hedge: -time.Millisecond, wantErr: "-hedge"},
-		{name: "retries-no-timeout", retries: 2, wantErr: "require -timeout"},
-		{name: "hedge-no-timeout", hedge: time.Millisecond, wantErr: "require -timeout"},
-		{name: "retries-resilient-base", retries: 2, resilient: true},
-		{name: "hedge-resilient-base", hedge: time.Millisecond, resilient: true},
-		{name: "hedge-at-timeout", timeout: time.Millisecond, hedge: time.Millisecond, wantErr: "below the timeout"},
-	}
+// argvCase is one command line and a substring of the error it must
+// raise before any simulation starts ("" = accepted).
+type argvCase struct{ name, args, wantErr string }
+
+func runArgvCases(t *testing.T, cases []argvCase) {
+	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := cliflags.CheckResilience(tc.timeout, tc.retries, tc.hedge, tc.resilient)
+			_, _, err := parseArgs(tc.args)
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("checkResilienceFlags = %v, want nil", err)
+					t.Fatalf("labsim %s: %v, want accepted", tc.args, err)
 				}
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("checkResilienceFlags = %v, want error containing %q", err, tc.wantErr)
+				t.Fatalf("labsim %s: %v, want error containing %q", tc.args, err, tc.wantErr)
 			}
 		})
 	}
 }
 
-// TestShardWarning pins labsim's -shards ergonomics warning (the shared
-// cliflags.ShardWarning on the resolved -replicas): a single-backend
-// topology must warn toward -parallel; replicated shapes and unsharded
-// runs stay silent.
+// TestCheckFlags is the fail-fast table: -spec against the shape flags
+// it owns, and the fleet and engine flags, rejected before any
+// simulation starts. -replicas, -router and -shards override a spec's
+// shape, as they do in repro.
+func TestCheckFlags(t *testing.T) {
+	const sp = "-spec ../../examples/onoff-sessions.yaml "
+	runArgvCases(t, []argvCase{
+		{"defaults", "", ""},
+		{"spec-alone", sp, ""},
+		{"spec-smoke-knobs", sp + "-rate 5000 -runs 2 -samples 300 -seed 3 -parallel 2 -samplemode exact -point nic", ""},
+		{"spec-and-preset", sp + "-preset cluster", "-preset conflict with -spec"},
+		{"spec-and-service", sp + "-service hdsearch", "-service conflict"},
+		{"spec-and-client", sp + "-client HP", "-client conflict"},
+		{"spec-and-server", sp + "-server-smt -server-c1e", "-server-c1e -server-smt conflict"},
+		{"spec-and-delay", sp + "-delay 1ms", "-delay conflict"},
+		{"spec-and-cluster", sp + "-replicas 4 -router consistent-hash", ""},
+		{"router-and-replicas", "-replicas 4 -router consistent-hash", ""},
+		{"router-no-replicas", "-router round-robin", "requires -replicas"},
+		{"unknown-router", "-replicas 2 -router random", "unknown router"},
+		{"negative-replicas", "-replicas -2", "-replicas must be ≥ 0"},
+		{"spec-and-shards", sp + "-shards 2", ""},
+		{"shards-unset-default", "", ""},
+		{"shards-valid", "-shards 4", ""},
+		{"shards-zero-explicit", "-shards 0", "-shards must be ≥ 1"},
+		{"shards-negative", "-shards -2", "-shards must be ≥ 1"},
+		{"shards-over-partitions", "-shards 6", "exceed the 5 machine+replica partitions"},
+		{"shards-over-partitions-small-client", "-service hdsearch -shards 3", "exceed the 2 machine+replica partitions"},
+		{"shards-with-replicas", "-shards 6 -replicas 3 -router consistent-hash", ""},
+		{"spec-shards-over-partitions", sp + "-shards 6", "partitions"},
+		{"preset-and-client", "-preset cluster -client LP", "-client conflict with -preset"},
+		{"preset-smoke-knobs", "-preset cluster -rate 5000 -runs 1 -samples 300 -point nic -replicas 2", ""},
+		{"unknown-preset", "-preset terabit-qps", "unknown preset"},
+	})
+}
+
+// TestCheckResilienceFlags pins labsim's fail-fast contract for the
+// client resilience knobs: negatives, dependent flags and the
+// hedge/timeout ordering are rejected before any simulation starts.
+func TestCheckResilienceFlags(t *testing.T) {
+	runArgvCases(t, []argvCase{
+		{"defaults", "", ""},
+		{"timeout-alone", "-timeout 1ms", ""},
+		{"full-stack", "-timeout 2ms -retries 3 -hedge 1ms", ""},
+		{"negative-timeout", "-timeout -1ms", "-timeout must be ≥ 0"},
+		{"negative-retries", "-retries -1", "-retries must be ≥ 0"},
+		{"negative-hedge", "-hedge -1ms", "-hedge must be ≥ 0"},
+		{"retries-no-timeout", "-retries 2", "require a request timeout"},
+		{"hedge-no-timeout", "-hedge 1ms", "require a request timeout"},
+		{"retries-resilient-base", "-preset faulty-cluster -retries 2", ""},
+		{"hedge-resilient-base", "-preset faulty-cluster -hedge 1ms", ""},
+		{"hedge-at-timeout", "-timeout 1ms -hedge 1ms", "below the timeout"},
+		{"spec-retries", "-spec ../../examples/cluster.yaml -timeout 2ms -retries 1", ""},
+	})
+}
+
+// TestShardWarning pins labsim's -shards ergonomics warning on the
+// resolved replica count: a single-backend topology must warn toward
+// -parallel; replicated shapes and unsharded runs stay silent.
 func TestShardWarning(t *testing.T) {
 	cases := []struct {
-		name     string
-		shards   int
-		replicas int
-		want     bool
+		name, args string
+		want       bool
 	}{
-		{name: "unsharded-default"},
-		{name: "single-shard", shards: 1},
-		{name: "sharded-single-backend", shards: 2, want: true},
-		{name: "sharded-one-replica", shards: 4, replicas: 1, want: true},
-		{name: "sharded-replicated", shards: 4, replicas: 4},
+		{"unsharded-default", "", false},
+		{"single-shard", "-shards 1", false},
+		{"sharded-single-backend", "-shards 2", true},
+		{"sharded-one-replica", "-shards 4 -replicas 1", true},
+		{"sharded-replicated", "-shards 4 -replicas 4 -router consistent-hash", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := cliflags.ShardWarning(tc.shards, tc.replicas)
-			if got := w != ""; got != tc.want {
-				t.Fatalf("shardWarning emitted %q, want warning=%v", w, tc.want)
+			_, warning, err := parseArgs(tc.args)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if tc.want && !strings.Contains(w, "-parallel") {
-				t.Fatalf("warning %q does not suggest -parallel", w)
+			if (warning != "") != tc.want {
+				t.Fatalf("labsim %s warned %q, want warning=%v", tc.args, warning, tc.want)
+			}
+			if tc.want && !strings.Contains(warning, "-parallel") {
+				t.Fatalf("warning %q does not suggest -parallel", warning)
 			}
 		})
+	}
+}
+
+// TestPresetAndSpecScenarios pins labsim's -preset and -spec paths to
+// the scenario figures.RunPreset runs at the peak rate, so labsim and
+// repro -experiment/-spec report the same numbers for the same seed:
+// at labsim's defaults (the base's own runs and samples) and at smoke
+// size.
+func TestPresetAndSpecScenarios(t *testing.T) {
+	type base struct {
+		name, args string
+		preset     figures.Preset
+	}
+	var bases []base
+	for _, p := range figures.Presets() {
+		bases = append(bases, base{"preset-" + p.Name, "-preset " + p.Name, p})
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "*.yaml"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example specs: %v", err)
+	}
+	for _, file := range files {
+		s, err := spec.Load(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := "spec-" + strings.TrimSuffix(filepath.Base(file), ".yaml")
+		bases = append(bases, base{name, "-spec " + file, figures.PresetFromSpec(s)})
+	}
+	sizes := []struct {
+		name, args string
+		opts       figures.SweepOptions
+	}{
+		{"defaults", "", figures.SweepOptions{Seed: 1}},
+		{"smoke", " -seed 2024 -runs 1 -samples 2000", figures.SweepOptions{Seed: 2024, Runs: 1, TargetSamples: 2000}},
+	}
+	for _, b := range bases {
+		for _, size := range sizes {
+			t.Run(b.name+"/"+size.name, func(t *testing.T) {
+				got, _, err := parseArgs(b.args + size.args)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := b.preset
+				want := figures.PresetScenario(p, p.Rates[len(p.Rates)-1], size.opts)
+				want.Point, want.Workers = got.Point, got.Workers
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("labsim %s resolved\n%+v\nwant\n%+v", b.args+size.args, got, want)
+				}
+			})
+		}
 	}
 }

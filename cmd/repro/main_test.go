@@ -1,15 +1,13 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/cliflags"
-	"repro/internal/experiment"
 	"repro/internal/figures"
-	"repro/internal/loadgen"
 	"repro/internal/spec"
 )
 
@@ -39,147 +37,116 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestCheckFlags is the fail-fast table: bad flag combinations must be
-// rejected at startup, before any sweep runs.
-func TestCheckFlags(t *testing.T) {
-	cases := []struct {
-		name       string
-		expSet     bool
-		spec       string
-		replicas   int
-		router     string
-		clustered  bool
-		shards     int
-		shardsSet  bool
-		partitions int
-		wantErr    bool
-	}{
-		{name: "defaults"},
-		{name: "spec-alone", spec: "x.yaml"},
-		{name: "spec-and-experiment", spec: "x.yaml", expSet: true, wantErr: true},
-		{name: "experiment-alone", expSet: true},
-		{name: "replicas-no-router", replicas: 4},
-		{name: "router-and-replicas", replicas: 4, router: "round-robin"},
-		{name: "router-no-replicas", router: "round-robin", wantErr: true},
-		{name: "router-clustered-preset", router: "least-outstanding", clustered: true},
-		{name: "unknown-router", replicas: 4, router: "random", wantErr: true},
-		{name: "unknown-router-clustered", router: "random", clustered: true, wantErr: true},
-		{name: "negative-replicas", replicas: -1, wantErr: true},
-		{name: "shards-valid", shards: 4, shardsSet: true, partitions: 8},
-		{name: "shards-zero-explicit", shardsSet: true, wantErr: true},
-		{name: "shards-negative", shards: -1, shardsSet: true, wantErr: true},
-		{name: "shards-over-partitions", shards: 5, shardsSet: true, partitions: 4, wantErr: true},
-		{name: "shards-unknown-partitions", shards: 16, shardsSet: true},
-	}
+// parseArgs parses one repro command line, given as a single string.
+func parseArgs(args string) (command, error) {
+	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parse(fs, strings.Fields(args))
+}
+
+// argvCase is one command line and a substring of the error it must
+// raise before any sweep starts ("" = accepted).
+type argvCase struct{ name, args, wantErr string }
+
+func runArgvCases(t *testing.T, cases []argvCase) {
+	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkFlags(tc.expSet, tc.spec, tc.replicas, tc.router, tc.clustered, tc.shards, tc.shardsSet, tc.partitions)
-			if (err != nil) != tc.wantErr {
-				t.Errorf("checkFlags = %v, wantErr %v", err, tc.wantErr)
+			_, err := parseArgs(tc.args)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("repro %s: %v, want accepted", tc.args, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("repro %s: %v, want error containing %q", tc.args, err, tc.wantErr)
 			}
 		})
 	}
 }
 
+// TestCheckFlags is the fail-fast table: bad flag combinations must be
+// rejected at startup, before any sweep runs.
+func TestCheckFlags(t *testing.T) {
+	runArgvCases(t, []argvCase{
+		{"defaults", "", ""},
+		{"spec-alone", "-spec ../../examples/cluster.yaml", ""},
+		{"spec-and-experiment", "-spec ../../examples/cluster.yaml -experiment cluster", "-experiment conflict with -spec"},
+		{"experiment-alone", "-experiment fig6", ""},
+		{"replicas-no-router", "-replicas 4", ""},
+		{"router-and-replicas", "-replicas 4 -router round-robin", ""},
+		{"router-no-replicas", "-router round-robin", "requires -replicas"},
+		{"router-clustered-preset", "-experiment cluster -router least-outstanding", ""},
+		{"unknown-router", "-replicas 4 -router random", "unknown router"},
+		{"unknown-router-clustered", "-experiment cluster -router random", "unknown router"},
+		{"negative-replicas", "-replicas -1", "-replicas must be ≥ 0"},
+		{"shards-valid", "-experiment cluster -shards 4", ""},
+		{"shards-zero-explicit", "-shards 0", "-shards must be ≥ 1"},
+		{"shards-negative", "-shards -1", "-shards must be ≥ 1"},
+		{"shards-over-partitions", "-experiment million-qps -shards 6", "exceed the 5 machine+replica partitions"},
+		{"shards-unknown-partitions", "-shards 16", ""},
+		{"router-cannot-shard", "-experiment cluster -shards 2 -router round-robin", "cannot run sharded"},
+	})
+}
+
 // TestCheckResilienceFlags pins repro's fail-fast contract for the
-// client resilience knobs, which it checks through the shared
-// cliflags.CheckResilience (whose merged table lives in that package):
-// negatives, dependent flags and the hedge/timeout ordering are rejected
-// before any sweep runs.
+// client resilience knobs: negatives, dependent flags and the
+// hedge/timeout ordering are rejected before any sweep runs.
 func TestCheckResilienceFlags(t *testing.T) {
-	cases := []struct {
-		name      string
-		timeout   time.Duration
-		retries   int
-		hedge     time.Duration
-		resilient bool
-		wantErr   string // substring; empty = no error
-	}{
-		{name: "defaults"},
-		{name: "timeout-alone", timeout: time.Millisecond},
-		{name: "full-stack", timeout: 2 * time.Millisecond, retries: 3, hedge: time.Millisecond},
-		{name: "negative-timeout", timeout: -time.Millisecond, wantErr: "-timeout"},
-		{name: "negative-retries", retries: -1, wantErr: "-retries"},
-		{name: "negative-hedge", hedge: -time.Millisecond, wantErr: "-hedge"},
-		{name: "retries-no-timeout", retries: 2, wantErr: "require -timeout"},
-		{name: "hedge-no-timeout", hedge: time.Millisecond, wantErr: "require -timeout"},
-		{name: "retries-resilient-base", retries: 2, resilient: true},
-		{name: "hedge-resilient-base", hedge: time.Millisecond, resilient: true},
-		{name: "hedge-at-timeout", timeout: time.Millisecond, hedge: time.Millisecond, wantErr: "below the timeout"},
-		{name: "hedge-above-timeout", timeout: time.Millisecond, hedge: 2 * time.Millisecond, wantErr: "below the timeout"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := cliflags.CheckResilience(tc.timeout, tc.retries, tc.hedge, tc.resilient)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("checkResilienceFlags = %v, want nil", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("checkResilienceFlags = %v, want error containing %q", err, tc.wantErr)
-			}
-		})
-	}
+	runArgvCases(t, []argvCase{
+		{"defaults", "", ""},
+		{"timeout-alone", "-timeout 1ms", ""},
+		{"full-stack", "-timeout 2ms -retries 3 -hedge 1ms", ""},
+		{"negative-timeout", "-timeout -1ms", "-timeout must be ≥ 0"},
+		{"negative-retries", "-retries -1", "-retries must be ≥ 0"},
+		{"negative-hedge", "-hedge -1ms", "-hedge must be ≥ 0"},
+		{"retries-no-timeout", "-retries 2", "require a request timeout"},
+		{"hedge-no-timeout", "-hedge 1ms", "require a request timeout"},
+		{"retries-resilient-base", "-experiment faulty-cluster -retries 2", ""},
+		{"hedge-resilient-base", "-experiment faulty-cluster -hedge 1ms", ""},
+		{"hedge-at-timeout", "-timeout 1ms -hedge 1ms", "below the timeout"},
+		{"hedge-above-timeout", "-timeout 1ms -hedge 2ms", "below the timeout"},
+	})
 }
 
 // TestBaseResilient pins which invocations make a bare -retries/-hedge
 // legal: the preset or spec must already carry a resilience timeout.
 func TestBaseResilient(t *testing.T) {
-	if baseResilient("million-qps", nil) {
-		t.Error("million-qps reported resilient")
-	}
-	if !baseResilient("faulty-cluster", nil) {
-		t.Error("faulty-cluster preset not reported resilient")
-	}
-	p := figures.Preset{Resilience: &loadgen.ResilienceConfig{Timeout: time.Millisecond}}
-	if !baseResilient("all", &p) {
-		t.Error("resilient spec not reported resilient")
-	}
-	bare := figures.Preset{}
-	if baseResilient("faulty-cluster", &bare) {
-		t.Error("non-resilient spec reported resilient (spec must win over -experiment name)")
-	}
+	runArgvCases(t, []argvCase{
+		{"plain-preset", "-experiment million-qps -retries 2", "require a request timeout"},
+		{"resilient-preset", "-experiment faulty-cluster -retries 2", ""},
+		{"resilient-spec", "-spec ../../examples/faulty-cluster.yaml -retries 2", ""},
+		{"plain-spec", "-spec ../../examples/cluster.yaml -retries 2", "require a request timeout"},
+	})
 }
 
-// TestBasePartitions pins the fail-fast partition count: the shard
-// ceiling a preset or spec invocation is checked against at startup.
+// TestBasePartitions pins the shard ceiling a preset or spec invocation
+// is checked against at startup: client machines plus replicas, after
+// -replicas; a figure grid mixes services and leaves it to each cell.
 func TestBasePartitions(t *testing.T) {
-	if got := basePartitions("all", nil, 0); got != 0 {
-		t.Errorf("figure grid partitions = %d, want 0 (unknown)", got)
-	}
-	if got := basePartitions("million-qps", nil, 0); got != 5 {
-		t.Errorf("million-qps partitions = %d, want 5 (4 machines + 1 backend)", got)
-	}
-	if got := basePartitions("sharded", nil, 0); got != 8 {
-		t.Errorf("sharded partitions = %d, want 8 (4 machines + 4 replicas)", got)
-	}
-	if got := basePartitions("million-qps", nil, 3); got != 7 {
-		t.Errorf("million-qps -replicas 3 partitions = %d, want 7", got)
-	}
-	p := figures.Preset{Service: experiment.ServiceHDSearch, Replicas: 2}
-	if got := basePartitions("all", &p, 0); got != 3 {
-		t.Errorf("hdsearch spec partitions = %d, want 3 (1 machine + 2 replicas)", got)
-	}
+	runArgvCases(t, []argvCase{
+		{"figure-grid", "-shards 16", ""},
+		{"million-qps", "-experiment million-qps -shards 5", ""},
+		{"million-qps-over", "-experiment million-qps -shards 6", "partitions"},
+		{"sharded", "-experiment sharded -shards 8", ""},
+		{"sharded-over", "-experiment sharded -shards 9", "partitions"},
+		{"replicas-flag", "-experiment million-qps -replicas 3 -router consistent-hash -shards 7", ""},
+		{"replicas-flag-over", "-experiment million-qps -replicas 3 -router consistent-hash -shards 8", "partitions"},
+		{"spec", "-spec ../../examples/straggler.yaml -shards 7", ""},
+		{"spec-over", "-spec ../../examples/straggler.yaml -shards 8", "partitions"},
+	})
 }
 
-// TestBaseClustered pins which invocations make a bare -router legal.
+// TestBaseClustered pins which invocations make a bare -router legal:
+// the preset or spec must already run a replica set.
 func TestBaseClustered(t *testing.T) {
-	if baseClustered("million-qps", nil) {
-		t.Error("million-qps reported clustered")
-	}
-	if !baseClustered("cluster", nil) {
-		t.Error("cluster preset not reported clustered")
-	}
-	p := figures.Preset{Replicas: 4}
-	if !baseClustered("all", &p) {
-		t.Error("replicated spec not reported clustered")
-	}
-	single := figures.Preset{}
-	if baseClustered("cluster", &single) {
-		t.Error("single-backend spec reported clustered (spec must win over -experiment name)")
-	}
+	runArgvCases(t, []argvCase{
+		{"single-backend-preset", "-experiment million-qps -router round-robin", "requires -replicas"},
+		{"clustered-preset", "-experiment cluster -router round-robin", ""},
+		{"replicated-spec", "-spec ../../examples/cluster.yaml -router round-robin", ""},
+		{"single-backend-spec", "-spec ../../examples/phases-spike.yaml -router round-robin", "requires -replicas"},
+	})
 }
 
 // TestRunSpecPreset smokes the -spec path end to end: a spec-compiled
@@ -206,39 +173,35 @@ func TestRunSingleFigure(t *testing.T) {
 }
 
 // TestShardWarning pins repro's -shards ergonomics warning end to end:
-// effectiveReplicas resolves the replica count from the experiment
-// name, a spec and -replicas, and a single-backend result (hour-long's
-// shape) must warn toward -parallel; replicated shapes and unsharded
-// runs stay silent.
+// the replica count resolves from the experiment, a spec and -replicas,
+// and a single-backend result (hour-long's shape) must warn toward
+// -parallel; replicated shapes and unsharded runs stay silent.
 func TestShardWarning(t *testing.T) {
-	clusterPreset := figures.Preset{Replicas: 4}
-	singlePreset := figures.Preset{}
 	cases := []struct {
-		name     string
-		shards   int
-		exp      string
-		spec     *figures.Preset
-		replicas int
-		want     bool
+		name, args string
+		want       bool
 	}{
-		{name: "unsharded-default", exp: "all"},
-		{name: "single-shard", shards: 1, exp: "hour-long"},
-		{name: "hour-long-sharded", shards: 2, exp: "hour-long", want: true},
-		{name: "million-qps-sharded", shards: 4, exp: "million-qps", want: true},
-		{name: "figure-grid-sharded", shards: 2, exp: "all", want: true},
-		{name: "cluster-preset-sharded", shards: 4, exp: "cluster"},
-		{name: "replicas-flag-spreads-work", shards: 4, exp: "hour-long", replicas: 4},
-		{name: "replicated-spec", shards: 4, exp: "all", spec: &clusterPreset},
-		{name: "single-backend-spec", shards: 2, exp: "all", spec: &singlePreset, want: true},
+		{"unsharded-default", "", false},
+		{"single-shard", "-experiment hour-long -shards 1", false},
+		{"hour-long-sharded", "-experiment hour-long -shards 2", true},
+		{"million-qps-sharded", "-experiment million-qps -shards 4", true},
+		{"figure-grid-sharded", "-shards 2", true},
+		{"cluster-preset-sharded", "-experiment cluster -shards 4", false},
+		{"replicas-flag-spreads-work", "-experiment hour-long -shards 4 -replicas 4 -router consistent-hash", false},
+		{"replicated-spec", "-spec ../../examples/cluster.yaml -shards 4", false},
+		{"single-backend-spec", "-spec ../../examples/phases-spike.yaml -shards 2", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := cliflags.ShardWarning(tc.shards, effectiveReplicas(tc.exp, tc.spec, tc.replicas))
-			if got := w != ""; got != tc.want {
-				t.Fatalf("shardWarning emitted %q, want warning=%v", w, tc.want)
+			c, err := parseArgs(tc.args)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if tc.want && !strings.Contains(w, "-parallel") {
-				t.Fatalf("warning %q does not suggest -parallel", w)
+			if got := c.warning != ""; got != tc.want {
+				t.Fatalf("repro %s warned %q, want warning=%v", tc.args, c.warning, tc.want)
+			}
+			if tc.want && !strings.Contains(c.warning, "-parallel") {
+				t.Fatalf("warning %q does not suggest -parallel", c.warning)
 			}
 		})
 	}

@@ -203,12 +203,14 @@ type PresetResult struct {
 	Results []experiment.Result // index-aligned with Preset.Rates
 }
 
-// presetScenario assembles the scenario for one rate of a preset under
+// PresetScenario assembles the scenario for one rate of a preset under
 // the given options: the preset supplies full-size defaults, the
 // options' Runs/TargetSamples override them (the smoke knob CI uses),
 // and SweepOptions.override applies the fleet, engine and resilience
-// overrides.
-func presetScenario(p Preset, rate float64, opts SweepOptions) experiment.Scenario {
+// overrides. The label, which seeds every run's streams, is the client
+// and preset name; an unnamed preset (labsim's shape flags) is labelled
+// by its client alone.
+func PresetScenario(p Preset, rate float64, opts SweepOptions) experiment.Scenario {
 	samples := p.TargetSamples
 	if opts.TargetSamples > 0 {
 		samples = opts.TargetSamples
@@ -219,9 +221,13 @@ func presetScenario(p Preset, rate float64, opts SweepOptions) experiment.Scenar
 		// shrinks duration-sized (phase-program) presets to smoke scale.
 		duration = 0
 	}
+	label := p.ClientName
+	if p.Name != "" {
+		label += "-" + p.Name
+	}
 	return opts.override(experiment.Scenario{
 		Service:       p.Service,
-		Label:         p.ClientName + "-" + p.Name,
+		Label:         label,
 		Client:        p.Client,
 		Server:        p.Server,
 		RateQPS:       rate,
@@ -293,7 +299,7 @@ func RunPreset(p Preset, opts SweepOptions) (*PresetResult, error) {
 	results, err := sched.MapWorkers(envCtx, pool, len(p.Rates),
 		func(int) (struct{}, error) { return struct{}{}, nil },
 		func(ctx context.Context, _ struct{}, i int) (experiment.Result, error) {
-			res, err := experiment.RunContext(ctx, presetScenario(p, p.Rates[i], opts))
+			res, err := experiment.RunContext(ctx, PresetScenario(p, p.Rates[i], opts))
 			if err != nil {
 				return experiment.Result{}, fmt.Errorf("figures: preset %s @%s: %w", p.Name, FormatRate(p.Rates[i]), err)
 			}

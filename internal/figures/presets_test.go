@@ -62,7 +62,7 @@ func TestRunPresetSmoke(t *testing.T) {
 // the presets is scale that exact retention cannot afford.
 func TestPresetFullSizeSelectsStreaming(t *testing.T) {
 	for _, p := range Presets() {
-		sc := presetScenario(p, p.Rates[0], SweepOptions{})
+		sc := PresetScenario(p, p.Rates[0], SweepOptions{})
 		if got := sc.EffectiveSampleMode(); got != metrics.SampleStreaming {
 			t.Errorf("preset %s full-size sample mode = %v, want streaming", p.Name, got)
 		}
