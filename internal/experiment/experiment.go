@@ -267,26 +267,22 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// ShardPartitions is a deployment's shard-assignable unit count: the
-// service's client machines (generatorConfig's per-service deployment:
-// one for HDSearch and SocialNet, four for the mutilate-style Memcached
-// and Synthetic) plus one partition per backend replica, one for a bare
-// backend (replicas ≤ 1). Shards above it would own no simulation state.
-func ShardPartitions(service Service, replicas int) int {
+// shardPartitions is the scenario's shard-assignable unit count at its
+// initial shape: the service's client machines (generatorConfig's
+// per-service deployment: one for HDSearch and SocialNet, four for the
+// mutilate-style Memcached and Synthetic) plus one partition per backend
+// replica, one for a bare backend. Shards above it would own no
+// simulation state.
+func (s Scenario) shardPartitions() int {
 	machines := 4
-	if service == ServiceHDSearch || service == ServiceSocialNet {
+	if s.Service == ServiceHDSearch || s.Service == ServiceSocialNet {
 		machines = 1
 	}
-	return machines + max(replicas, 1)
-}
-
-// shardPartitions is ShardPartitions for the scenario's initial shape.
-func (s Scenario) shardPartitions() int {
 	replicas := 1
 	if s.Clustered() {
 		_, replicas = s.clusterShape()
 	}
-	return ShardPartitions(s.Service, replicas)
+	return machines + max(replicas, 1)
 }
 
 // clusterShape resolves the replica capacity to build and the active

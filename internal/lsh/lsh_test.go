@@ -2,19 +2,158 @@ package lsh
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
 )
 
-// The fidelity oracle. Index.Candidates counts the vectors a query probes;
-// query below ranks them by exact cosine similarity, as an HDSearch bucket
-// does, and bruteForce ranks the whole dataset to measure LSH recall. A
-// result's ID is its vector's position in the dataset, which is also its
-// index ID when the dataset was added in order.
+// The fidelity oracles. reference is an LSH index built the plain way, with
+// nothing of Build's layout or kernel: the hyperplanes drawn from the stream
+// Build draws them from but kept one slice per plane, each projection one
+// Dot, and each table a map from signature to IDs. Its signature is the
+// reference the four-plane kernel must match bit for bit. query ranks a
+// query's reference candidates by exact cosine similarity, as an HDSearch
+// bucket does, and bruteForce ranks the whole dataset to measure LSH recall.
+// A result's ID is its vector's position in the dataset, which is also its
+// index ID.
+
+// Dot returns the inner product of two equal-length vectors, summed from 0
+// in dimension order.
+func (v Vector) Dot(u Vector) float64 {
+	s := 0.0
+	for i := range v {
+		s += v[i] * u[i]
+	}
+	return s
+}
+
+// reference is the oracles' own LSH index.
+type reference struct {
+	dim    int
+	planes [][]Vector // [table][bit] hyperplane normals
+	tables []map[uint64][]int
+}
+
+// newReference draws cfg's hyperplanes and hashes data in order.
+func newReference(cfg Config, data []Vector) *reference {
+	stream := rng.NewLabeled(cfg.Seed, "lsh-hyperplanes")
+	ref := &reference{dim: cfg.Dim, planes: make([][]Vector, cfg.Tables), tables: make([]map[uint64][]int, cfg.Tables)}
+	for t := range ref.planes {
+		ref.planes[t] = make([]Vector, cfg.Bits)
+		for b := range ref.planes[t] {
+			plane := make(Vector, cfg.Dim)
+			for d := range plane {
+				plane[d] = stream.Normal(0, 1)
+			}
+			ref.planes[t][b] = plane
+		}
+		ref.tables[t] = make(map[uint64][]int)
+	}
+	for i, v := range data {
+		for t, table := range ref.tables {
+			sig := ref.signature(t, v)
+			table[sig] = append(table[sig], i)
+		}
+	}
+	return ref
+}
+
+// signature is the plain per-plane signature of v in table t: bit b is set
+// when the table's plane b has a Dot with v of at least 0.
+func (ref *reference) signature(t int, v Vector) uint64 {
+	var sig uint64
+	for b, plane := range ref.planes[t] {
+		if plane.Dot(v) >= 0 {
+			sig |= 1 << uint(b)
+		}
+	}
+	return sig
+}
+
+// checkSignatures compares idx's signature of every vector in every table
+// with ref's, bit for bit.
+func checkSignatures(t *testing.T, idx *Index, ref *reference, vs []Vector) {
+	t.Helper()
+	for i, v := range vs {
+		for tbl := range ref.planes {
+			if got, want := idx.signature(tbl, v), ref.signature(tbl, v); uint64(got) != want {
+				t.Fatalf("vector %d %v, table %d: signature %#x, reference %#x", i, v, tbl, got, want)
+			}
+		}
+	}
+}
+
+// orderSensitive returns vectors whose projection onto one of ref's planes
+// has a sign that depends on the order of its sum. Each vector is zero but
+// at three dimensions, where its products with the plane are B, -B and s:
+// B + (-B) is exactly 0, and s < 0 is far below half an ulp of B. Summed
+// in dimension order, s vanishes into B when it comes before -B
+// (projection 0, bit set) and survives when it comes last (projection s,
+// bit clear). A sum split across two accumulators gets the other bit where
+// it keeps an s that comes before -B apart from both, or puts an s that
+// comes last with just one of them. The three dimensions range over every
+// triple of 0, 1, 2, Dim/2, Dim/2+1 and Dim-1, with s in each slot, so
+// both an even/odd and a first-half/second-half split show.
+func orderSensitive(ref *reference) []Vector {
+	var pos []int
+	for _, d := range []int{0, 1, 2, ref.dim / 2, ref.dim/2 + 1, ref.dim - 1} {
+		if d < ref.dim && !slices.Contains(pos, d) {
+			pos = append(pos, d)
+		}
+	}
+	slices.Sort(pos)
+	var out []Vector
+	for _, table := range ref.planes {
+		for _, p := range table {
+			for a := 0; a < len(pos); a++ {
+				for b := a + 1; b < len(pos); b++ {
+					for c := b + 1; c < len(pos); c++ {
+						tri := [3]int{pos[a], pos[b], pos[c]}
+						for slot := range tri {
+							rest := slices.Delete(slices.Clone(tri[:]), slot, slot+1)
+							if v, ok := cancelling(p, rest[0], rest[1], tri[slot]); ok {
+								out = append(out, v)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// cancelling returns a vector v, zero but at dimensions i, k and j, whose
+// products with plane p are B ≈ 1.5 at i, exactly -B at k and about
+// -2^-60·B at j. It reports false if no v[k] within 3 ulps of -B/p[k], for
+// any of 8 consecutive values of v[i] from 1.5/p[i] up, makes the product
+// exactly -B.
+func cancelling(p Vector, i, k, j int) (Vector, bool) {
+	v := make(Vector, len(p))
+	v[i] = 1.5 / p[i]
+	for range 8 {
+		big := p[i] * v[i]
+		lo, hi := -big/p[k], -big/p[k]
+		for range 4 {
+			for _, x := range [2]float64{lo, hi} {
+				if p[k]*x == -big {
+					v[k] = x
+					v[j] = -big / (1 << 60) / p[j]
+					return v, true
+				}
+			}
+			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+		}
+		v[i] = math.Nextafter(v[i], math.Inf(1))
+	}
+	return nil, false
+}
 
 // result is one ranked neighbour.
 type result struct {
@@ -40,12 +179,12 @@ func cosineSimilarity(v, u Vector) float64 {
 	return v.Dot(u) / (nv * nu)
 }
 
-// query returns the top-k vectors by cosine similarity to q among the LSH
-// candidates of idx, which indexes data in order. Results are ordered
+// query returns the top-k vectors by cosine similarity to q among the
+// candidates of ref, which hashed data in order. Results are ordered
 // most-similar first.
-func query(idx *Index, data []Vector, q Vector, k int) ([]result, queryStats, error) {
-	if len(q) != idx.cfg.Dim {
-		return nil, queryStats{}, fmt.Errorf("lsh: query dimension %d ≠ index dimension %d", len(q), idx.cfg.Dim)
+func query(ref *reference, data []Vector, q Vector, k int) ([]result, queryStats, error) {
+	if len(q) != ref.dim {
+		return nil, queryStats{}, fmt.Errorf("lsh: query dimension %d ≠ index dimension %d", len(q), ref.dim)
 	}
 	if k < 1 {
 		return nil, queryStats{}, fmt.Errorf("lsh: k must be ≥1, got %d", k)
@@ -54,8 +193,8 @@ func query(idx *Index, data []Vector, q Vector, k int) ([]result, queryStats, er
 	seen := make(map[int]struct{})
 	h := &resultHeap{}
 	heap.Init(h)
-	for t := range idx.tables {
-		bucket := idx.tables[t][idx.signature(t, q)]
+	for t, table := range ref.tables {
+		bucket := table[ref.signature(t, q)]
 		if len(bucket) > 0 {
 			stats.Probes++
 		}
@@ -128,24 +267,23 @@ func (h *resultHeap) Pop() any          { old := *h; n := len(old); r := old[n-1
 // build indexes data in order.
 func build(tb testing.TB, cfg Config, data []Vector) *Index {
 	tb.Helper()
-	idx, err := New(cfg)
+	idx, err := Build(cfg, data)
 	if err != nil {
 		tb.Fatal(err)
-	}
-	for _, v := range data {
-		if err := idx.Add(v); err != nil {
-			tb.Fatal(err)
-		}
 	}
 	return idx
 }
 
-// hdsearchIndex builds the index the HDSearch service model builds: 20K
-// clustered 64-dim vectors, 8 tables of 12 bits.
+// hdsearchConfig is the index the HDSearch service model builds: 8 tables
+// of 12 bits over 64-dim vectors.
+var hdsearchConfig = Config{Dim: 64, Tables: 8, Bits: 12, Seed: 777}
+
+// hdsearchIndex builds HDSearch's index over its dataset, 20K clustered
+// 64-dim vectors.
 func hdsearchIndex(tb testing.TB) (*Index, []Vector) {
 	tb.Helper()
 	data := GenerateDataset(20_000, 64, 32, 778)
-	return build(tb, Config{Dim: 64, Tables: 8, Bits: 12, Seed: 777}, data), data
+	return build(tb, hdsearchConfig, data), data
 }
 
 // hdsearchQueries draws n queries the way HDSearch.NewQuery does: a
@@ -164,16 +302,16 @@ func hdsearchQueries(data []Vector, n int, seed uint64) []Vector {
 	return qs
 }
 
-// checkCandidates compares idx.Candidates(q) with the oracle's count, and
-// min(k, count) with the length of the oracle's result list: the two
-// numbers the HDSearch model reads.
-func checkCandidates(t *testing.T, idx *Index, data []Vector, q Vector, k int) {
+// checkCandidates compares idx.Candidates(q) with the count of the oracle
+// over ref, and min(k, count) with the length of the oracle's result list:
+// the two numbers the HDSearch model reads.
+func checkCandidates(t *testing.T, idx *Index, ref *reference, data []Vector, q Vector, k int) {
 	t.Helper()
 	n, err := idx.Candidates(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := query(idx, data, q, k)
+	res, stats, err := query(ref, data, q, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,36 +344,58 @@ func TestVectorOps(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Dim: 0, Tables: 1, Bits: 8}); err == nil {
-		t.Error("zero dim accepted")
-	}
-	if _, err := New(Config{Dim: 8, Tables: 0, Bits: 8}); err == nil {
-		t.Error("zero tables accepted")
-	}
-	if _, err := New(Config{Dim: 8, Tables: 1, Bits: 65}); err == nil {
-		t.Error("65 bits accepted")
+	data := GenerateDataset(3, 8, 1, 1)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"zero dim", Config{Dim: 0, Tables: 1, Bits: 8}, false},
+		{"zero tables", Config{Dim: 8, Tables: 0, Bits: 8}, false},
+		{"zero bits", Config{Dim: 8, Tables: 1, Bits: 0}, false},
+		{"17 bits", Config{Dim: 8, Tables: 1, Bits: 17}, false},
+		{"65 bits", Config{Dim: 8, Tables: 1, Bits: 65}, false},
+		// 3 vectors in MaxInt32 tables: entries an int32 offset cannot reach.
+		{"entries past int32", Config{Dim: 8, Tables: math.MaxInt32, Bits: 1}, false},
+		{"1 bit", Config{Dim: 8, Tables: 2, Bits: 1}, true},
+		{"16 bits", Config{Dim: 8, Tables: 2, Bits: 16}, true},
+	} {
+		idx, err := Build(tc.cfg, data)
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && (err == nil || idx != nil) {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
+// TestAddDimensionMismatch checks that Build rejects a vector of the wrong
+// dimension at any position in data, and names it.
 func TestAddDimensionMismatch(t *testing.T) {
-	idx, err := New(Config{Dim: 4, Tables: 2, Bits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Add(Vector{1, 2}); err == nil {
-		t.Error("wrong-dimension vector accepted")
-	}
-	if idx.Len() != 0 {
-		t.Errorf("rejected vector indexed: Len = %d", idx.Len())
+	cfg := Config{Dim: 4, Tables: 2, Bits: 8}
+	for pos := 0; pos < 3; pos++ {
+		for _, bad := range []Vector{{1, 2}, {1, 2, 3, 4, 5}, {}} {
+			data := GenerateDataset(3, 4, 1, 1)
+			data[pos] = bad
+			idx, err := Build(cfg, data)
+			if err == nil || idx != nil {
+				t.Errorf("%d-dim vector at %d accepted", len(bad), pos)
+				continue
+			}
+			if want := fmt.Sprintf("vector %d has dimension %d", pos, len(bad)); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not say %q", err, want)
+			}
+		}
 	}
 }
 
 func TestExactMatchIsTopResult(t *testing.T) {
 	data := GenerateDataset(500, 16, 5, 2)
-	idx := build(t, Config{Dim: 16, Tables: 8, Bits: 10, Seed: 1}, data)
+	ref := newReference(Config{Dim: 16, Tables: 8, Bits: 10, Seed: 1}, data)
 	// Querying with an indexed vector must return it first (it collides
 	// with itself in every table).
-	res, stats, err := query(idx, data, data[42], 5)
+	res, stats, err := query(ref, data, data[42], 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +412,8 @@ func TestExactMatchIsTopResult(t *testing.T) {
 
 func TestResultsSortedDescending(t *testing.T) {
 	data := GenerateDataset(300, 8, 3, 4)
-	idx := build(t, Config{Dim: 8, Tables: 6, Bits: 6, Seed: 3}, data)
-	res, _, err := query(idx, data, data[0], 10)
+	ref := newReference(Config{Dim: 8, Tables: 6, Bits: 6, Seed: 3}, data)
+	res, _, err := query(ref, data, data[0], 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +426,11 @@ func TestResultsSortedDescending(t *testing.T) {
 
 func TestRecallAgainstBruteForce(t *testing.T) {
 	data := GenerateDataset(2000, 32, 8, 6)
-	idx := build(t, Config{Dim: 32, Tables: 16, Bits: 8, Seed: 5}, data)
+	ref := newReference(Config{Dim: 32, Tables: 16, Bits: 8, Seed: 5}, data)
 	queries := GenerateDataset(20, 32, 8, 6)
 	totalRecall := 0.0
 	for _, q := range queries {
-		approx, _, err := query(idx, data, q, 10)
+		approx, _, err := query(ref, data, q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,14 +449,15 @@ func TestRecallAgainstBruteForce(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	data := []Vector{{1, 2, 3, 4}}
-	idx := build(t, Config{Dim: 4, Tables: 2, Bits: 4, Seed: 7}, data)
+	cfg := Config{Dim: 4, Tables: 2, Bits: 4, Seed: 7}
+	idx, ref := build(t, cfg, data), newReference(cfg, data)
 	if _, err := idx.Candidates(Vector{1}); err == nil {
 		t.Error("wrong-dimension Candidates query accepted")
 	}
-	if _, _, err := query(idx, data, Vector{1}, 5); err == nil {
+	if _, _, err := query(ref, data, Vector{1}, 5); err == nil {
 		t.Error("wrong-dimension query accepted")
 	}
-	if _, _, err := query(idx, data, Vector{1, 2, 3, 4}, 0); err == nil {
+	if _, _, err := query(ref, data, Vector{1, 2, 3, 4}, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 	if _, err := bruteForce(data, Vector{1}, 5); err == nil {
@@ -306,8 +467,9 @@ func TestQueryErrors(t *testing.T) {
 
 func TestQueryFewerThanK(t *testing.T) {
 	data := []Vector{{1, 0, 0, 0}}
-	idx := build(t, Config{Dim: 4, Tables: 4, Bits: 4, Seed: 8}, data)
-	res, _, err := query(idx, data, Vector{1, 0, 0, 0}, 10)
+	cfg := Config{Dim: 4, Tables: 4, Bits: 4, Seed: 8}
+	idx, ref := build(t, cfg, data), newReference(cfg, data)
+	res, _, err := query(ref, data, Vector{1, 0, 0, 0}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,12 +491,76 @@ func TestRecallEdgeCases(t *testing.T) {
 	}
 }
 
+// TestSignatureMatchesReference checks the four-plane kernel against the
+// plain per-plane signature, bit for bit: on HDSearch's dataset and query
+// stream, at widths that leave one to three planes to the one-plane loop,
+// and on orderSensitive's vectors, which a reordered sum gets wrong.
+func TestSignatureMatchesReference(t *testing.T) {
+	check := func(t *testing.T, idx *Index, ref *reference, vs []Vector) {
+		t.Helper()
+		adversarial := orderSensitive(ref)
+		if ref.dim >= 3 && len(adversarial) == 0 {
+			t.Fatal("built no order-sensitive vectors")
+		}
+		checkSignatures(t, idx, ref, append(vs, adversarial...))
+	}
+	t.Run("hdsearch", func(t *testing.T) {
+		idx, data := hdsearchIndex(t)
+		check(t, idx, newReference(hdsearchConfig, nil), slices.Concat(data, hdsearchQueries(data, 2000, 4)))
+	})
+	for _, bits := range []int{1, 3, 5, 13, 16} {
+		for _, dim := range []int{1, 3, 64} {
+			cfg := Config{Dim: dim, Tables: 3, Bits: bits, Seed: uint64(100*bits + dim)}
+			t.Run(fmt.Sprintf("bits=%d/dim=%d", bits, dim), func(t *testing.T) {
+				check(t, build(t, cfg, nil), newReference(cfg, nil), GenerateDataset(500, dim, 4, cfg.Seed))
+			})
+		}
+	}
+}
+
+// FuzzSignatureMatchesReference reads the vector as little-endian float64
+// bit patterns, so signed zeros, subnormals, huge and tiny magnitudes, ±Inf
+// and NaN all reach the kernel. The seeds include orderSensitive's vectors
+// on a width the four-plane passes hash and one the one-plane loop hashes.
+func FuzzSignatureMatchesReference(f *testing.F) {
+	enc := func(xs ...float64) []byte {
+		b := make([]byte, 8*len(xs))
+		for i, v := range xs {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		return b
+	}
+	tiny, huge := math.SmallestNonzeroFloat64, math.MaxFloat64
+	f.Add(uint8(11), uint8(63), uint64(777), enc())
+	f.Add(uint8(11), uint8(7), uint64(1), enc(0, math.Copysign(0, -1), tiny, -tiny, 0x1p-1022, -0x1p-1030, 1e-300, 1e300))
+	f.Add(uint8(4), uint8(3), uint64(2), enc(huge, huge, -huge, 1))
+	f.Add(uint8(15), uint8(2), uint64(3), enc(math.Inf(1), math.Inf(-1), math.NaN()))
+	for _, cfg := range []Config{{Dim: 64, Tables: 2, Bits: 4, Seed: 4}, {Dim: 3, Tables: 2, Bits: 3, Seed: 5}} {
+		for _, v := range orderSensitive(newReference(cfg, nil)) {
+			f.Add(uint8(cfg.Bits-1), uint8(cfg.Dim-1), cfg.Seed, enc(v...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, bits, dim uint8, seed uint64, raw []byte) {
+		cfg := Config{Dim: 1 + int(dim)%64, Tables: 2, Bits: 1 + int(bits)%maxBits, Seed: seed}
+		v := make(Vector, cfg.Dim)
+		for d := range v {
+			if 8*d+8 <= len(raw) {
+				v[d] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*d:]))
+			}
+		}
+		checkSignatures(t, build(t, cfg, nil), newReference(cfg, nil), []Vector{v})
+	})
+}
+
 // TestCandidatesMatchesOracle checks the production count against the
 // ranking oracle on the HDSearch service's own index and query stream.
+// The oracle hashes with the reference signature into its own maps, so
+// this checks the kernel and the CSR buckets together.
 func TestCandidatesMatchesOracle(t *testing.T) {
 	idx, data := hdsearchIndex(t)
+	ref := newReference(hdsearchConfig, data)
 	for _, q := range hdsearchQueries(data, 256, 1) {
-		checkCandidates(t, idx, data, q, 10)
+		checkCandidates(t, idx, ref, data, q, 10)
 	}
 }
 
@@ -344,19 +570,20 @@ func TestCandidatesMatchesOracle(t *testing.T) {
 // old marks would undercount.
 func TestCandidatesAcrossGenerationWrap(t *testing.T) {
 	idx, data := hdsearchIndex(t)
+	ref := newReference(hdsearchConfig, data)
 	qs := hdsearchQueries(data, 5, 2)
 	for _, q := range qs[:3] {
-		checkCandidates(t, idx, data, q, 10)
+		checkCandidates(t, idx, ref, data, q, 10)
 	}
 	idx.gen = math.MaxUint32 - 2
 	for _, q := range qs[3:] {
-		checkCandidates(t, idx, data, q, 10)
+		checkCandidates(t, idx, ref, data, q, 10)
 	}
 	if idx.gen != math.MaxUint32 {
 		t.Fatalf("gen = %d before the wrap, want MaxUint32", idx.gen)
 	}
 	for _, q := range qs[:3] {
-		checkCandidates(t, idx, data, q, 10)
+		checkCandidates(t, idx, ref, data, q, 10)
 	}
 	if idx.gen != 3 {
 		t.Errorf("gen = %d after three queries past the wrap, want 3", idx.gen)
@@ -377,11 +604,8 @@ func TestCandidatesAllocFree(t *testing.T) {
 }
 
 func TestSignatureDeterministic(t *testing.T) {
-	mk := func() *Index {
-		idx, _ := New(Config{Dim: 8, Tables: 4, Bits: 16, Seed: 42})
-		return idx
-	}
-	a, b := mk(), mk()
+	cfg := Config{Dim: 8, Tables: 4, Bits: 16, Seed: 42}
+	a, b := build(t, cfg, nil), build(t, cfg, nil)
 	v := GenerateDataset(1, 8, 1, 9)[0]
 	for tbl := 0; tbl < 4; tbl++ {
 		if a.signature(tbl, v) != b.signature(tbl, v) {
@@ -391,7 +615,7 @@ func TestSignatureDeterministic(t *testing.T) {
 }
 
 func TestNearbyVectorsCollideMoreThanFarOnes(t *testing.T) {
-	idx, _ := New(Config{Dim: 32, Tables: 1, Bits: 16, Seed: 10})
+	idx := build(t, Config{Dim: 32, Tables: 1, Bits: 16, Seed: 10}, nil)
 	stream := rng.New(11)
 	base := make(Vector, 32)
 	for d := range base {
@@ -406,7 +630,7 @@ func TestNearbyVectorsCollideMoreThanFarOnes(t *testing.T) {
 	sigBase := idx.signature(0, base)
 	sigNear := idx.signature(0, near)
 	sigFar := idx.signature(0, far)
-	hamming := func(a, b uint64) int {
+	hamming := func(a, b uint32) int {
 		x := a ^ b
 		n := 0
 		for x != 0 {
@@ -438,21 +662,19 @@ func TestGenerateDatasetShape(t *testing.T) {
 	}
 }
 
-// benchIndex is the index BenchmarkQuery and BenchmarkCandidates share.
-func benchIndex(b *testing.B) (*Index, []Vector, Vector) {
-	data := GenerateDataset(10000, 64, 16, 2)
-	idx := build(b, Config{Dim: 64, Tables: 8, Bits: 12, Seed: 1}, data)
-	return idx, data, GenerateDataset(1, 64, 16, 3)[0]
-}
-
 var benchCount int
 
+// BenchmarkCandidates cycles HDSearch's own index through 4,096 queries
+// drawn as HDSearch.NewQuery draws them. One query repeated would let the
+// branch predictor learn its buckets' scan and hide what a production
+// query stream costs.
 func BenchmarkCandidates(b *testing.B) {
-	idx, _, q := benchIndex(b)
+	idx, data := hdsearchIndex(b)
+	qs := hdsearchQueries(data, 4096, 5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, err := idx.Candidates(q)
+		n, err := idx.Candidates(qs[i%len(qs)])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -461,11 +683,13 @@ func BenchmarkCandidates(b *testing.B) {
 }
 
 func BenchmarkQuery(b *testing.B) {
-	idx, data, q := benchIndex(b)
+	data := GenerateDataset(10000, 64, 16, 2)
+	ref := newReference(Config{Dim: 64, Tables: 8, Bits: 12, Seed: 1}, data)
+	q := GenerateDataset(1, 64, 16, 3)[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := query(idx, data, q, 10); err != nil {
+		if _, _, err := query(ref, data, q, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,7 +39,7 @@ type HDSearch struct {
 	index    *lsh.Index     // this backend's own: Candidates writes its marks
 	link     *netmodel.Link // midtier↔bucket, per-run jitter stream
 	queryGen *rng.Stream
-	dataset  []lsh.Vector
+	dataset  []lsh.Vector // NewQuery's base vectors; the index keeps none
 	topK     int
 }
 
@@ -70,7 +70,8 @@ func DefaultHDSearchConfig() HDSearchConfig {
 	}
 }
 
-// NewHDSearch builds the service and its LSH index.
+// NewHDSearch builds the service, its dataset and the LSH index over it:
+// 8 tables of 12-bit signatures, each vector hashed once by lsh.Build.
 func NewHDSearch(cfg HDSearchConfig) (*HDSearch, error) {
 	if cfg.MidtierWorkers < 1 || cfg.BucketWorkers < 1 {
 		return nil, fmt.Errorf("services: hdsearch needs ≥1 worker per tier")
@@ -104,15 +105,10 @@ func NewHDSearch(cfg HDSearchConfig) (*HDSearch, error) {
 	if err != nil {
 		return nil, err
 	}
-	index, err := lsh.New(lsh.Config{Dim: cfg.Dim, Tables: 8, Bits: 12, Seed: 777})
+	dataset := lsh.GenerateDataset(cfg.DatasetSize, cfg.Dim, 32, 778)
+	index, err := lsh.Build(lsh.Config{Dim: cfg.Dim, Tables: 8, Bits: 12, Seed: 777}, dataset)
 	if err != nil {
 		return nil, err
-	}
-	dataset := lsh.GenerateDataset(cfg.DatasetSize, cfg.Dim, 32, 778)
-	for _, v := range dataset {
-		if err := index.Add(v); err != nil {
-			return nil, err
-		}
 	}
 	return &HDSearch{
 		midtierM: midtierM,
