@@ -16,11 +16,28 @@
 // offsets per table that delimit them. B is at most 16, which bounds the
 // offsets at 64K+1 per table.
 //
-// A signature hashes four hyperplanes per pass over the vector, one
-// accumulator each. Every accumulator still sums plane[d]*v[d] from 0 in
-// dimension order, so each projection rounds exactly as a plain one-plane
-// dot product does. The order matters: a reordered sum rounds differently,
-// can flip a signature bit near zero, and would move the buckets.
+// The hyperplanes are stored transposed, as [table][dim][16]: row d of a
+// table holds the d-th entry of each of its B planes, in lanes 0..B-1,
+// and zeros in the lanes past B. One call hashes a vector in every table.
+// On amd64 hosts with AVX an assembly kernel does it: for each d in
+// dimension order it broadcasts v[d], multiplies row d by it (VMULPD) and
+// adds the products (VADDPD) into four 4-lane accumulators, one lane per
+// plane. Every other host runs a pure-Go kernel over the same layout.
+// Both compute each projection exactly as a plain one-plane dot product
+// does: each plane[d]*v[d] rounded, then added to a sum that starts at 0
+// and runs in dimension order. The order matters: a reordered sum rounds
+// differently, can flip a signature bit near zero, and would move the
+// buckets. A fused multiply-add would too, since it rounds each step once
+// instead of twice, so the kernel uses none.
+//
+// A signature bit is set when its projection is ≥ 0. The AVX kernel
+// compares each sum with zero under the ordered, quiet greater-or-equal
+// predicate (VCMPPD GE_OQ) and gathers the results with VMOVMSKPD. That
+// predicate gives what Go's >= 0 gives on every input: −0 ≥ 0 holds, so
+// −0 sets the bit, and a NaN compares unordered, so it clears the bit.
+// The package checks once, at start-up, that the host may run the
+// kernel: CPUID leaf 1 must report OSXSAVE and AVX, and XCR0 must show
+// that the OS saves the SSE and AVX register state (bits 1 and 2).
 //
 // The index counts a query's candidates and does not rank them. The
 // HDSearch model reads only that count: it sets the bucket's search cost,
@@ -41,6 +58,10 @@ import (
 // maxBits is the largest signature width Build accepts.
 const maxBits = 16
 
+// lanes is the width of one row of a table's transposed planes: maxBits
+// float64s, four 4-lane AVX registers.
+const lanes = maxBits
+
 // Vector is a dense feature vector.
 type Vector []float64
 
@@ -55,19 +76,25 @@ type Config struct {
 // Index is an LSH index over cosine similarity, built once over a dataset.
 // Vector IDs are their positions in that dataset.
 //
+// planes holds the hyperplanes as [table][dim][lanes]: entry
+// (t*dim+d)*lanes+b is the d-th component of table t's plane b, and the
+// lanes from Bits up are zero. A table's planes are dim*lanes contiguous
+// float64s, 8 KB at HDSearch's 64 dimensions.
+//
 // The buckets form one CSR over rows t<<Bits | signature: row r's IDs are
 // ids[start[r]:start[r+1]], in ascending order. Table t's 2^Bits+1 offsets
 // are start[t<<Bits : (t+1)<<Bits+1], so neighbouring tables share one.
 //
 // An Index is not safe for concurrent use: Candidates writes the index's
-// mark array. Each owner builds its own index and queries it from one
-// goroutine at a time; every HDSearch replica builds its own, and one
-// worker or one shard drives it.
+// sigs and mark arrays. Each owner builds its own index and queries it
+// from one goroutine at a time; every HDSearch replica builds its own, and
+// one worker or one shard drives it.
 type Index struct {
 	dim, tables, bits int
-	planes            []float64 // [table][bit][dim] hyperplane normals, row-major
+	planes            []float64 // [table][dim][lanes] hyperplane normals
 	start             []int32   // tables<<bits + 1 row offsets into ids
 	ids               []int32
+	sigs              []uint32 // scratch: a vector's signature in each table
 	// mark[id] == gen once Candidates has counted vector id for the
 	// current query. gen starts each query one higher, so no reset is
 	// needed until it wraps.
@@ -96,22 +123,32 @@ func Build(cfg Config, data []Vector) (*Index, error) {
 		dim:    cfg.Dim,
 		tables: cfg.Tables,
 		bits:   cfg.Bits,
-		planes: make([]float64, cfg.Tables*cfg.Bits*cfg.Dim),
+		planes: make([]float64, cfg.Tables*cfg.Dim*lanes),
 		start:  make([]int32, cfg.Tables<<cfg.Bits+1),
 		ids:    make([]int32, cfg.Tables*len(data)),
+		sigs:   make([]uint32, cfg.Tables),
 		mark:   make([]uint32, len(data)),
 	}
+	// Draw in the [table][bit][dim] order the planes have always been
+	// drawn in, so each keeps its values; plane b of a table goes down
+	// lane b of the table's rows.
 	stream := rng.NewLabeled(cfg.Seed, "lsh-hyperplanes")
-	for i := range idx.planes {
-		idx.planes[i] = stream.Normal(0, 1)
+	for t := 0; t < cfg.Tables; t++ {
+		rows := idx.planes[t*cfg.Dim*lanes : (t+1)*cfg.Dim*lanes]
+		for b := 0; b < cfg.Bits; b++ {
+			for d := 0; d < cfg.Dim; d++ {
+				rows[d*lanes+b] = stream.Normal(0, 1)
+			}
+		}
 	}
 
 	// Counting sort by row: hash every vector once, count each row's
 	// entries, turn the counts into offsets, then place the IDs in order.
 	rows := make([]int32, len(idx.ids)) // [vector][table] row
 	for i, v := range data {
-		for t := 0; t < cfg.Tables; t++ {
-			r := int32(t<<cfg.Bits | int(idx.signature(t, v)))
+		idx.signatures(v, idx.sigs)
+		for t, sig := range idx.sigs {
+			r := int32(t<<cfg.Bits | int(sig))
 			rows[i*cfg.Tables+t] = r
 			idx.start[r+1]++
 		}
@@ -129,36 +166,52 @@ func Build(cfg Config, data []Vector) (*Index, error) {
 	return idx, nil
 }
 
-// signature hashes v in table t: bit b is set when v's projection onto the
-// table's plane b is ≥ 0. Planes go four to a pass over v, each into its
-// own accumulator summed from 0 in dimension order; the last Bits mod 4
-// planes go one to a pass.
-func (idx *Index) signature(t int, v Vector) uint32 {
-	dim := len(v)
-	planes := idx.planes[t*idx.bits*dim : (t+1)*idx.bits*dim]
-	var sig uint32
-	b := 0
-	for ; b+4 <= idx.bits; b += 4 {
-		p := planes[b*dim : (b+4)*dim]
-		p0, p1, p2, p3 := p[:dim], p[dim:][:dim], p[2*dim:][:dim], p[3*dim:][:dim]
-		var s0, s1, s2, s3 float64
-		for d, x := range v {
-			s0 += p0[d] * x
-			s1 += p1[d] * x
-			s2 += p2[d] * x
-			s3 += p3[d] * x
-		}
-		sig |= b2u(s0 >= 0)<<b | b2u(s1 >= 0)<<(b+1) | b2u(s2 >= 0)<<(b+2) | b2u(s3 >= 0)<<(b+3)
+// signatures hashes v in every table: sigs[t] gets v's signature in table
+// t, whose bit b is set when v's projection onto the table's plane b is
+// ≥ 0. v must have the index's dimension, and sigs one entry per table.
+func (idx *Index) signatures(v Vector, sigs []uint32) {
+	// The AVX kernel checks no bounds: it reads a row of planes for every
+	// table and dimension and writes every sigs entry.
+	if len(v) != idx.dim || len(sigs) != idx.tables {
+		panic(fmt.Sprintf("lsh: signatures of a %d-dim vector in %d tables, index has %d and %d", len(v), len(sigs), idx.dim, idx.tables))
 	}
-	for ; b < idx.bits; b++ {
-		p := planes[b*dim : (b+1)*dim]
-		s := 0.0
-		for d, x := range v {
-			s += p[d] * x
-		}
-		sig |= b2u(s >= 0) << b
+	if useAVX {
+		signaturesAVX(idx.planes, v, sigs, idx.bits)
+		return
 	}
-	return sig
+	signaturesGo(idx.planes, v, sigs, idx.bits)
+}
+
+// signaturesGo is the portable kernel behind signatures: it hashes v in
+// len(sigs) tables of bits-bit signatures over planes in Index's layout,
+// four lanes per pass over v. A width that is not a multiple of four
+// computes the zero lanes after it and masks them off.
+func signaturesGo(planes []float64, v Vector, sigs []uint32, bits int) {
+	stride := len(v) * lanes
+	for t := range sigs {
+		rows := planes[t*stride : (t+1)*stride]
+		var sig uint32
+		for b := 0; b < bits; b += 4 {
+			sig |= signs4(rows[b:], v) << b
+		}
+		sigs[t] = sig & (1<<bits - 1)
+	}
+}
+
+// signs4 returns the sign bits of v's projections onto the four planes
+// in lanes 0-3 of rows: bit k is set when the projection onto lane k's
+// plane is ≥ 0. Each lane sums into its own accumulator from 0 in
+// dimension order.
+func signs4(rows []float64, v Vector) uint32 {
+	var s0, s1, s2, s3 float64
+	for d, x := range v {
+		p := (*[4]float64)(rows[d*lanes : d*lanes+4])
+		s0 += p[0] * x
+		s1 += p[1] * x
+		s2 += p[2] * x
+		s3 += p[3] * x
+	}
+	return b2u(s0 >= 0) | b2u(s1 >= 0)<<1 | b2u(s2 >= 0)<<2 | b2u(s3 >= 0)<<3
 }
 
 // Candidates returns the number of distinct indexed vectors in q's bucket
@@ -173,9 +226,10 @@ func (idx *Index) Candidates(q Vector) (int, error) {
 		clear(idx.mark)
 		idx.gen = 1
 	}
+	idx.signatures(q, idx.sigs)
 	gen, mark, n := idx.gen, idx.mark, 0
-	for t := 0; t < idx.tables; t++ {
-		r := t<<idx.bits | int(idx.signature(t, q))
+	for t, sig := range idx.sigs {
+		r := t<<idx.bits | int(sig)
 		// Stamp without a branch: about two in five IDs were already
 		// counted in an earlier table, too many to predict.
 		for _, id := range idx.ids[idx.start[r]:idx.start[r+1]] {
@@ -195,9 +249,11 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-// GenerateDataset creates n random unit-ish vectors for tests, benchmarks,
-// and the HDSearch service model, clustered so LSH has structure to find:
-// vectors are drawn around `clusters` random centroids.
+// GenerateDataset creates n random vectors for tests, benchmarks, and the
+// HDSearch service model, clustered so LSH has structure to find: each is
+// one of `clusters` random centroids, with N(0, 1) components, plus
+// N(0, 0.3) noise in every dimension. A vector's norm is about
+// √(1.09·dim), ≈ 8 at HDSearch's 64 dimensions.
 func GenerateDataset(n, dim, clusters int, seed uint64) []Vector {
 	stream := rng.NewLabeled(seed, "lsh-dataset")
 	if clusters < 1 {
@@ -206,16 +262,15 @@ func GenerateDataset(n, dim, clusters int, seed uint64) []Vector {
 	centroids := make([]Vector, clusters)
 	for c := range centroids {
 		centroids[c] = make(Vector, dim)
-		for d := range centroids[c] {
-			centroids[c][d] = stream.Normal(0, 1)
-		}
+		stream.FillNormal(centroids[c], 0, 1)
 	}
 	out := make([]Vector, n)
 	for i := range out {
 		c := centroids[stream.Intn(clusters)]
 		v := make(Vector, dim)
+		stream.FillNormal(v, 0, 0.3)
 		for d := range v {
-			v[d] = c[d] + stream.Normal(0, 0.3)
+			v[d] += c[d]
 		}
 		out[i] = v
 	}

@@ -17,7 +17,7 @@ import (
 // nothing of Build's layout or kernel: the hyperplanes drawn from the stream
 // Build draws them from but kept one slice per plane, each projection one
 // Dot, and each table a map from signature to IDs. Its signature is the
-// reference the four-plane kernel must match bit for bit. query ranks a
+// reference both signature kernels must match bit for bit. query ranks a
 // query's reference candidates by exact cosine similarity, as an HDSearch
 // bucket does, and bruteForce ranks the whole dataset to measure LSH recall.
 // A result's ID is its vector's position in the dataset, which is also its
@@ -76,17 +76,45 @@ func (ref *reference) signature(t int, v Vector) uint64 {
 	return sig
 }
 
-// checkSignatures compares idx's signature of every vector in every table
-// with ref's, bit for bit.
+// kernel is one way to hash a vector in every table of an index.
+type kernel struct {
+	name string
+	hash func(v Vector, sigs []uint32)
+}
+
+// kernels returns idx's two signature kernels: the signatures entry, which
+// runs the kernel this host dispatches to, and signaturesGo, the kernel
+// hosts without AVX run. Testing both lets a host with AVX check the
+// kernel other hosts run.
+func kernels(idx *Index) []kernel {
+	return []kernel{
+		{"signatures", idx.signatures},
+		{"signaturesGo", func(v Vector, sigs []uint32) { signaturesGo(idx.planes, v, sigs, idx.bits) }},
+	}
+}
+
+// checkSignatures compares both of idx's kernels' signatures of every
+// vector in every table with ref's, bit for bit.
 func checkSignatures(t *testing.T, idx *Index, ref *reference, vs []Vector) {
 	t.Helper()
-	for i, v := range vs {
-		for tbl := range ref.planes {
-			if got, want := idx.signature(tbl, v), ref.signature(tbl, v); uint64(got) != want {
-				t.Fatalf("vector %d %v, table %d: signature %#x, reference %#x", i, v, tbl, got, want)
+	sigs := make([]uint32, len(ref.planes))
+	for _, k := range kernels(idx) {
+		for i, v := range vs {
+			k.hash(v, sigs)
+			for tbl, got := range sigs {
+				if want := ref.signature(tbl, v); uint64(got) != want {
+					t.Fatalf("%s: vector %d %v, table %d: signature %#x, reference %#x", k.name, i, v, tbl, got, want)
+				}
 			}
 		}
 	}
+}
+
+// sigsOf returns v's signature in each of idx's tables.
+func sigsOf(idx *Index, v Vector) []uint32 {
+	sigs := make([]uint32, idx.tables)
+	idx.signatures(v, sigs)
+	return sigs
 }
 
 // orderSensitive returns vectors whose projection onto one of ref's planes
@@ -99,7 +127,10 @@ func checkSignatures(t *testing.T, idx *Index, ref *reference, vs []Vector) {
 // it keeps an s that comes before -B apart from both, or puts an s that
 // comes last with just one of them. The three dimensions range over every
 // triple of 0, 1, 2, Dim/2, Dim/2+1 and Dim-1, with s in each slot, so
-// both an even/odd and a first-half/second-half split show.
+// both an even/odd and a first-half/second-half split show. A fused
+// multiply-add gets the bit wrong too: the product at k is exactly -B only
+// once rounded, so a fused B + p[k]·v[k] keeps a residual where the plain
+// sum reaches 0.
 func orderSensitive(ref *reference) []Vector {
 	var pos []int
 	for _, d := range []int{0, 1, 2, ref.dim / 2, ref.dim/2 + 1, ref.dim - 1} {
@@ -491,11 +522,13 @@ func TestRecallEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSignatureMatchesReference checks the four-plane kernel against the
+// TestSignatureMatchesReference checks both signature kernels against the
 // plain per-plane signature, bit for bit: on HDSearch's dataset and query
-// stream, at widths that leave one to three planes to the one-plane loop,
-// and on orderSensitive's vectors, which a reordered sum gets wrong.
+// stream, at widths that fill part of a four-lane group or all 16 lanes,
+// and on orderSensitive's vectors, which a reordered or fused sum gets
+// wrong.
 func TestSignatureMatchesReference(t *testing.T) {
+	t.Logf("signatures runs the AVX kernel: %v", useAVX)
 	check := func(t *testing.T, idx *Index, ref *reference, vs []Vector) {
 		t.Helper()
 		adversarial := orderSensitive(ref)
@@ -520,8 +553,9 @@ func TestSignatureMatchesReference(t *testing.T) {
 
 // FuzzSignatureMatchesReference reads the vector as little-endian float64
 // bit patterns, so signed zeros, subnormals, huge and tiny magnitudes, ±Inf
-// and NaN all reach the kernel. The seeds include orderSensitive's vectors
-// on a width the four-plane passes hash and one the one-plane loop hashes.
+// and NaN all reach both kernels. The seeds include orderSensitive's
+// vectors on a width of one whole four-lane group and on one of part of a
+// group.
 func FuzzSignatureMatchesReference(f *testing.F) {
 	enc := func(xs ...float64) []byte {
 		b := make([]byte, 8*len(xs))
@@ -607,10 +641,8 @@ func TestSignatureDeterministic(t *testing.T) {
 	cfg := Config{Dim: 8, Tables: 4, Bits: 16, Seed: 42}
 	a, b := build(t, cfg, nil), build(t, cfg, nil)
 	v := GenerateDataset(1, 8, 1, 9)[0]
-	for tbl := 0; tbl < 4; tbl++ {
-		if a.signature(tbl, v) != b.signature(tbl, v) {
-			t.Fatal("same seed produced different signatures")
-		}
+	if !slices.Equal(sigsOf(a, v), sigsOf(b, v)) {
+		t.Fatal("same seed produced different signatures")
 	}
 }
 
@@ -627,9 +659,9 @@ func TestNearbyVectorsCollideMoreThanFarOnes(t *testing.T) {
 		near[d] = base[d] + stream.Normal(0, 0.05)
 		far[d] = stream.Normal(0, 1)
 	}
-	sigBase := idx.signature(0, base)
-	sigNear := idx.signature(0, near)
-	sigFar := idx.signature(0, far)
+	sigBase := sigsOf(idx, base)[0]
+	sigNear := sigsOf(idx, near)[0]
+	sigFar := sigsOf(idx, far)[0]
 	hamming := func(a, b uint32) int {
 		x := a ^ b
 		n := 0
@@ -679,6 +711,25 @@ func BenchmarkCandidates(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchCount = n
+	}
+}
+
+var benchSig uint32
+
+// BenchmarkSignatures hashes BenchmarkCandidates' 4,096 queries in all
+// 8 tables of HDSearch's index with each kernel: "signatures" runs the
+// one this host dispatches to, "signaturesGo" the portable one.
+func BenchmarkSignatures(b *testing.B) {
+	idx, data := hdsearchIndex(b)
+	qs := hdsearchQueries(data, 4096, 5)
+	for _, k := range kernels(idx) {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.hash(qs[i%len(qs)], idx.sigs)
+			}
+			benchSig = idx.sigs[0]
+		})
 	}
 }
 

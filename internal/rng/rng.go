@@ -26,7 +26,11 @@ func splitmix64(state *uint64) uint64 {
 }
 
 // Stream is a deterministic pseudo-random stream (xoshiro256**). It is not
-// safe for concurrent use; the simulation is single-threaded by design.
+// safe for concurrent use, and needs no lock because each stream has one
+// owner: runs, shards and sweep cells execute in parallel, but each
+// derives its own streams (NewLabeled, Split) and draws from them on one
+// goroutine at a time. A stream handed to another goroutine moves with
+// its owner; it is never shared.
 type Stream struct {
 	s [4]uint64
 
@@ -133,6 +137,62 @@ func (s *Stream) Normal(mean, stddev float64) float64 {
 		s.spare = v * f
 		s.hasSpare = true
 		return mean + stddev*u*f
+	}
+}
+
+// normalChunk is the number of accepted pairs FillNormal draws before it
+// transforms them.
+const normalChunk = 16
+
+// FillNormal fills dst with normally distributed variates with the given
+// mean and standard deviation. It draws exactly what len(dst) successive
+// Normal(mean, stddev) calls draw and leaves the stream as they leave it:
+// the same uniforms, the same rejected pairs, a spare left by an earlier
+// Normal used first, and a spare left for the next call when it ends
+// inside a pair.
+//
+// It accepts up to normalChunk pairs before transforming any, then takes
+// all their logs, then all their divides and square roots, so the
+// Log → divide → Sqrt chains of independent pairs overlap where successive
+// Normal calls run them one after another.
+func (s *Stream) FillNormal(dst []float64, mean, stddev float64) {
+	i := 0
+	if s.hasSpare && len(dst) > 0 {
+		s.hasSpare = false
+		dst[0] = mean + stddev*s.spare
+		i = 1
+	}
+	var us, vs, qs, fs [normalChunk]float64
+	for i < len(dst) {
+		pairs := min((len(dst)-i+1)/2, normalChunk)
+		for k := 0; k < pairs; {
+			u := 2*s.Float64() - 1
+			v := 2*s.Float64() - 1
+			q := u*u + v*v
+			if q == 0 || q >= 1 {
+				continue
+			}
+			us[k], vs[k], qs[k] = u, v, q
+			k++
+		}
+		for k := 0; k < pairs; k++ {
+			fs[k] = math.Log(qs[k])
+		}
+		for k := 0; k < pairs; k++ {
+			fs[k] = math.Sqrt(-2 * fs[k] / qs[k])
+		}
+		for k := 0; k < pairs; k++ {
+			f := fs[k]
+			// Normal's two return expressions, in its rounding order.
+			dst[i] = mean + stddev*us[k]*f
+			spare := vs[k] * f
+			if i+1 == len(dst) {
+				s.spare, s.hasSpare = spare, true
+				return
+			}
+			dst[i+1] = mean + stddev*spare
+			i += 2
+		}
 	}
 }
 

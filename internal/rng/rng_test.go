@@ -139,6 +139,76 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
+// sameFloat reports whether a and b are the same float64: the same bits,
+// or both NaN, whose payload can depend on the operand order a compiled
+// expression picks.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// checkFillNormal compares FillNormal with n successive Normal calls on a
+// twin stream: the variates, the stream state after them and the next
+// Normal draw. Both streams first make pre Normal(0, 1) calls, so an odd
+// pre hands FillNormal a spare drawn at other parameters.
+func checkFillNormal(t *testing.T, seed uint64, pre, n int, mean, stddev float64) {
+	t.Helper()
+	fill, loop := New(seed), New(seed)
+	for range pre {
+		fill.Normal(0, 1)
+		loop.Normal(0, 1)
+	}
+	got := make([]float64, n)
+	fill.FillNormal(got, mean, stddev)
+	for i, g := range got {
+		if w := loop.Normal(mean, stddev); !sameFloat(g, w) {
+			t.Fatalf("seed %d, %d earlier draws, FillNormal of %d at N(%v, %v): dst[%d] = %v, Normal gave %v",
+				seed, pre, n, mean, stddev, i, g, w)
+		}
+	}
+	// Normal leaves a dead value in spare once it has used it.
+	if fill.s != loop.s || fill.hasSpare != loop.hasSpare || fill.hasSpare && !sameFloat(fill.spare, loop.spare) {
+		t.Fatalf("seed %d, %d earlier draws, FillNormal of %d: state %v %v %v, Normal calls leave %v %v %v",
+			seed, pre, n, fill.s, fill.hasSpare, fill.spare, loop.s, loop.hasSpare, loop.spare)
+	}
+	if a, b := fill.Normal(mean, stddev), loop.Normal(mean, stddev); !sameFloat(a, b) {
+		t.Fatalf("seed %d, %d earlier draws, FillNormal of %d: next Normal %v, want %v", seed, pre, n, a, b)
+	}
+}
+
+// TestFillNormalMatchesNormal checks FillNormal against Normal at every
+// length from 0 to 70, across the 16-pair chunk edge at 32 and at odd
+// lengths, with and without a spare carried in, at three mean and
+// standard-deviation pairs.
+func TestFillNormalMatchesNormal(t *testing.T) {
+	for _, p := range [][2]float64{{0, 1}, {0, 0.15}, {-3.5, 7}} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			for pre := 0; pre <= 2; pre++ {
+				for n := 0; n <= 70; n++ {
+					checkFillNormal(t, seed, pre, n, p[0], p[1])
+				}
+			}
+		}
+	}
+}
+
+// FuzzFillNormalMatchesNormal runs checkFillNormal at any seed, length up
+// to 255 and mean and standard deviation, NaN and ±Inf included.
+func FuzzFillNormalMatchesNormal(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(64), 0.0, 0.15)
+	f.Add(uint64(2), uint8(1), uint8(33), -1e300, 1e300)
+	f.Add(uint64(3), uint8(3), uint8(255), math.NaN(), math.Inf(-1))
+	f.Fuzz(func(t *testing.T, seed uint64, pre, n uint8, mean, stddev float64) {
+		checkFillNormal(t, seed, int(pre%4), int(n), mean, stddev)
+	})
+}
+
+func TestFillNormalAllocFree(t *testing.T) {
+	s, dst := New(1), make([]float64, 64)
+	if allocs := testing.AllocsPerRun(100, func() { s.FillNormal(dst, 0, 0.15) }); allocs != 0 {
+		t.Errorf("FillNormal allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 func TestLogNormalMedian(t *testing.T) {
 	s := New(8)
 	const n = 100001
@@ -453,6 +523,32 @@ func BenchmarkExp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Exp(1e5)
 	}
+}
+
+var sinkNormal float64
+
+// BenchmarkFillNormal draws the 64 noise variates of one HDSearch query
+// with one FillNormal call and with 64 Normal calls.
+func BenchmarkFillNormal(b *testing.B) {
+	dst := make([]float64, 64)
+	b.Run("FillNormal", func(b *testing.B) {
+		s := New(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.FillNormal(dst, 0, 0.15)
+		}
+		sinkNormal = dst[0]
+	})
+	b.Run("Normal", func(b *testing.B) {
+		s := New(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range dst {
+				dst[j] = s.Normal(0, 0.15)
+			}
+		}
+		sinkNormal = dst[0]
+	})
 }
 
 var sinkRank int

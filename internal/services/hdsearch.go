@@ -132,13 +132,16 @@ func (h *HDSearch) MeanServiceTime() float64 {
 	return (hdBucketBase + hdMeanCandidates*hdBucketPerCand).Seconds()
 }
 
-// NewQuery draws a feature-vector query near the dataset distribution.
-// Exposed so generators create realistic payloads.
+// NewQuery draws a feature-vector query near the dataset distribution: a
+// dataset vector plus N(0, 0.15) noise in every dimension, drawn exactly
+// as one Normal(0, 0.15) call per dimension would draw it. Exposed so
+// generators create realistic payloads.
 func (h *HDSearch) NewQuery(stream *rng.Stream) lsh.Vector {
 	base := h.dataset[stream.Intn(len(h.dataset))]
 	q := make(lsh.Vector, len(base))
+	stream.FillNormal(q, 0, 0.15)
 	for i := range q {
-		q[i] = base[i] + stream.Normal(0, 0.15)
+		q[i] += base[i]
 	}
 	return q
 }

@@ -1,6 +1,7 @@
 package services
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -326,6 +327,34 @@ func TestHDSearchMeanServiceTime(t *testing.T) {
 	want := (hdBucketBase + time.Duration(mean*float64(hdBucketPerCand))).Seconds()
 	if got := h.MeanServiceTime(); got < 0.95*want || got > 1.05*want {
 		t.Errorf("MeanServiceTime = %.1f µs, want %.1f µs ±5%% (%.0f mean candidates)", got*1e6, want*1e6, mean)
+	}
+}
+
+// TestNewQueryMatchesNormalDraws checks NewQuery bit for bit against the
+// draw it replaces, base[i] + Normal(0, 0.15) per dimension, over 1,000
+// seeded queries. At an odd dimension every other query ends inside a
+// normal pair, so a spare carries over into the next query.
+func TestNewQueryMatchesNormalDraws(t *testing.T) {
+	for _, dim := range []int{64, 63} {
+		cfg := DefaultHDSearchConfig()
+		cfg.DatasetSize, cfg.Dim = 2000, dim
+		h, err := NewHDSearch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := rng.New(9), rng.New(9)
+		for n := 0; n < 1000; n++ {
+			q := h.NewQuery(got)
+			base := h.dataset[want.Intn(len(h.dataset))]
+			for i := range base {
+				if w := base[i] + want.Normal(0, 0.15); math.Float64bits(q[i]) != math.Float64bits(w) {
+					t.Fatalf("dim %d, query %d, dimension %d: %v, want %v", dim, n, i, q[i], w)
+				}
+			}
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("dim %d: streams differ after 1,000 queries", dim)
+		}
 	}
 }
 
