@@ -357,6 +357,19 @@ func TestConsistentHashSkewExceedsRoundRobin(t *testing.T) {
 
 // --- Autoscaler ---
 
+// eventFunc adapts a func to sim.EventSink and completeFunc a func to
+// services.CompletionSink: the tests' stand-ins for scheduling a closure
+// (a capturing func allocates; fine here).
+type (
+	eventFunc    func(now sim.Time)
+	completeFunc func(req *services.Request, departed sim.Time)
+)
+
+func (f eventFunc) OnEvent(now sim.Time, _ sim.EventArg) { f(now) }
+func (f completeFunc) OnComplete(req *services.Request, departed sim.Time) {
+	f(req, departed)
+}
+
 func TestAutoscalerConfigValidate(t *testing.T) {
 	if err := DefaultAutoscalerConfig(1, 4).Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
@@ -416,11 +429,11 @@ func TestAutoscalerScalesOutAndBack(t *testing.T) {
 	var completed int
 	var at sim.Time
 	for at = 0; at < loadEnd; at = at.Add(gap) {
-		engine.At(at, func(now sim.Time) {
+		engine.AtSink(at, eventFunc(func(now sim.Time) {
 			req := &services.Request{}
-			req.SetCompletion(func(*services.Request, sim.Time) { completed++ })
+			req.SetCompletionSink(completeFunc(func(*services.Request, sim.Time) { completed++ }))
 			rs.Arrive(req, now)
-		})
+		}), sim.EventArg{})
 	}
 	engine.RunUntil(end)
 
@@ -477,13 +490,13 @@ func TestAutoscalerLatencySignal(t *testing.T) {
 	end := sim.Time(0).Add(20 * time.Millisecond)
 	rs.StartRun(end)
 	// Overload one replica: 1500 simultaneous arrivals queue deeply.
-	engine.At(0, func(now sim.Time) {
+	engine.AtSink(0, eventFunc(func(now sim.Time) {
 		for i := 0; i < 1500; i++ {
 			req := &services.Request{Conn: i}
-			req.SetCompletion(func(*services.Request, sim.Time) {})
+			req.SetCompletionSink(completeFunc(func(*services.Request, sim.Time) {}))
 			rs.Arrive(req, now)
 		}
-	})
+	}), sim.EventArg{})
 	engine.RunUntil(end)
 	st := rs.Stats()
 	if len(st.ScaleEvents) == 0 || st.ScaleEvents[0].Replicas != 2 {

@@ -66,10 +66,24 @@ func memcachedAllocConfig(rate float64, backend *services.Memcached) Config {
 	return cfg
 }
 
+// eventFunc adapts a func to sim.EventSink and completeFunc a func to
+// services.CompletionSink: the stand-ins closureDriver schedules its
+// closures through. The conversion itself allocates nothing; a
+// capturing func does.
+type (
+	eventFunc    func(now sim.Time)
+	completeFunc func(req *services.Request, departed sim.Time)
+)
+
+func (f eventFunc) OnEvent(now sim.Time, _ sim.EventArg) { f(now) }
+func (f completeFunc) OnComplete(req *services.Request, departed sim.Time) {
+	f(req, departed)
+}
+
 // closureDriver replays the pre-pooling request lifecycle against the
-// same backend: a fresh services.Request and a closure per event
-// (send, completion, receive), scheduled through the engine's retained
-// closure form. It is the in-tree baseline BenchmarkRequestPathAllocs
+// same backend: a fresh services.Request and a fresh capturing closure
+// per event (send, completion, receive), scheduled through the func
+// adapters above. It is the in-tree baseline BenchmarkRequestPathAllocs
 // and TestRequestPathAllocReduction compare the typed path against.
 type closureDriver struct {
 	engine   *sim.Engine
@@ -98,19 +112,19 @@ func (d *closureDriver) run(stream *rng.Stream, n int, interval time.Duration) {
 		if i >= n {
 			return
 		}
-		d.engine.At(at, func(now sim.Time) {
+		d.engine.AtSink(at, eventFunc(func(now sim.Time) {
 			req := &services.Request{ID: uint64(i), Thread: 0, Conn: i & 7,
 				Scheduled: now, SentAt: now, Payload: struct{}{}}
 			d.sent++
-			req.SetCompletion(func(req *services.Request, departed sim.Time) {
-				d.engine.At(departed.Add(5*time.Microsecond), func(done sim.Time) {
+			req.SetCompletionSink(completeFunc(func(req *services.Request, departed sim.Time) {
+				d.engine.AtSink(departed.Add(5*time.Microsecond), eventFunc(func(done sim.Time) {
 					d.received++
 					d.latSum += done.Sub(req.SentAt)
-				})
-			})
-			d.engine.At(now.Add(5*time.Microsecond), func(t sim.Time) { d.backend.Arrive(req, t) })
+				}), sim.EventArg{})
+			}))
+			d.engine.AtSink(now.Add(5*time.Microsecond), eventFunc(func(t sim.Time) { d.backend.Arrive(req, t) }), sim.EventArg{})
 			sendNext(i+1, now.Add(interval))
-		})
+		}), sim.EventArg{})
 	}
 	sendNext(0, 0)
 	d.engine.Run()
@@ -122,8 +136,8 @@ func (d *closureDriver) run(stream *rng.Stream, n int, interval time.Duration) {
 //
 //   - typed: the production path — pooled events, pooled requests, typed
 //     dispatch end to end (engine → netmodel → backend tier → generator).
-//   - closure: the pre-refactor lifecycle replayed through the retained
-//     closure APIs, a fresh request + closures per event.
+//   - closure: the pre-refactor lifecycle replayed through func
+//     adapters, a fresh request + closures per event.
 //
 // The typed path's residual per-run allocations are setup (threads, RNG
 // splits, recorders), amortized across every request of the run.

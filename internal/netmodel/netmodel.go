@@ -152,8 +152,7 @@ type deliveryBatch struct {
 
 // Deliver schedules a typed delivery event: a message of payloadBytes
 // enters the link at from, and sink.OnEvent(arrival, arg) fires when it
-// reaches the far end. The jitter draw happens at scheduling time,
-// exactly as the closure form drew it.
+// reaches the far end. The jitter draw happens at scheduling time.
 //
 // Same-deadline deliveries are batched: when this delivery lands on the
 // (deadline, origin) of the link's still-pending flush event AND the

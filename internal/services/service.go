@@ -26,8 +26,8 @@ import (
 // Requests are pooled on the hot path: generators draw them from a
 // RequestPool and return them once measured, so steady-state traffic
 // allocates no Request objects. Backends treat a request as live only
-// between Arrive and the completion callback; holding a *Request past
-// completion observes recycled state.
+// between Arrive and the completion sink's OnComplete; holding a *Request
+// past completion observes recycled state.
 type Request struct {
 	ID     uint64
 	Thread int // generator thread that owns the request
@@ -101,19 +101,16 @@ type Request struct {
 	TimeoutEv sim.EventID
 	HedgeEv   sim.EventID
 
-	// onComplete / sink: exactly one is invoked when the response leaves
-	// the server. sink is the typed, allocation-free form; onComplete is
-	// the closure form kept for tests and one-off drivers.
-	onComplete func(req *Request, departed sim.Time)
-	sink       CompletionSink
+	// sink is invoked when the response leaves the server.
+	sink CompletionSink
 
-	// hook, when set, observes the completion before the sink/closure
-	// fires — the cluster layer's interposition point.
+	// hook, when set, observes the completion before the sink fires — the
+	// cluster layer's interposition point.
 	hook CompletionHook
 }
 
 // CompletionHook observes request completions before the completion
-// sink/closure runs. Unlike CompletionSink it does not own the request —
+// sink runs. Unlike CompletionSink it does not own the request —
 // it must not recycle or retain it.
 type CompletionHook interface {
 	RequestDone(req *Request, departed sim.Time)
@@ -122,26 +119,16 @@ type CompletionHook interface {
 // SetCompletionHook installs (or, with nil, clears) the completion hook.
 func (r *Request) SetCompletionHook(h CompletionHook) { r.hook = h }
 
-// CompletionSink receives request completions on the typed path. The
-// generator installs one long-lived sink per run instead of allocating a
-// completion closure per request.
+// CompletionSink receives request completions. The generator installs one
+// long-lived sink per run instead of allocating a completion callback per
+// request.
 type CompletionSink interface {
 	OnComplete(req *Request, departed sim.Time)
 }
 
-// SetCompletion installs the completion callback (the generator's receive
+// SetCompletionSink installs the completion sink (the generator's receive
 // path). It must be set before the request arrives at a backend.
-func (r *Request) SetCompletion(fn func(req *Request, departed sim.Time)) {
-	r.onComplete = fn
-	r.sink = nil
-}
-
-// SetCompletionSink installs the typed completion sink — the
-// allocation-free alternative to SetCompletion.
-func (r *Request) SetCompletionSink(s CompletionSink) {
-	r.sink = s
-	r.onComplete = nil
-}
+func (r *Request) SetCompletionSink(s CompletionSink) { r.sink = s }
 
 // Outcome classifies how a request ended.
 type Outcome uint8
@@ -198,8 +185,6 @@ func (r *Request) complete(departed sim.Time) {
 	}
 	if r.sink != nil {
 		r.sink.OnComplete(r, departed)
-	} else if r.onComplete != nil {
-		r.onComplete(r, departed)
 	}
 }
 
@@ -326,8 +311,8 @@ type Backend interface {
 	Name() string
 	// Arrive delivers a request to the service's entry point at now (the
 	// instant it clears the client→server link). The backend eventually
-	// calls the request's completion callback with the instant the
-	// response leaves the server.
+	// calls the request's completion sink with the instant the response
+	// leaves the server.
 	Arrive(req *Request, now sim.Time)
 	// ResetRun clears run-scoped state and re-seeds service-time noise.
 	// The engine passed is the run's fresh engine.

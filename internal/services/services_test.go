@@ -12,6 +12,17 @@ import (
 	"repro/internal/workload"
 )
 
+// eventFunc adapts a func to sim.EventSink and completeFunc a func to
+// CompletionSink: the tests' stand-ins for scheduling a closure (a
+// capturing func allocates; fine here).
+type (
+	eventFunc    func(now sim.Time)
+	completeFunc func(req *Request, departed sim.Time)
+)
+
+func (f eventFunc) OnEvent(now sim.Time, _ sim.EventArg)          { f(now) }
+func (f completeFunc) OnComplete(req *Request, departed sim.Time) { f(req, departed) }
+
 // drive sends one request into a backend at time zero and returns the
 // server departure time.
 func drive(t *testing.T, b Backend, payload any) (sim.Time, *Request) {
@@ -23,8 +34,8 @@ func drive(t *testing.T, b Backend, payload any) (sim.Time, *Request) {
 	b.ResetRun(engine, rng.New(11))
 	req := &Request{ID: 1, Payload: payload}
 	var departed sim.Time
-	req.SetCompletion(func(_ *Request, at sim.Time) { departed = at })
-	engine.At(0, func(now sim.Time) { b.Arrive(req, now) })
+	req.SetCompletionSink(completeFunc(func(_ *Request, at sim.Time) { departed = at }))
+	engine.AtSink(0, eventFunc(func(now sim.Time) { b.Arrive(req, now) }), sim.EventArg{})
 	engine.Run()
 	if departed == 0 {
 		t.Fatal("request never completed")
@@ -425,11 +436,11 @@ func TestBackendC1EVariantPaysServerWake(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			req := &Request{ID: uint64(i), Payload: struct{}{}, Conn: 0}
 			start := at
-			req.SetCompletion(func(_ *Request, done sim.Time) { last = done - start })
-			engine.At(at, func(now sim.Time) {
+			req.SetCompletionSink(completeFunc(func(_ *Request, done sim.Time) { last = done - start }))
+			engine.AtSink(at, eventFunc(func(now sim.Time) {
 				r := req
 				s.Arrive(r, now)
-			})
+			}), sim.EventArg{})
 			at = at.Add(2 * time.Millisecond)
 		}
 		engine.Run()

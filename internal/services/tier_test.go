@@ -147,9 +147,9 @@ func TestTierWorkerSleepsAndPaysWake(t *testing.T) {
 	// dispatch) delays the start.
 	later := sim.Time(0).Add(5 * time.Millisecond)
 	var end sim.Time
-	engine.At(later, func(now sim.Time) {
+	engine.AtSink(later, eventFunc(func(now sim.Time) {
 		tier.Submit(now, 10*time.Microsecond, nil, doneFunc(func(e sim.Time) { end = e }))
-	})
+	}), sim.EventArg{})
 	engine.Run()
 	elapsed := end.Sub(later)
 	if elapsed <= 10*time.Microsecond {

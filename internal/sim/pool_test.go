@@ -35,15 +35,26 @@ func TestTypedDispatchDeliversArg(t *testing.T) {
 	}
 }
 
+// TestTypedAndClosureShareFIFOOrder pins that the three scheduling forms
+// share one FIFO sequence: AtSink, AfterSink(0) and AtSinkFrom(Now, Now),
+// spread over two different sinks at one deadline, fire in scheduling
+// order.
 func TestTypedAndClosureShareFIFOOrder(t *testing.T) {
 	e := NewEngine()
+	e.RunUntil(Time(50))
 	var order []int
 	s := sinkFunc(func(_ Time, arg EventArg) { order = append(order, int(arg.U64)) })
+	other := sinkFunc(func(_ Time, arg EventArg) { order = append(order, int(arg.U64)) })
 	e.AtSink(Time(50), s, EventArg{U64: 0})
-	e.At(Time(50), func(Time) { order = append(order, 1) })
-	e.AtSink(Time(50), s, EventArg{U64: 2})
-	e.At(Time(50), func(Time) { order = append(order, 3) })
+	e.AfterSink(0, other, EventArg{U64: 1})
+	e.AtSinkFrom(e.Now(), e.Now(), s, EventArg{U64: 2})
+	e.AtSink(Time(50), other, EventArg{U64: 3})
+	e.AfterSink(0, s, EventArg{U64: 4})
+	e.AtSinkFrom(e.Now(), e.Now(), other, EventArg{U64: 5})
 	e.Run()
+	if len(order) != 6 {
+		t.Fatalf("fired %d events, want 6", len(order))
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("mixed-form same-deadline order = %v, want scheduling order", order)
@@ -51,7 +62,8 @@ func TestTypedAndClosureShareFIFOOrder(t *testing.T) {
 	}
 }
 
-// sinkFunc adapts a func to EventSink for tests (allocates; fine here).
+// sinkFunc adapts a func to EventSink for tests, the stand-in for
+// scheduling a closure (a capturing func allocates; fine here).
 type sinkFunc func(now Time, arg EventArg)
 
 func (f sinkFunc) OnEvent(now Time, arg EventArg) { f(now, arg) }
@@ -70,7 +82,7 @@ func TestNilSinkPanics(t *testing.T) {
 // stale, and canceling it must not touch the pooled slot's next occupant.
 func TestCancelAfterFire(t *testing.T) {
 	e := NewEngine()
-	id := e.After(time.Microsecond, func(Time) {})
+	id := e.AfterSink(time.Microsecond, &countSink{}, EventArg{})
 	if !id.Valid() {
 		t.Fatal("pending event ID reports invalid")
 	}
@@ -82,7 +94,7 @@ func TestCancelAfterFire(t *testing.T) {
 	// The freed slot is reused by the next scheduling; the stale ID must
 	// not cancel the new event.
 	fired := false
-	id2 := e.After(time.Microsecond, func(Time) { fired = true })
+	id2 := e.AfterSink(time.Microsecond, sinkFunc(func(Time, EventArg) { fired = true }), EventArg{})
 	e.Cancel(id) // stale: different generation, same (reused) slot
 	if !id2.Valid() {
 		t.Fatal("stale cancel invalidated the slot's new occupant")
@@ -99,8 +111,9 @@ func TestCancelAfterReuse(t *testing.T) {
 	e := NewEngine()
 	var stale []EventID
 	fired := 0
+	count := sinkFunc(func(Time, EventArg) { fired++ })
 	for cycle := 0; cycle < 5; cycle++ {
-		id := e.After(time.Microsecond, func(Time) { fired++ })
+		id := e.AfterSink(time.Microsecond, count, EventArg{})
 		for _, s := range stale {
 			e.Cancel(s) // must all be no-ops
 			if s.Valid() {
@@ -118,13 +131,13 @@ func TestCancelAfterReuse(t *testing.T) {
 	}
 
 	// Canceled (never fired) events also retire their IDs.
-	id := e.After(time.Microsecond, func(Time) { t.Error("canceled event fired") })
+	id := e.AfterSink(time.Microsecond, sinkFunc(func(Time, EventArg) { t.Error("canceled event fired") }), EventArg{})
 	e.Cancel(id)
 	if id.Valid() {
 		t.Error("canceled event ID still valid")
 	}
 	e.Cancel(id) // double cancel: no-op
-	replacement := e.After(time.Microsecond, func(Time) {})
+	replacement := e.AfterSink(time.Microsecond, &countSink{}, EventArg{})
 	e.Cancel(id) // stale cancel against the reused slot: no-op
 	if !replacement.Valid() {
 		t.Error("stale cancel after cancel-reuse invalidated new event")
@@ -136,17 +149,17 @@ func TestCancelFromOwnHandlerIsNoop(t *testing.T) {
 	e := NewEngine()
 	var id EventID
 	ran := false
-	id = e.After(time.Microsecond, func(Time) {
+	id = e.AfterSink(time.Microsecond, sinkFunc(func(Time, EventArg) {
 		ran = true
 		e.Cancel(id) // the event is firing: already retired, must no-op
-	})
+	}), EventArg{})
 	e.Run()
 	if !ran {
 		t.Fatal("event did not run")
 	}
 	// The slot freed by the fired event must be reusable afterwards.
 	again := false
-	e.After(time.Microsecond, func(Time) { again = true })
+	e.AfterSink(time.Microsecond, sinkFunc(func(Time, EventArg) { again = true }), EventArg{})
 	e.Run()
 	if !again {
 		t.Error("slot unusable after self-cancel")
@@ -159,8 +172,9 @@ func TestEngineResetReusesPool(t *testing.T) {
 	e := NewEngine()
 	run := func() []Time {
 		var fired []Time
+		rec := sinkFunc(func(now Time, _ EventArg) { fired = append(fired, now) })
 		for i := 1; i <= 50; i++ {
-			e.After(time.Duration(i)*time.Microsecond, func(now Time) { fired = append(fired, now) })
+			e.AfterSink(time.Duration(i)*time.Microsecond, rec, EventArg{})
 		}
 		// Leave some events pending past the horizon, as real runs do.
 		e.RunUntil(Time(0).Add(40 * time.Microsecond))
@@ -219,7 +233,7 @@ func TestTypedSchedulingZeroAllocSteadyState(t *testing.T) {
 	s.times = make([]Time, 0, 4096)
 	s.args = make([]EventArg, 0, 4096)
 	arg := EventArg{Ptr: s, U64: 9}
-	// Warm the pool and the heap slice.
+	// Warm the event pool.
 	for i := 0; i < 64; i++ {
 		e.AfterSink(time.Nanosecond, s, arg)
 	}
@@ -239,10 +253,10 @@ func TestTypedSchedulingZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineHotLoop contrasts the closure and typed scheduling forms
-// on the schedule→fire hot loop. Run with -benchmem: the closure form
-// pays one closure allocation per event; the typed form is 0 B/op in
-// steady state.
+// BenchmarkEngineHotLoop contrasts a fresh capturing closure per event,
+// scheduled through the sinkFunc adapter, with a long-lived typed sink on
+// the schedule→fire hot loop. Run with -benchmem: the closure pays one
+// allocation per event; the typed sink is 0 B/op in steady state.
 func BenchmarkEngineHotLoop(b *testing.B) {
 	b.Run("closure", func(b *testing.B) {
 		e := NewEngine()
@@ -250,7 +264,7 @@ func BenchmarkEngineHotLoop(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			v := i // captured: forces the per-event closure allocation real call sites pay
-			e.After(time.Nanosecond, func(Time) { n += v })
+			e.AfterSink(time.Nanosecond, sinkFunc(func(Time, EventArg) { n += v }), EventArg{})
 			e.Step()
 		}
 	})

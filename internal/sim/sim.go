@@ -12,33 +12,27 @@
 //
 // # Allocation-free scheduling
 //
-// Event objects live on an engine-internal free list: firing or canceling
-// an event returns it to the list, and the next At/After reuses it, so
-// steady-state scheduling performs zero heap allocations. EventIDs carry a
-// generation counter so an ID that outlives its event's reuse can never
-// cancel the slot's new occupant (ABA safety).
-//
-// The closure form (At/After with a Handler) still allocates one closure
-// per call site capture; hot paths use the typed form (AtSink/AfterSink
-// with an EventSink and an opaque EventArg), which allocates nothing when
-// the sink is a pointer and the arg's Ptr field holds a pointer.
+// Events are scheduled on an EventSink with an opaque EventArg
+// (AtSink/AfterSink/AtSinkFrom), which allocates nothing when the sink is
+// a pointer and the arg's Ptr field holds a pointer. Event objects live on
+// an engine-internal free list: firing or canceling an event returns it
+// to the list, and the next schedule reuses it, so steady-state
+// scheduling performs zero heap allocations. EventIDs carry a generation
+// counter so an ID that outlives its event's reuse can never cancel the
+// slot's new occupant (ABA safety).
 //
 // # O(1) event scheduling
 //
 // Pending events live in a hierarchical timer wheel (wheel.go): schedule,
 // cancel and fire are O(1) amortized at any pending-event population,
-// where the historical binary min-heap paid O(log n) per operation — the
-// dominant engine cost once hundreds of thousands of events are pending
+// where a binary min-heap pays O(log n) per operation — the dominant
+// engine cost once hundreds of thousands of events are pending
 // (million-QPS scenarios, hour-long virtual runs). Firing an event is one
 // search of the wheel bounded by the run's limit, with no separate peek
-// at the next deadline. The heap survives as a second implementation of
-// the internal queue interface so differential tests can pin that the
-// wheel fires events in byte-identical order; only the wheel is on the
-// production path.
+// at the next deadline.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -68,15 +62,10 @@ func (t Time) String() string {
 	return time.Duration(t).String()
 }
 
-// Handler is the callback attached to a scheduled event. It runs when the
-// virtual clock reaches the event's deadline.
-type Handler func(now Time)
-
-// EventSink is the typed-dispatch alternative to Handler: a long-lived
-// object whose OnEvent method is invoked with the opaque argument the
-// event was scheduled with. Scheduling through a sink avoids the
-// per-event closure allocation of the Handler form — the sink is built
-// once (per run, per tier, per generator) and every event reuses it.
+// EventSink is a long-lived object whose OnEvent method is invoked with
+// the opaque argument the event was scheduled with. The sink is built once
+// (per run, per tier, per generator) and every event reuses it, so
+// scheduling allocates nothing per event.
 type EventSink interface {
 	OnEvent(now Time, arg EventArg)
 }
@@ -90,25 +79,19 @@ type EventArg struct {
 	U64 uint64
 }
 
-// event is a scheduled callback. Events are pooled: the zero event is a
-// valid free-list entry, and gen counts how many times the slot has been
-// recycled so stale EventIDs can be detected.
-//
-// An event is linked into exactly one pending-queue structure at a time:
-// the heap uses index, the timer wheel uses the intrusive next/prev chain
-// plus the (lvl, slot) bucket position.
+// event is a scheduled sink dispatch. Events are pooled: the zero event
+// is a valid free-list entry, and gen counts how many times the slot has
+// been recycled so stale EventIDs can be detected. While queued, an event
+// sits in one timer-wheel bucket: next/prev link the bucket's chain and
+// (lvl, slot) name the bucket.
 type event struct {
 	deadline Time
 	at       Time   // schedule-origin instant: first tie-breaker among equal deadlines
 	seq      uint64 // FIFO tie-breaker among equal (deadline, at)
-	fn       Handler
 	sink     EventSink
 	arg      EventArg
 	gen      uint64 // incremented on every release back to the free list
-	index    int    // heap index, -1 once popped
 
-	// Timer-wheel linkage: doubly linked bucket chain and the bucket the
-	// event currently occupies (meaningful only while queued in a wheel).
 	next, prev *event
 	lvl        int8
 	slot       uint8
@@ -130,14 +113,14 @@ type EventID struct {
 func (id EventID) Valid() bool { return id.ev != nil && id.ev.gen == id.gen }
 
 // less reports whether a fires before b: the engine's total event order
-// is (deadline, at, seq). For events scheduled through At/AtSink the
-// origin instant `at` equals the clock at scheduling time, so seq order
-// implies at order and the key collapses to the classic (deadline, seq)
-// FIFO tie-break — byte-identical to the pre-`at` engine. The extra
-// component only separates events scheduled *as of* an earlier instant
-// (AtSinkFrom), which the sharded runtime uses to slot cross-shard
-// hand-offs exactly where the single-engine run would have scheduled
-// them.
+// is (deadline, at, seq). For events scheduled through AtSink/AfterSink
+// the origin instant `at` equals the clock at scheduling time, so seq
+// order implies at order and the key collapses to the classic
+// (deadline, seq) FIFO tie-break — byte-identical to the pre-`at`
+// engine. The extra component only separates events scheduled *as of* an
+// earlier instant (AtSinkFrom), which the sharded runtime uses to slot
+// cross-shard hand-offs exactly where the single-engine run would have
+// scheduled them.
 func (a *event) less(b *event) bool {
 	if a.deadline != b.deadline {
 		return a.deadline < b.deadline
@@ -148,126 +131,27 @@ func (a *event) less(b *event) bool {
 	return a.seq < b.seq
 }
 
-// pendingQueue is the engine's set of scheduled events, totally ordered
-// by (deadline, at, seq). Two implementations exist: the production
-// hierarchical timer wheel (wheel.go, O(1) amortized per operation) and
-// the binary min-heap reference (heapQueue below, O(log n)) retained so
-// differential tests can pin that both fire events in identical order.
-//
-// Contract: pop(limit) removes and returns the (deadline, at, seq)-minimal
-// event when its deadline is at most limit, and otherwise returns nil
-// and keeps it queued; a push at or after the returned event's deadline
-// — or, after a nil return, at or after limit — must stay valid.
-// minDeadline reports the minimal deadline without popping and must not
-// observably mutate; remove detaches an event known to be queued; drain
-// empties the queue through the callback (in no particular order) and
-// rewinds any internal clock so the queue is ready for a fresh run.
-type pendingQueue interface {
-	push(ev *event)
-	pop(limit Time) *event
-	minDeadline() (Time, bool)
-	remove(ev *event)
-	size() int
-	drain(release func(*event))
-}
-
-// eventHeap is a min-heap ordered by (deadline, at, seq) — the
-// reference pendingQueue implementation.
-type eventHeap []*event
-
-func (q eventHeap) Len() int { return len(q) }
-
-func (q eventHeap) Less(i, j int) bool { return q[i].less(q[j]) }
-
-func (q eventHeap) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventHeap) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
-}
-
-// heapQueue adapts eventHeap to the pendingQueue interface.
-type heapQueue struct{ h eventHeap }
-
-func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
-
-func (q *heapQueue) pop(limit Time) *event {
-	if len(q.h) == 0 || q.h[0].deadline > limit {
-		return nil
-	}
-	return heap.Pop(&q.h).(*event)
-}
-
-func (q *heapQueue) minDeadline() (Time, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].deadline, true
-}
-
-func (q *heapQueue) remove(ev *event) { heap.Remove(&q.h, ev.index) }
-
-func (q *heapQueue) size() int { return len(q.h) }
-
-func (q *heapQueue) drain(release func(*event)) {
-	for _, ev := range q.h {
-		ev.index = -1
-		release(ev)
-	}
-	q.h = q.h[:0]
-}
-
 // Engine is a single-threaded discrete-event simulator. It is not safe for
-// concurrent use; the simulated world is single-clocked by design.
+// concurrent use; the simulated world is single-clocked by design. The
+// zero Engine is ready to use: clock at zero, empty wheel.
 type Engine struct {
 	now     Time
-	queue   pendingQueue
 	free    []*event // recycled event objects, LIFO
 	nextSeq uint64
 	fired   uint64
 	grown   uint64 // events allocated fresh (free list empty)
+	queue   wheel
 }
 
-// NewEngine returns an engine with the clock at zero and an empty queue,
-// backed by the hierarchical timer wheel (the production event queue).
-func NewEngine() *Engine {
-	return &Engine{queue: newWheel()}
-}
-
-// newHeapEngine returns an engine on the binary-heap queue — the
-// reference implementation the wheel is differential-tested and
-// benchmarked against. Not a production path.
-func newHeapEngine() *Engine {
-	return &Engine{queue: &heapQueue{}}
-}
-
-// newLegacyCascadeEngine returns an engine on a wheel with cascade
-// hysteresis disabled — the per-event cascade the hysteresis path is
-// differential-tested and benchmarked against. Not a production path.
-func newLegacyCascadeEngine() *Engine {
-	return &Engine{queue: newWheelLegacyCascade()}
-}
+// NewEngine returns an engine with the clock at zero and no pending
+// events.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return e.queue.size() }
+func (e *Engine) Pending() int { return e.queue.count }
 
 // Fired returns the total number of events that have executed.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -307,7 +191,6 @@ func (e *Engine) alloc() *event {
 // one cannot touch the slot's next occupant.
 func (e *Engine) release(ev *event) {
 	ev.gen++
-	ev.fn = nil
 	ev.sink = nil
 	ev.arg = EventArg{}
 	e.free = append(e.free, ev)
@@ -316,7 +199,7 @@ func (e *Engine) release(ev *event) {
 // schedule is the shared body of the scheduling forms. origin is the
 // instant the event counts as scheduled at for tie-breaking — the
 // current clock everywhere except AtSinkFrom.
-func (e *Engine) schedule(origin, t Time, fn Handler, sink EventSink, arg EventArg) EventID {
+func (e *Engine) schedule(origin, t Time, sink EventSink, arg EventArg) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -324,7 +207,6 @@ func (e *Engine) schedule(origin, t Time, fn Handler, sink EventSink, arg EventA
 	ev.deadline = t
 	ev.at = origin
 	ev.seq = e.nextSeq
-	ev.fn = fn
 	ev.sink = sink
 	ev.arg = arg
 	e.nextSeq++
@@ -332,45 +214,27 @@ func (e *Engine) schedule(origin, t Time, fn Handler, sink EventSink, arg EventA
 	return EventID{ev: ev, gen: ev.gen}
 }
 
-// At schedules fn to run at the absolute virtual instant t. Scheduling in
-// the past (t < Now) panics: in a DES that is always a logic bug, and
-// silently clamping would corrupt causality.
-func (e *Engine) At(t Time, fn Handler) EventID {
-	if fn == nil {
-		panic("sim: nil event handler")
-	}
-	return e.schedule(e.now, t, fn, nil, EventArg{})
-}
-
-// After schedules fn to run d after the current instant. Negative d panics.
-func (e *Engine) After(d time.Duration, fn Handler) EventID {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.At(e.now.Add(d), fn)
-}
-
-// AtSink schedules sink.OnEvent(t, arg) at the absolute instant t — the
-// typed, allocation-free counterpart of At. FIFO tie-breaking is shared
-// with the closure form: events fire in scheduling order regardless of
-// which form scheduled them.
+// AtSink schedules sink.OnEvent(t, arg) at the absolute instant t.
+// Scheduling in the past (t < Now) panics: in a DES that is always a
+// logic bug, and silently clamping would corrupt causality. Events with
+// equal deadlines fire in scheduling order, whichever sink they target.
 func (e *Engine) AtSink(t Time, sink EventSink, arg EventArg) EventID {
 	if sink == nil {
 		panic("sim: nil event sink")
 	}
-	return e.schedule(e.now, t, nil, sink, arg)
+	return e.schedule(e.now, t, sink, arg)
 }
 
 // AtSinkFrom schedules sink.OnEvent(t, arg) with tie-breaking as of the
 // instant origin instead of the current clock: among equal deadlines,
-// events fire in (origin, scheduling order), and At/AtSink events count
-// their own scheduling instant as origin. This is the sharded runtime's
-// replay primitive — an event handed off across a shard boundary (or
-// deferred within one) is scheduled later than the single-engine run
-// would have scheduled it, and passing the original instant here puts
-// it back in exactly the slot the single engine's FIFO tie-break would
-// have given it. origin must not exceed the deadline; it may lie in the
-// past.
+// events fire in (origin, scheduling order), and AtSink/AfterSink events
+// count their own scheduling instant as origin. This is the sharded
+// runtime's replay primitive — an event handed off across a shard
+// boundary (or deferred within one) is scheduled later than the
+// single-engine run would have scheduled it, and passing the original
+// instant here puts it back in exactly the slot the single engine's FIFO
+// tie-break would have given it. origin must not exceed the deadline; it
+// may lie in the past.
 func (e *Engine) AtSinkFrom(origin, t Time, sink EventSink, arg EventArg) EventID {
 	if sink == nil {
 		panic("sim: nil event sink")
@@ -378,7 +242,7 @@ func (e *Engine) AtSinkFrom(origin, t Time, sink EventSink, arg EventArg) EventI
 	if origin > t {
 		panic(fmt.Sprintf("sim: schedule origin %v after deadline %v", origin, t))
 	}
-	return e.schedule(origin, t, nil, sink, arg)
+	return e.schedule(origin, t, sink, arg)
 }
 
 // AfterSink schedules sink.OnEvent d after the current instant. Negative
@@ -392,8 +256,8 @@ func (e *Engine) AfterSink(d time.Duration, sink EventSink, arg EventArg) EventI
 
 // Cancel prevents a scheduled event from firing. Canceling an event that
 // has already fired or been canceled — including one whose slot has been
-// reused by a newer event — is a no-op. Cancel is O(1) on the wheel
-// (O(log n) on the reference heap) when the event is still queued.
+// reused by a newer event — is a no-op. Cancel is O(1) when the event is
+// still queued.
 func (e *Engine) Cancel(id EventID) {
 	ev := id.ev
 	// A matching generation implies the event is still queued: release —
@@ -420,15 +284,11 @@ func (e *Engine) fire(limit Time) bool {
 	if ev == nil {
 		return false
 	}
-	fn, sink, arg, deadline := ev.fn, ev.sink, ev.arg, ev.deadline
+	sink, arg, deadline := ev.sink, ev.arg, ev.deadline
 	e.release(ev)
 	e.now = deadline
 	e.fired++
-	if sink != nil {
-		sink.OnEvent(e.now, arg)
-	} else {
-		fn(e.now)
-	}
+	sink.OnEvent(deadline, arg)
 	return true
 }
 
@@ -480,7 +340,7 @@ func (e *Engine) NextDeadline() Time {
 
 // Scheduled returns the number of events ever scheduled on this engine
 // (the per-run sequence counter; Reset rezeroes it). It advances on
-// every At/After/AtSink/AfterSink call, which makes it a watermark for
+// every AtSink, AfterSink and AtSinkFrom call, which makes it a watermark for
 // "has anything been scheduled since": netmodel's link batching uses it
 // to append to a pending flush only when no other event could have
 // claimed a sequence number between the batch's entries — the condition

@@ -19,7 +19,7 @@ func TestEngineStartsAtZero(t *testing.T) {
 func TestAfterAdvancesClock(t *testing.T) {
 	e := NewEngine()
 	var fired Time = -1
-	e.After(5*time.Microsecond, func(now Time) { fired = now })
+	e.AfterSink(5*time.Microsecond, sinkFunc(func(now Time, _ EventArg) { fired = now }), EventArg{})
 	e.Run()
 	if fired != Time(5000) {
 		t.Errorf("event fired at %v, want 5µs", fired)
@@ -32,9 +32,10 @@ func TestAfterAdvancesClock(t *testing.T) {
 func TestEventOrderingByDeadline(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.After(30*time.Nanosecond, func(Time) { order = append(order, 3) })
-	e.After(10*time.Nanosecond, func(Time) { order = append(order, 1) })
-	e.After(20*time.Nanosecond, func(Time) { order = append(order, 2) })
+	s := sinkFunc(func(_ Time, arg EventArg) { order = append(order, int(arg.U64)) })
+	e.AfterSink(30*time.Nanosecond, s, EventArg{U64: 3})
+	e.AfterSink(10*time.Nanosecond, s, EventArg{U64: 1})
+	e.AfterSink(20*time.Nanosecond, s, EventArg{U64: 2})
 	e.Run()
 	want := []int{1, 2, 3}
 	for i, v := range want {
@@ -49,7 +50,7 @@ func TestFIFOTieBreaking(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(Time(42), func(Time) { order = append(order, i) })
+		e.AtSink(Time(42), sinkFunc(func(Time, EventArg) { order = append(order, i) }), EventArg{})
 	}
 	e.Run()
 	for i, v := range order {
@@ -62,7 +63,7 @@ func TestFIFOTieBreaking(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	id := e.After(time.Microsecond, func(Time) { fired = true })
+	id := e.AfterSink(time.Microsecond, sinkFunc(func(Time, EventArg) { fired = true }), EventArg{})
 	e.Cancel(id)
 	e.Run()
 	if fired {
@@ -80,9 +81,9 @@ func TestCancelOneOfMany(t *testing.T) {
 	var ids []EventID
 	for i := 0; i < 10; i++ {
 		i := i
-		ids = append(ids, e.After(time.Duration(i+1)*time.Microsecond, func(Time) {
+		ids = append(ids, e.AfterSink(time.Duration(i+1)*time.Microsecond, sinkFunc(func(Time, EventArg) {
 			fired = append(fired, i)
-		}))
+		}), EventArg{}))
 	}
 	e.Cancel(ids[3])
 	e.Cancel(ids[7])
@@ -100,14 +101,14 @@ func TestCancelOneOfMany(t *testing.T) {
 func TestEventSchedulingFromHandler(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
-	var tick Handler
-	tick = func(now Time) {
+	var tick sinkFunc
+	tick = func(now Time, _ EventArg) {
 		ticks = append(ticks, now)
 		if len(ticks) < 5 {
-			e.After(time.Millisecond, tick)
+			e.AfterSink(time.Millisecond, tick, EventArg{})
 		}
 	}
-	e.After(time.Millisecond, tick)
+	e.AfterSink(time.Millisecond, tick, EventArg{})
 	e.Run()
 	if len(ticks) != 5 {
 		t.Fatalf("got %d ticks, want 5", len(ticks))
@@ -123,8 +124,9 @@ func TestEventSchedulingFromHandler(t *testing.T) {
 func TestRunUntilStopsAtLimit(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
+	rec := sinkFunc(func(now Time, _ EventArg) { fired = append(fired, now) })
 	for i := 1; i <= 10; i++ {
-		e.After(time.Duration(i)*time.Second, func(now Time) { fired = append(fired, now) })
+		e.AfterSink(time.Duration(i)*time.Second, rec, EventArg{})
 	}
 	e.RunUntil(Time(4_500_000_000))
 	if len(fired) != 4 {
@@ -156,14 +158,15 @@ func TestRunForIsRelative(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.After(time.Second, func(Time) {})
+	s := &countSink{}
+	e.AfterSink(time.Second, s, EventArg{})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past did not panic")
 		}
 	}()
-	e.At(Time(1), func(Time) {})
+	e.AtSink(Time(1), s, EventArg{})
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
@@ -173,23 +176,38 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	e.After(-time.Second, func(Time) {})
+	e.AfterSink(-time.Second, &countSink{}, EventArg{})
 }
 
+// TestNilHandlerPanics pins AtSinkFrom's two argument checks, which the
+// sharded runtime's hand-offs rely on: a nil sink and an origin after
+// the deadline each panic.
 func TestNilHandlerPanics(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Error("nil handler did not panic")
-		}
-	}()
-	e.After(time.Second, nil)
+	for _, tc := range []struct {
+		name       string
+		origin, at Time
+		sink       EventSink
+	}{
+		{"nil sink", 0, 10, nil},
+		{"origin after deadline", 11, 10, &countSink{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AtSinkFrom(%v, %v) with %s did not panic", tc.origin, tc.at, tc.name)
+				}
+			}()
+			e.AtSinkFrom(tc.origin, tc.at, tc.sink, EventArg{})
+		})
+	}
 }
 
 func TestFiredCounter(t *testing.T) {
 	e := NewEngine()
+	s := &countSink{}
 	for i := 0; i < 25; i++ {
-		e.After(time.Duration(i)*time.Microsecond, func(Time) {})
+		e.AfterSink(time.Duration(i)*time.Microsecond, s, EventArg{})
 	}
 	e.Run()
 	if e.Fired() != 25 {
@@ -221,13 +239,14 @@ func TestPropertyMonotonicClock(t *testing.T) {
 		e := NewEngine()
 		var last Time = -1
 		ok := true
+		check := sinkFunc(func(now Time, _ EventArg) {
+			if now < last {
+				ok = false
+			}
+			last = now
+		})
 		for _, d := range delays {
-			e.After(time.Duration(d)*time.Nanosecond, func(now Time) {
-				if now < last {
-					ok = false
-				}
-				last = now
-			})
+			e.AfterSink(time.Duration(d)*time.Nanosecond, check, EventArg{})
 		}
 		e.Run()
 		return ok && e.Pending() == 0
@@ -244,8 +263,9 @@ func TestPropertyDeterminism(t *testing.T) {
 		run := func() []Time {
 			e := NewEngine()
 			var seq []Time
+			rec := sinkFunc(func(now Time, _ EventArg) { seq = append(seq, now) })
 			for _, d := range delays {
-				e.After(time.Duration(d)*time.Nanosecond, func(now Time) { seq = append(seq, now) })
+				e.AfterSink(time.Duration(d)*time.Nanosecond, rec, EventArg{})
 			}
 			e.Run()
 			return seq
@@ -270,7 +290,7 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	e := NewEngine()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(time.Nanosecond, func(Time) {})
+		e.AfterSink(time.Nanosecond, sinkFunc(func(Time, EventArg) {}), EventArg{})
 		e.Step()
 	}
 }

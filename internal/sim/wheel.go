@@ -2,8 +2,8 @@ package sim
 
 import "math/bits"
 
-// This file implements the engine's production event queue: a
-// deterministic hierarchical timer wheel in the style of Varghese &
+// This file implements the engine's event queue: a deterministic
+// hierarchical timer wheel in the style of Varghese &
 // Lauck's hashed hierarchical timing wheels, tuned for a virtual-time
 // discrete-event simulator.
 //
@@ -40,8 +40,8 @@ import "math/bits"
 // advanced to the bucket's start, landing every event at a strictly
 // lower level — and the search repeats. Each event cascades at most
 // wheelLevels-1 times over its life regardless of the pending
-// population, so schedule/fire is O(1) amortized where the binary heap
-// paid O(log n) per operation with cache-hostile pointer chasing.
+// population, so schedule/fire is O(1) amortized where a binary heap
+// pays O(log n) per operation with cache-hostile pointer chasing.
 //
 // # Lone buckets
 //
@@ -92,9 +92,10 @@ import "math/bits"
 //     most the same-deadline events scheduled since its origin instant.
 //
 // A level-0 bucket therefore holds exactly one deadline value in
-// (at, seq) order, and draining its head is byte-identical to the
-// heap's (deadline, at, seq) pop — pinned by the differential tests in
-// wheel_test.go and every figure golden downstream.
+// (at, seq) order, and draining its head is a (deadline, at, seq)-minimal
+// pop — pinned by the differential tests in wheel_test.go against a
+// reference heap with its own comparator, and by every figure golden
+// downstream.
 const (
 	wheelBits   = 6
 	wheelSlots  = 1 << wheelBits
@@ -107,9 +108,8 @@ type wheelBucket struct {
 	head, tail *event
 }
 
-// wheel is the production pendingQueue. The zero value is a valid empty
-// wheel (cursor at zero, all buckets empty, legacy per-event cascade);
-// newWheel turns cascade hysteresis on — the production configuration.
+// wheel is the engine's event queue. The zero value is a valid empty
+// wheel: cursor at zero, all buckets empty.
 //
 // Occupancy metadata is kept compact and separate from the bucket
 // arrays: occupied[l] has bit i set ⇔ levels[l][i] is non-empty, and
@@ -122,12 +122,12 @@ type wheelBucket struct {
 // A cascading bucket's chain is highly clustered in practice: phase
 // programs and batch arrivals schedule many events at the same or
 // adjacent deep deadlines, so after the cursor advances, long runs of
-// consecutive chain events target the *same* destination bucket. With
-// hysteresis on, cascadeChain detects maximal such runs — the run
-// cursor (level, slot, deadline group) is recomputed only when the
-// group changes, never re-walking settled events — and splices each run
-// onto its destination with one O(1) link operation and one bitmap OR
-// instead of a full place()+push per event. Firing order is unchanged:
+// consecutive chain events target the *same* destination bucket.
+// cascadeChain detects maximal such runs — the run cursor (level, slot,
+// deadline group) is recomputed only when the group changes, never
+// re-walking settled events — and splices each run onto its destination
+// with one O(1) link operation and one bitmap OR instead of a full
+// place()+push per event. Firing order is unchanged:
 // a run shares one bucket by construction, splicing preserves the
 // chain-internal order that per-event pushes would have produced, and
 // level-0 runs fall back to keyed per-event pushes whenever splicing
@@ -136,29 +136,19 @@ type wheelBucket struct {
 // The cascade* counters are instrumentation for tests and benchmarks
 // (they never influence behavior): cascades counts bucket splits,
 // cascadeEvents chain events walked, cascadeRuns wholesale splices, and
-// cascadePushes events re-pushed individually (always equal to
-// cascadeEvents with hysteresis off).
+// cascadePushes events re-pushed individually.
 type wheel struct {
-	cursor     Time // deadline of the last popped event (or last cascade origin)
-	count      int
-	levelMask  uint16
-	hysteresis bool
-	occupied   [wheelLevels]uint64
-	levels     [wheelLevels][wheelSlots]wheelBucket
+	cursor    Time // deadline of the last popped event (or last cascade origin)
+	count     int
+	levelMask uint16
+	occupied  [wheelLevels]uint64
+	levels    [wheelLevels][wheelSlots]wheelBucket
 
 	cascades      uint64
 	cascadeEvents uint64
 	cascadeRuns   uint64
 	cascadePushes uint64
 }
-
-func newWheel() *wheel { return &wheel{hysteresis: true} }
-
-// newWheelLegacyCascade returns a wheel with the pre-hysteresis
-// per-event cascade, retained (like the heap queue) as the reference
-// the hysteresis path is differential-tested and benchmarked against.
-// Not a production path.
-func newWheelLegacyCascade() *wheel { return &wheel{} }
 
 // place returns the (level, slot) for deadline relative to the cursor.
 func (w *wheel) place(deadline Time) (int, int) {
@@ -263,19 +253,7 @@ func (w *wheel) pop(limit Time) *event {
 		w.clearSlot(l, slot)
 		w.cursor = start
 		w.cascades++
-		if w.hysteresis {
-			w.cascadeChain(head)
-			continue
-		}
-		for ev := head; ev != nil; {
-			next := ev.next
-			ev.next, ev.prev = nil, nil
-			w.count--
-			w.cascadeEvents++
-			w.cascadePushes++
-			w.push(ev)
-			ev = next
-		}
+		w.cascadeChain(head)
 	}
 }
 
@@ -417,8 +395,6 @@ func (w *wheel) remove(ev *event) {
 	ev.next, ev.prev = nil, nil
 	w.count--
 }
-
-func (w *wheel) size() int { return w.count }
 
 func (w *wheel) drain(release func(*event)) {
 	for l := range w.levels {

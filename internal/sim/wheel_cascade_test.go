@@ -9,9 +9,9 @@ import (
 // This file pins the cascade-hysteresis path (wheel.go cascadeChain):
 // deep-horizon schedules spanning every wheel level, phase-program-shaped
 // batch bursts at far deadlines, a differential property test against
-// both the retained heap and the legacy per-event cascade, a
-// cascade-work assertion proving hysteresis splices instead of
-// re-pushing, and the dense-deep-horizon benchmark with its ≥1.5× gate —
+// the reference heap engine, a cascade-work assertion proving hysteresis
+// splices where the per-event cascade (popPerEvent, reference_test.go)
+// re-pushes, and the dense-deep-horizon benchmark with its ≥1.5× gate —
 // plus the opposite regime, a sparse near horizon whose lone buckets pop
 // without cascading.
 
@@ -59,10 +59,9 @@ func genDeepOps(rng *rand.Rand, n int) []dualOp {
 }
 
 // TestWheelDeepHorizonDifferential runs the deep-horizon script op by op
-// on the production wheel, the legacy per-event-cascade wheel, and the
-// reference heap: clocks, pending counts, and the complete firing
-// sequence must be identical across all three, and the production wheel
-// must have actually exercised the splice path (otherwise the test
+// on the wheel engine and the reference heap engine: clocks, pending
+// counts, and the complete firing sequence must be identical, and the
+// wheel must have actually exercised the splice path (otherwise the test
 // proves nothing about hysteresis).
 func TestWheelDeepHorizonDifferential(t *testing.T) {
 	seeds := 25
@@ -73,58 +72,60 @@ func TestWheelDeepHorizonDifferential(t *testing.T) {
 	splices := uint64(0)
 	for seed := 0; seed < seeds; seed++ {
 		ops := genDeepOps(rand.New(rand.NewSource(int64(7000+seed))), opsPerSeed)
-		wheelD := &dualDriver{e: NewEngine()}
-		legacyD := &dualDriver{e: newLegacyCascadeEngine()}
-		heapD := &dualDriver{e: newHeapEngine()}
+		engine := NewEngine()
+		wheelD := &dualDriver{e: engine}
+		heapD := &dualDriver{e: &refEngine{}}
 		for i, op := range ops {
 			wheelD.apply(op)
-			legacyD.apply(op)
 			heapD.apply(op)
-			if wheelD.e.Now() != heapD.e.Now() || legacyD.e.Now() != heapD.e.Now() {
-				t.Fatalf("seed %d op %d: clocks diverge: wheel %v legacy %v heap %v",
-					seed, i, wheelD.e.Now(), legacyD.e.Now(), heapD.e.Now())
+			if wheelD.e.Now() != heapD.e.Now() {
+				t.Fatalf("seed %d op %d: clocks diverge: wheel %v heap %v",
+					seed, i, wheelD.e.Now(), heapD.e.Now())
 			}
-			if wheelD.e.Pending() != heapD.e.Pending() || legacyD.e.Pending() != heapD.e.Pending() {
-				t.Fatalf("seed %d op %d: pending diverge: wheel %d legacy %d heap %d",
-					seed, i, wheelD.e.Pending(), legacyD.e.Pending(), heapD.e.Pending())
+			if wheelD.e.Pending() != heapD.e.Pending() {
+				t.Fatalf("seed %d op %d: pending diverge: wheel %d heap %d",
+					seed, i, wheelD.e.Pending(), heapD.e.Pending())
 			}
 		}
 		wheelD.e.Run()
-		legacyD.e.Run()
 		heapD.e.Run()
-		if len(wheelD.fired) != len(heapD.fired) || len(legacyD.fired) != len(heapD.fired) {
-			t.Fatalf("seed %d: fired wheel %d legacy %d heap %d",
-				seed, len(wheelD.fired), len(legacyD.fired), len(heapD.fired))
+		if len(wheelD.fired) != len(heapD.fired) {
+			t.Fatalf("seed %d: fired wheel %d heap %d", seed, len(wheelD.fired), len(heapD.fired))
 		}
 		for i := range heapD.fired {
-			if wheelD.fired[i] != heapD.fired[i] || legacyD.fired[i] != heapD.fired[i] {
-				t.Fatalf("seed %d: firing %d diverges: wheel %+v legacy %+v heap %+v",
-					seed, i, wheelD.fired[i], legacyD.fired[i], heapD.fired[i])
+			if wheelD.fired[i] != heapD.fired[i] {
+				t.Fatalf("seed %d: firing %d diverges: wheel %+v heap %+v",
+					seed, i, wheelD.fired[i], heapD.fired[i])
 			}
 		}
-		splices += wheelD.e.queue.(*wheel).cascadeRuns
+		splices += engine.queue.cascadeRuns
 	}
 	if splices == 0 {
 		t.Fatal("deep-horizon script never took the splice path — workload not exercising hysteresis")
 	}
 }
 
-// denseDriver drives a steady-state batch workload through an engine:
+// denseDriver drives a steady-state batch workload through a bare wheel:
 // each iteration schedules one batch of same-deadline events at a far
-// (millisecond-to-seconds) horizon and fires one whole batch — the
+// (millisecond-to-seconds) horizon and pops one whole batch — the
 // phase-program spike shape, which makes every event cascade down
-// several levels in long same-deadline runs before firing. Construction
-// primes a standing population of 64 batches so iterations are
-// allocation-free steady state.
+// several levels in long same-deadline runs before firing. perEvent
+// pops through popPerEvent instead of pop, so both cascades run the same
+// schedule with nothing but the wheel in between. Events are pooled on a
+// free list of its own, and construction primes a standing population
+// of 64 batches so iterations are allocation-free steady state.
 type denseDriver struct {
-	e     *Engine
-	s     countSink
-	batch int
-	rng   uint64
+	w        wheel
+	perEvent bool
+	free     []*event
+	now      Time
+	seq      uint64
+	batch    int
+	rng      uint64
 }
 
-func newDenseDriver(e *Engine, batch int) *denseDriver {
-	d := &denseDriver{e: e, batch: batch, rng: 0x9E3779B97F4A7C15}
+func newDenseDriver(perEvent bool, batch int) *denseDriver {
+	d := &denseDriver{perEvent: perEvent, batch: batch, rng: 0x9E3779B97F4A7C15}
 	for i := 0; i < 64; i++ {
 		d.scheduleBatch()
 	}
@@ -142,47 +143,58 @@ func (d *denseDriver) far() time.Duration {
 }
 
 func (d *denseDriver) scheduleBatch() {
-	delay := d.far()
+	deadline := d.now.Add(d.far())
 	for j := 0; j < d.batch; j++ {
-		d.e.AfterSink(delay, &d.s, EventArg{U64: 1})
+		var ev *event
+		if n := len(d.free); n > 0 {
+			ev, d.free = d.free[n-1], d.free[:n-1]
+		} else {
+			ev = &event{}
+		}
+		ev.deadline, ev.at, ev.seq = deadline, d.now, d.seq
+		d.seq++
+		d.w.push(ev)
 	}
 }
 
-// iter is one steady-state step: schedule one batch, fire one batch.
+// iter is one steady-state step: schedule one batch, pop one batch.
 func (d *denseDriver) iter() {
 	d.scheduleBatch()
 	for j := 0; j < d.batch; j++ {
-		d.e.Step()
+		var ev *event
+		if d.perEvent {
+			ev = d.w.popPerEvent(Infinity)
+		} else {
+			ev = d.w.pop(Infinity)
+		}
+		d.now = ev.deadline
+		d.free = append(d.free, ev)
 	}
 }
 
 // TestWheelCascadeHysteresisReducesWork is the cascade-count assertion:
-// on the dense-deep-horizon workload both wheels perform identical
+// on the dense-deep-horizon workload both cascades perform identical
 // bucket splits and walk identical chains (hysteresis never changes
-// placement), but the hysteresis wheel re-pushes almost nothing —
-// same-deadline runs are spliced — where the legacy wheel re-pushes
-// every walked event.
+// placement), but pop re-pushes almost nothing — same-deadline runs are
+// spliced — where popPerEvent re-pushes every walked event.
 func TestWheelCascadeHysteresisReducesWork(t *testing.T) {
-	prod := NewEngine()
-	legacy := newLegacyCascadeEngine()
-	for d, i := newDenseDriver(prod, 256), 0; i < 200; i++ {
-		d.iter()
+	prod := newDenseDriver(false, 256)
+	legacy := newDenseDriver(true, 256)
+	for i := 0; i < 200; i++ {
+		prod.iter()
+		legacy.iter()
 	}
-	for d, i := newDenseDriver(legacy, 256), 0; i < 200; i++ {
-		d.iter()
+	if prod.now != legacy.now || prod.w.count != legacy.w.count {
+		t.Fatalf("wheels diverge: now %v vs %v, pending %d vs %d",
+			prod.now, legacy.now, prod.w.count, legacy.w.count)
 	}
-	if prod.Now() != legacy.Now() || prod.Pending() != legacy.Pending() {
-		t.Fatalf("engines diverge: now %v vs %v, pending %d vs %d",
-			prod.Now(), legacy.Now(), prod.Pending(), legacy.Pending())
-	}
-	pw := prod.queue.(*wheel)
-	lw := legacy.queue.(*wheel)
+	pw, lw := &prod.w, &legacy.w
 	if pw.cascades != lw.cascades || pw.cascadeEvents != lw.cascadeEvents {
 		t.Fatalf("cascade structure diverges: splits %d vs %d, events walked %d vs %d",
 			pw.cascades, lw.cascades, pw.cascadeEvents, lw.cascadeEvents)
 	}
 	if lw.cascadePushes != lw.cascadeEvents {
-		t.Fatalf("legacy wheel spliced: %d pushes for %d walked", lw.cascadePushes, lw.cascadeEvents)
+		t.Fatalf("per-event cascade spliced: %d pushes for %d walked", lw.cascadePushes, lw.cascadeEvents)
 	}
 	if pw.cascadeRuns == 0 {
 		t.Fatal("hysteresis wheel never spliced a run")
@@ -195,8 +207,8 @@ func TestWheelCascadeHysteresisReducesWork(t *testing.T) {
 		pw.cascades, pw.cascadeEvents, pw.cascadeRuns, pw.cascadePushes, lw.cascadePushes)
 }
 
-func benchmarkCascadeDense(b *testing.B, newEngine func() *Engine) {
-	d := newDenseDriver(newEngine(), 256)
+func benchmarkCascadeDense(b *testing.B, perEvent bool) {
+	d := newDenseDriver(perEvent, 256)
 	// Start from steady state: the event pool grows by ~30 KB over the
 	// first batches, which at the N a slow host picks reads as 1 B/op.
 	for i := 0; i < 64; i++ {
@@ -209,20 +221,21 @@ func benchmarkCascadeDense(b *testing.B, newEngine func() *Engine) {
 	}
 }
 
-// BenchmarkCascadeDense measures one schedule+fire batch (256 events at
+// BenchmarkCascadeDense measures one schedule+pop batch (256 events at
 // one far deadline) on the dense-deep-horizon workload — the regime
 // phase-program spikes and hour-long timers put the wheel in, where
-// cascade cost dominates. hysteresis vs legacy is the PR 9 headline.
+// cascade cost dominates: hysteresis pops through pop, legacy through
+// popPerEvent.
 func BenchmarkCascadeDense(b *testing.B) {
-	b.Run("hysteresis", func(b *testing.B) { benchmarkCascadeDense(b, NewEngine) })
-	b.Run("legacy", func(b *testing.B) { benchmarkCascadeDense(b, newLegacyCascadeEngine) })
+	b.Run("hysteresis", func(b *testing.B) { benchmarkCascadeDense(b, false) })
+	b.Run("legacy", func(b *testing.B) { benchmarkCascadeDense(b, true) })
 }
 
 // TestWheelCascadeHysteresisFaster is the PR 9 wheel gate: on the
 // dense-deep-horizon workload, cascade hysteresis must be ≥1.5× faster
-// than the legacy per-event cascade (measured ~1.6×; the 1.5× bar sits
-// just under it — retries absorb scheduler hiccups on loaded CI hosts),
-// allocation-free on both paths.
+// than the per-event cascade (measured 2.0–3.6× on the bare wheel; the
+// 1.5× bar absorbs host noise — retries absorb scheduler hiccups on
+// loaded CI hosts), allocation-free on both paths.
 func TestWheelCascadeHysteresisFaster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate: skipped in -short")
@@ -230,15 +243,15 @@ func TestWheelCascadeHysteresisFaster(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing/alloc gate: skipped under -race (instrumentation skews both)")
 	}
-	measure := func(newEngine func() *Engine) (float64, int64) {
-		res := testing.Benchmark(func(b *testing.B) { benchmarkCascadeDense(b, newEngine) })
+	measure := func(perEvent bool) (float64, int64) {
+		res := testing.Benchmark(func(b *testing.B) { benchmarkCascadeDense(b, perEvent) })
 		return float64(res.T.Nanoseconds()) / float64(res.N), res.AllocedBytesPerOp()
 	}
 	var hystNs, legacyNs float64
 	for attempt := 0; attempt < 3; attempt++ {
 		var hystB, legacyB int64
-		hystNs, hystB = measure(NewEngine)
-		legacyNs, legacyB = measure(newLegacyCascadeEngine)
+		hystNs, hystB = measure(false)
+		legacyNs, legacyB = measure(true)
 		if hystB != 0 || legacyB != 0 {
 			t.Fatalf("steady state allocates: hysteresis %d B/op, legacy %d B/op, want 0", hystB, legacyB)
 		}
@@ -298,7 +311,7 @@ func TestWheelSparseHorizonCascades(t *testing.T) {
 	for i := 0; i < 100_000; i++ {
 		d.iter()
 	}
-	w := e.queue.(*wheel)
+	w := &e.queue
 	perEvent := float64(w.cascades) / float64(e.Fired())
 	t.Logf("%d cascades walking %d events for %d fired: %.3f cascades per fired event",
 		w.cascades, w.cascadeEvents, e.Fired(), perEvent)

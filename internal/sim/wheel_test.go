@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
 
-// This file differential-tests the production timer wheel against the
-// reference binary heap: both implement pendingQueue, and the engine's
+// This file differential-tests the timer-wheel engine against the
+// reference heap engine (refEngine, reference_test.go): the engine's
 // observable behaviour — firing order, clocks, cancellation semantics —
 // must be byte-identical between them. The random drivers below exercise
 // schedule/cancel/reschedule interleavings, including stale-ID (ABA)
@@ -79,7 +82,7 @@ func weightedKind(rng *rand.Rand) int {
 
 // dualDriver applies an op script to one engine and records its firings.
 type dualDriver struct {
-	e       *Engine
+	e       scheduler
 	fired   []firing
 	live    []EventID
 	liveTag []int
@@ -174,8 +177,8 @@ func (d *dualDriver) apply(op dualOp) {
 
 // TestWheelHeapIdenticalOrder is the determinism pin for the wheel: for
 // randomized schedule/cancel/reschedule/run interleavings (deferred-origin
-// schedules and RunBefore windows included), the wheel
-// engine fires exactly the events the heap engine fires, at the same
+// schedules and RunBefore windows included), the wheel engine fires
+// exactly the events the reference heap engine fires, at the same
 // instants, in the same order.
 func TestWheelHeapIdenticalOrder(t *testing.T) {
 	seeds := 40
@@ -186,7 +189,7 @@ func TestWheelHeapIdenticalOrder(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		ops := genOps(rand.New(rand.NewSource(int64(seed))), opsPerSeed)
 		wheelD := &dualDriver{e: NewEngine()}
-		heapD := &dualDriver{e: newHeapEngine()}
+		heapD := &dualDriver{e: &refEngine{}}
 		for i, op := range ops {
 			wheelD.apply(op)
 			heapD.apply(op)
@@ -219,7 +222,7 @@ func TestWheelHeapIdenticalAcrossReset(t *testing.T) {
 	for seed := 0; seed < 8; seed++ {
 		ops := genOps(rand.New(rand.NewSource(int64(1000+seed))), 600)
 		wheelD := &dualDriver{e: NewEngine()}
-		heapD := &dualDriver{e: newHeapEngine()}
+		heapD := &dualDriver{e: &refEngine{}}
 		for round := 0; round < 3; round++ {
 			wheelD.fired, heapD.fired = nil, nil
 			wheelD.live, wheelD.liveTag, wheelD.retired = nil, nil, nil
@@ -247,18 +250,136 @@ func TestWheelHeapIdenticalAcrossReset(t *testing.T) {
 	}
 }
 
+// maxFuzzOps bounds a decoded fuzz script, and fuzzMaxDeadline every
+// deadline and run limit it reaches: far below Infinity, so no decoded
+// delay overflows the clock.
+const (
+	maxFuzzOps      = 512
+	fuzzMaxDeadline = Time(1) << 62
+)
+
+// encodeOps writes an op script in the form decodeOps reads: per op, the
+// kind byte, then delay, pick and horizon as uvarints.
+func encodeOps(ops []dualOp) []byte {
+	var buf []byte
+	for _, op := range ops {
+		buf = append(buf, byte(op.kind))
+		buf = binary.AppendUvarint(buf, uint64(op.delay))
+		buf = binary.AppendUvarint(buf, uint64(op.pick))
+		buf = binary.AppendUvarint(buf, uint64(op.horizon))
+	}
+	return buf
+}
+
+// decodeOps reads an op script from any byte string, stopping at the
+// first truncated field or after maxFuzzOps ops. The kind byte is taken
+// mod 8, so every op kind occurs; a uvarint's length picks the magnitude
+// of a delay or horizon, from same-tick to the wheel's top level; pick
+// is masked non-negative. A duplicated op is a same-deadline burst, and
+// kind 6 a deferred origin.
+func decodeOps(data []byte) []dualOp {
+	field := func() (uint64, bool) {
+		v, n := binary.Uvarint(data)
+		if n <= 0 {
+			return 0, false
+		}
+		data = data[n:]
+		return v, true
+	}
+	var ops []dualOp
+	for len(data) > 0 && len(ops) < maxFuzzOps {
+		kind := int(data[0] % 8)
+		data = data[1:]
+		delay, ok1 := field()
+		pick, ok2 := field()
+		horizon, ok3 := field()
+		if !ok1 || !ok2 || !ok3 {
+			break
+		}
+		ops = append(ops, dualOp{
+			kind:    kind,
+			delay:   time.Duration(min(delay, uint64(fuzzMaxDeadline))),
+			pick:    int(pick & math.MaxInt64),
+			horizon: time.Duration(min(horizon, uint64(fuzzMaxDeadline))),
+		})
+	}
+	return ops
+}
+
+// TestDecodeOpsRoundTrip pins that the fuzz seeds decode to the scripts
+// they encode.
+func TestDecodeOpsRoundTrip(t *testing.T) {
+	for _, ops := range [][]dualOp{
+		genOps(rand.New(rand.NewSource(1)), 300),
+		genDeepOps(rand.New(rand.NewSource(7001)), 300),
+	} {
+		if got := decodeOps(encodeOps(ops)); !slices.Equal(got, ops) {
+			t.Fatalf("decoded %d ops, want the %d encoded", len(got), len(ops))
+		}
+	}
+}
+
+// matchReference fails t unless the wheel engine and the reference
+// engine agree on the clock, the pending count and every firing so far.
+func matchReference(t *testing.T, op int, wheelD, refD *dualDriver) {
+	t.Helper()
+	if wheelD.e.Now() != refD.e.Now() || wheelD.e.Pending() != refD.e.Pending() {
+		t.Fatalf("op %d: wheel now %v pending %d, reference now %v pending %d",
+			op, wheelD.e.Now(), wheelD.e.Pending(), refD.e.Now(), refD.e.Pending())
+	}
+	if len(wheelD.fired) != len(refD.fired) {
+		t.Fatalf("op %d: wheel fired %d events, reference %d", op, len(wheelD.fired), len(refD.fired))
+	}
+	for i := range refD.fired {
+		if wheelD.fired[i] != refD.fired[i] {
+			t.Fatalf("op %d: firing %d diverges: wheel %+v reference %+v", op, i, wheelD.fired[i], refD.fired[i])
+		}
+	}
+}
+
+// FuzzEngineMatchesReference runs a decoded op script on the wheel
+// engine and the reference heap engine and compares them after every op
+// and after a final drain. The seeds are the TestWheelBoundedPopParksCursor
+// shape under both run primitives and prefixes of the genOps and
+// genDeepOps scripts.
+func FuzzEngineMatchesReference(f *testing.F) {
+	for _, run := range []dualOp{{kind: 4, horizon: 5000}, {kind: 7, pick: 1, horizon: 5000}} {
+		f.Add(encodeOps([]dualOp{{kind: 0, delay: 6096}, {kind: 0, delay: 6097}, run, {kind: 0}, {kind: 6, pick: 2500}}))
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		f.Add(encodeOps(genOps(rand.New(rand.NewSource(seed)), 200)))
+		f.Add(encodeOps(genDeepOps(rand.New(rand.NewSource(7000+seed)), 200)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wheelD := &dualDriver{e: NewEngine()}
+		refD := &dualDriver{e: &refEngine{}}
+		for i, op := range decodeOps(data) {
+			// The clocks agree after every op, so both engines see the
+			// same clamp.
+			room := time.Duration(fuzzMaxDeadline - wheelD.e.Now())
+			op.delay, op.horizon = min(op.delay, room), min(op.horizon, room)
+			wheelD.apply(op)
+			refD.apply(op)
+			matchReference(t, i, wheelD, refD)
+		}
+		wheelD.e.Run()
+		refD.e.Run()
+		matchReference(t, -1, wheelD, refD)
+	})
+}
+
 // TestWheelDeepDeadlines pins placement and cascading for deadlines that
 // land on the wheel's top levels: hour-scale and day-scale deltas (the
 // hour-long preset regime) interleaved with nanosecond traffic.
 func TestWheelDeepDeadlines(t *testing.T) {
 	e := NewEngine()
 	var got []Time
-	rec := func(now Time) { got = append(got, now) }
-	e.After(24*time.Hour, rec)
-	e.After(time.Nanosecond, rec)
-	e.After(time.Hour, rec)
-	e.After(3*time.Microsecond, rec)
-	e.After(time.Hour, rec) // same deep deadline: FIFO pair
+	rec := sinkFunc(func(now Time, _ EventArg) { got = append(got, now) })
+	e.AfterSink(24*time.Hour, rec, EventArg{})
+	e.AfterSink(time.Nanosecond, rec, EventArg{})
+	e.AfterSink(time.Hour, rec, EventArg{})
+	e.AfterSink(3*time.Microsecond, rec, EventArg{})
+	e.AfterSink(time.Hour, rec, EventArg{}) // same deep deadline: FIFO pair
 	e.Run()
 	want := []Time{
 		Time(0).Add(time.Nanosecond),
@@ -285,23 +406,23 @@ func TestWheelDeepDeadlines(t *testing.T) {
 // would move the cursor past the clock the run parks on limit, and
 // scheduling at Now would panic with "push behind cursor". After the
 // run, an event at Now and one handed off as of an earlier origin must
-// be accepted and fire first, in the heap's order.
+// be accepted and fire first, in the reference heap's order.
 func TestWheelBoundedPopParksCursor(t *testing.T) {
 	const limit = Time(5000)
 	for _, run := range []struct {
 		name string
-		fn   func(*Engine, Time)
+		fn   func(scheduler, Time)
 	}{
-		{"RunUntil", (*Engine).RunUntil},
-		{"RunBefore", (*Engine).RunBefore},
+		{"RunUntil", scheduler.RunUntil},
+		{"RunBefore", scheduler.RunBefore},
 	} {
 		t.Run(run.name, func(t *testing.T) {
 			var fired [2][]firing
-			for i, e := range []*Engine{NewEngine(), newHeapEngine()} {
+			for i, e := range []scheduler{NewEngine(), &refEngine{}} {
 				d := &dualDriver{e: e}
 				d.schedule(6096)
 				d.schedule(6097)
-				w, isWheel := e.queue.(*wheel)
+				engine, isWheel := e.(*Engine)
 				if isWheel && d.live[0].ev.lvl != 2 {
 					t.Fatalf("6096 placed on level %d, want 2", d.live[0].ev.lvl)
 				}
@@ -311,8 +432,8 @@ func TestWheelBoundedPopParksCursor(t *testing.T) {
 				}
 				d.schedule(0)              // AtSink(Now())
 				d.scheduleFrom(limit/2, 0) // AtSinkFrom(origin < Now, Now())
-				if isWheel && w.cascades != 1 {
-					t.Fatalf("the run cascaded %d buckets, want 1: the level-2 bucket, not the level-1 one it fed", w.cascades)
+				if isWheel && engine.queue.cascades != 1 {
+					t.Fatalf("the run cascaded %d buckets, want 1: the level-2 bucket, not the level-1 one it fed", engine.queue.cascades)
 				}
 				e.Run()
 				fired[i] = d.fired
@@ -335,13 +456,15 @@ func TestWheelBoundedPopParksCursor(t *testing.T) {
 // pendingBench runs the steady-state schedule+fire loop with a constant
 // pending population of n events: every Step that fires the earliest
 // event is paired with a schedule that replaces it, deltas drawn from a
-// deterministic xorshift so both queue implementations (and every run)
-// see the identical schedule. Deltas mirror the simulator's real mix —
-// mostly µs-scale per-request timers churning over a standing population
-// spread across a wide horizon (in-flight requests, hiccups, run-end
-// timers). The population is what separates the queues: the heap pays
-// O(log n) per operation, the wheel O(1) amortized.
-func pendingBench(b *testing.B, e *Engine, n int) {
+// deterministic xorshift so both engines (and every run) see the
+// identical schedule. Both are driven through the scheduler interface,
+// so each pays the same indirect call per operation. Deltas mirror the
+// simulator's real mix — mostly µs-scale per-request timers churning
+// over a standing population spread across a wide horizon (in-flight
+// requests, hiccups, run-end timers). The population is what separates
+// the queues: the heap pays O(log n) per operation, the wheel O(1)
+// amortized.
+func pendingBench(b *testing.B, e scheduler, n int) {
 	b.Helper()
 	s := &countSink{}
 	// Mean inter-deadline spacing of 1µs at any population keeps the
@@ -378,7 +501,7 @@ func pendingBench(b *testing.B, e *Engine, n int) {
 
 func benchmarkEnginePending(b *testing.B, n int) {
 	b.Run("wheel", func(b *testing.B) { pendingBench(b, NewEngine(), n) })
-	b.Run("heap", func(b *testing.B) { pendingBench(b, newHeapEngine(), n) })
+	b.Run("heap", func(b *testing.B) { pendingBench(b, &refEngine{}, n) })
 }
 
 // BenchmarkEnginePending{1k,100k,1M} measure one schedule+fire at a
@@ -392,16 +515,19 @@ func BenchmarkEnginePending1M(b *testing.B)   { benchmarkEnginePending(b, 1_000_
 
 // measurePending times one steady-state schedule+fire at population n
 // via the benchmark harness and reports ns/op and bytes/op.
-func measurePending(newEngine func() *Engine, n int) (nsPerOp float64, bytesPerOp int64) {
+func measurePending(newEngine func() scheduler, n int) (nsPerOp float64, bytesPerOp int64) {
 	res := testing.Benchmark(func(b *testing.B) { pendingBench(b, newEngine(), n) })
 	return float64(res.T.Nanoseconds()) / float64(res.N), res.AllocedBytesPerOp()
 }
 
+func newWheelEngine() scheduler { return NewEngine() }
+func newRefEngine() scheduler   { return &refEngine{} }
+
 // TestWheelFasterThanHeapAt100kPending is the acceptance gate for the
 // wheel: at a 100k pending population, schedule+fire must be at least 2×
-// faster than the heap (measured ~5-6×; the 2× bar absorbs host noise)
-// with zero steady-state allocations. Retries absorb scheduler hiccups
-// on loaded CI hosts.
+// faster than the reference heap (measured 2.6–3.7×; the 2× bar
+// absorbs host noise) with zero steady-state allocations. Retries absorb
+// scheduler hiccups on loaded CI hosts.
 func TestWheelFasterThanHeapAt100kPending(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate: skipped in -short")
@@ -410,8 +536,8 @@ func TestWheelFasterThanHeapAt100kPending(t *testing.T) {
 	var wheelNs, heapNs float64
 	for attempt := 0; attempt < 3; attempt++ {
 		var wheelB, heapB int64
-		wheelNs, wheelB = measurePending(NewEngine, n)
-		heapNs, heapB = measurePending(newHeapEngine, n)
+		wheelNs, wheelB = measurePending(newWheelEngine, n)
+		heapNs, heapB = measurePending(newRefEngine, n)
 		if wheelB != 0 || heapB != 0 {
 			t.Fatalf("steady state allocates: wheel %d B/op, heap %d B/op, want 0", wheelB, heapB)
 		}
@@ -434,8 +560,8 @@ func TestWheelNoSlowerThanHeapAt1kPending(t *testing.T) {
 	const n = 1_000
 	var wheelNs, heapNs float64
 	for attempt := 0; attempt < 3; attempt++ {
-		wheelNs, _ = measurePending(NewEngine, n)
-		heapNs, _ = measurePending(newHeapEngine, n)
+		wheelNs, _ = measurePending(newWheelEngine, n)
+		heapNs, _ = measurePending(newRefEngine, n)
 		if wheelNs <= heapNs*1.15 {
 			t.Logf("pending=1k: wheel %.1f ns/op, heap %.1f ns/op", wheelNs, heapNs)
 			return

@@ -38,10 +38,13 @@ type FS struct {
 }
 
 // New builds a virtual tree for a machine with the given number of physical
-// cores under cfg.
+// cores under cfg. The machine needs at least one core.
 func New(cfg hw.Config, physicalCores int) (*FS, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if physicalCores < 1 {
+		return nil, fmt.Errorf("sysfs: %d physical cores, want at least 1", physicalCores)
 	}
 	fs := &FS{cfg: cfg, cores: physicalCores, msr: make(map[uint32]uint64)}
 	fs.syncMSR()

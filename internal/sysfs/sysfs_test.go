@@ -250,7 +250,17 @@ func TestListCoversReadableFiles(t *testing.T) {
 func TestNewRejectsInvalidConfig(t *testing.T) {
 	bad := hw.LPConfig()
 	bad.MaxCState = "C8"
-	if _, err := New(bad, 10); err == nil {
-		t.Error("invalid config accepted")
+	for _, tc := range []struct {
+		name  string
+		cfg   hw.Config
+		cores int
+	}{
+		{"max C-state", bad, 10},
+		{"zero cores", hw.LPConfig(), 0},
+		{"negative cores", hw.LPConfig(), -1},
+	} {
+		if _, err := New(tc.cfg, tc.cores); err == nil {
+			t.Errorf("%s: New(cfg, %d) accepted", tc.name, tc.cores)
+		}
 	}
 }

@@ -113,9 +113,11 @@
 // × per-request timers keep 10⁴–10⁵ events pending. Measured
 // (BenchmarkEnginePending, steady-state schedule+fire, 0 B/op both):
 // ~195 → ~57 ns at 1k pending, ~304 → ~94 ns at 100k, ~420 → ~126 ns at
-// 1M — flat for the wheel, growing for the heap. Firing order is exactly
-// (deadline, seq), byte-identical to the heap; differential random
-// schedules (internal/sim/wheel_test.go) and every figure golden pin it.
+// 1M — flat for the wheel, growing for the heap. The heap is now only a
+// test reference with its own comparator: firing order is exactly
+// (deadline, origin, seq), and differential random schedules and a fuzz
+// target against that reference (internal/sim/wheel_test.go) and every
+// figure golden pin it.
 // Deep-horizon schedules (phase-program bursts, hour-long timers) that
 // cascade whole buckets down the levels splice maximal same-slot runs
 // with O(1) pointer moves instead of re-pushing events one by one
