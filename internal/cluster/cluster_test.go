@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -16,8 +18,48 @@ import (
 
 // --- Router policies ---
 
-func kvReq(key string) *services.Request {
-	return &services.Request{HasKV: true, KV: workload.KVRequest{Op: workload.OpGet, Key: key}}
+func kvReq(rank int) *services.Request {
+	return &services.Request{HasKV: true, KV: workload.KVRequest{Op: workload.OpGet, Rank: rank}}
+}
+
+// hashString is FNV-1a over s, salted per run: the oracle for rankHash,
+// which hashes the same bytes without building the key string.
+func hashString(salt uint64, s string) uint64 {
+	h := uint64(14695981039346656037) ^ salt
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// TestRankHashMatchesKeyString pins the consistent-hash router's key hash
+// to FNV-1a over the formatted key string at every digit-group boundary
+// and at both ends of the 12-digit rank range, under the extreme salts.
+func TestRankHashMatchesKeyString(t *testing.T) {
+	for _, salt := range []uint64{0, 1, math.MaxUint64} {
+		for _, rank := range []int{0, 9, 10, 9_999, 10_000, 99_999, 100_000, 99_999_999,
+			100_000_000, 100_000_000_000, 999_999_999_999} {
+			if got, want := rankHash(salt, rank), hashString(salt, fmt.Sprintf("etc-%012d", rank)); got != want {
+				t.Errorf("rankHash(%#x, %d) = %#x, want %#x", salt, rank, got, want)
+			}
+		}
+	}
+}
+
+// FuzzRankHashMatchesKeyString checks rankHash against the key string's
+// hash for any salt and any rank in [0, 10¹²).
+func FuzzRankHashMatchesKeyString(f *testing.F) {
+	f.Add(uint64(0), uint64(0))
+	f.Add(uint64(1), uint64(99_999))
+	f.Add(uint64(math.MaxUint64), uint64(999_999_999_999))
+	f.Add(uint64(0x9e3779b97f4a7c15), uint64(123_456_789_012))
+	f.Fuzz(func(t *testing.T, salt, r uint64) {
+		rank := int(r % 1_000_000_000_000)
+		if got, want := rankHash(salt, rank), hashString(salt, fmt.Sprintf("etc-%012d", rank)); got != want {
+			t.Fatalf("rankHash(%#x, %d) = %#x, want %#x", salt, rank, got, want)
+		}
+	})
 }
 
 func TestNewRouter(t *testing.T) {
@@ -37,7 +79,7 @@ func TestRoundRobinCycles(t *testing.T) {
 	r.Resize(3)
 	out := make([]int, 3)
 	for i := 0; i < 9; i++ {
-		if got := r.Pick(kvReq("k"), out); got != i%3 {
+		if got := r.Pick(kvReq(0), out); got != i%3 {
 			t.Fatalf("pick %d = %d, want %d", i, got, i%3)
 		}
 	}
@@ -47,11 +89,11 @@ func TestLeastOutstandingPicksArgmin(t *testing.T) {
 	r, _ := NewRouter(RouterLeastOutstanding)
 	r.Reset(rng.New(1))
 	r.Resize(3)
-	if got := r.Pick(kvReq("k"), []int{2, 0, 1}); got != 1 {
+	if got := r.Pick(kvReq(0), []int{2, 0, 1}); got != 1 {
 		t.Errorf("pick = %d, want 1", got)
 	}
 	// Ties break to the lowest index.
-	if got := r.Pick(kvReq("k"), []int{1, 1, 1}); got != 0 {
+	if got := r.Pick(kvReq(0), []int{1, 1, 1}); got != 0 {
 		t.Errorf("tie pick = %d, want 0", got)
 	}
 }
@@ -61,15 +103,15 @@ func TestConsistentHashDeterministicAndKeyStable(t *testing.T) {
 	r.Reset(rng.New(7))
 	r.Resize(4)
 	out := make([]int, 4)
-	keys := workload.ETCKeys(512)
-	first := make([]int, len(keys))
-	for i, k := range keys {
-		first[i] = r.Pick(kvReq(k), out)
+	const keys = 512
+	first := make([]int, keys)
+	for rank := range first {
+		first[rank] = r.Pick(kvReq(rank), out)
 	}
 	// Same key → same replica, regardless of interleaving.
-	for i, k := range keys {
-		if got := r.Pick(kvReq(k), out); got != first[i] {
-			t.Fatalf("key %q moved %d → %d within a run", k, first[i], got)
+	for rank := range first {
+		if got := r.Pick(kvReq(rank), out); got != first[rank] {
+			t.Fatalf("key rank %d moved %d → %d within a run", rank, first[rank], got)
 		}
 	}
 	// Same seed → same mapping; different seed → (almost surely) different.
@@ -77,8 +119,8 @@ func TestConsistentHashDeterministicAndKeyStable(t *testing.T) {
 	r2.Reset(rng.New(7))
 	r2.Resize(4)
 	same := true
-	for i, k := range keys {
-		if r2.Pick(kvReq(k), out) != first[i] {
+	for rank := range first {
+		if r2.Pick(kvReq(rank), out) != first[rank] {
 			same = false
 			break
 		}
@@ -93,19 +135,19 @@ func TestConsistentHashStableUnderResize(t *testing.T) {
 	r.Reset(rng.New(11))
 	r.Resize(3)
 	out3, out4 := make([]int, 3), make([]int, 4)
-	keys := workload.ETCKeys(2000)
-	before := make([]int, len(keys))
-	for i, k := range keys {
-		before[i] = r.Pick(kvReq(k), out3)
+	const keys = 2000
+	before := make([]int, keys)
+	for rank := range before {
+		before[rank] = r.Pick(kvReq(rank), out3)
 	}
 	// Adding replica 3 must only move keys onto the new replica.
 	r.Resize(4)
 	moved := 0
-	for i, k := range keys {
-		got := r.Pick(kvReq(k), out4)
-		if got != before[i] {
+	for rank := range before {
+		got := r.Pick(kvReq(rank), out4)
+		if got != before[rank] {
 			if got != 3 {
-				t.Fatalf("key %q moved %d → %d on scale-out (not to the new replica)", k, before[i], got)
+				t.Fatalf("key rank %d moved %d → %d on scale-out (not to the new replica)", rank, before[rank], got)
 			}
 			moved++
 		}
@@ -113,14 +155,14 @@ func TestConsistentHashStableUnderResize(t *testing.T) {
 	if moved == 0 {
 		t.Error("no keys moved to the new replica — ring not rebuilt?")
 	}
-	if moved > len(keys)/2 {
-		t.Errorf("%d/%d keys moved on scale-out, want ≈1/4", moved, len(keys))
+	if moved > keys/2 {
+		t.Errorf("%d/%d keys moved on scale-out, want ≈1/4", moved, keys)
 	}
 	// Removing it restores the original mapping exactly.
 	r.Resize(3)
-	for i, k := range keys {
-		if got := r.Pick(kvReq(k), out3); got != before[i] {
-			t.Fatalf("key %q at %d after scale-in, want %d", k, got, before[i])
+	for rank := range before {
+		if got := r.Pick(kvReq(rank), out3); got != before[rank] {
+			t.Fatalf("key rank %d at %d after scale-in, want %d", rank, got, before[rank])
 		}
 	}
 }
@@ -188,7 +230,7 @@ func (s etcSource) Next() (any, int) {
 
 func (s etcSource) NextKV() (workload.KVRequest, int) {
 	kv := s.etc.Next()
-	size := 40 + len(kv.Key)
+	size := 40 + workload.KeyBytes
 	if kv.Op == workload.OpSet {
 		size += kv.ValueSize
 	}
@@ -507,9 +549,22 @@ func TestAutoscalerLatencySignal(t *testing.T) {
 // --- Benchmark ---
 
 // BenchmarkClusterRoute measures the per-request routing cost of each
-// policy over 8 replicas. Pick must not allocate.
+// policy over 8 replicas, cycling 4,096 requests whose ranks are drawn
+// from the ETC Zipf table over the Memcached preload's 100K keys, as
+// production requests are: one key repeated, or a few thousand
+// consecutive ranks, would let the branch predictor learn the ring
+// search. Pick must not allocate.
 func BenchmarkClusterRoute(b *testing.B) {
-	keys := workload.ETCKeys(4096)
+	etcCfg := workload.DefaultETCConfig()
+	etcCfg.Keys = 100_000
+	etc, err := workload.NewETC(etcCfg, rng.New(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ranks := make([]int, 4096)
+	for i := range ranks {
+		ranks[i] = etc.Next().Rank
+	}
 	for _, policy := range []string{RouterRoundRobin, RouterLeastOutstanding, RouterConsistentHash} {
 		b.Run(policy, func(b *testing.B) {
 			router, err := NewRouter(policy)
@@ -523,7 +578,7 @@ func BenchmarkClusterRoute(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				req.KV.Key = keys[i&4095]
+				req.KV.Rank = ranks[i&4095]
 				req.Conn = i
 				picked := router.Pick(req, outstanding)
 				outstanding[picked] = (outstanding[picked] + 1) & 7

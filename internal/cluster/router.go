@@ -7,6 +7,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/rng"
 	"repro/internal/services"
+	"repro/internal/workload"
 )
 
 // Router policy names accepted by NewRouter and the CLIs' -router flag.
@@ -182,17 +183,43 @@ func (r *consistentHash) Resize(active int) {
 }
 
 func (r *consistentHash) Pick(req *services.Request, outstanding []int) int {
-	if len(r.ring) == 0 || r.active != len(outstanding) {
+	return r.ring[r.search(req, len(outstanding))].replica
+}
+
+// PickHealthy walks the ring forward from the key's position, wrapping
+// at the top, until it finds a replica that is up at the request's send
+// instant and not hedge-avoided — the standard consistent-hashing
+// failover: keys owned by a dark replica spill onto the next arcs, and
+// every other key keeps its owner. Returns -1 when the whole ring is
+// dark.
+func (r *consistentHash) PickHealthy(req *services.Request, outstanding []int, sched *faults.Schedule) int {
+	lo := r.search(req, len(outstanding))
+	for walked := 0; walked < len(r.ring); walked++ {
+		rep := r.ring[lo].replica
+		if rep != req.Avoid-1 && !sched.ReplicaDown(rep, req.SentAt) {
+			return rep
+		}
+		if lo++; lo == len(r.ring) {
+			lo = 0
+		}
+	}
+	return -1
+}
+
+// search returns the index of the first ring point at or after req's
+// hash, wrapping at the top, on a ring of active replicas. A KV request
+// hashes its key (rankHash); any other request hashes its connection ID.
+func (r *consistentHash) search(req *services.Request, active int) int {
+	if len(r.ring) == 0 || r.active != active {
 		// Defensive: the ReplicaSet always Resizes before routing.
-		r.Resize(len(outstanding))
+		r.Resize(active)
 	}
 	var kh uint64
 	if req.HasKV {
-		kh = hashString(r.salt, req.KV.Key)
+		kh = rankHash(r.salt, req.KV.Rank)
 	} else {
 		kh = mix64(r.salt ^ 0x636f6e6e ^ uint64(req.Conn))
 	}
-	// First ring point at or after the key's hash, wrapping at the top.
 	lo, hi := 0, len(r.ring)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -205,53 +232,16 @@ func (r *consistentHash) Pick(req *services.Request, outstanding []int) int {
 	if lo == len(r.ring) {
 		lo = 0
 	}
-	return r.ring[lo].replica
+	return lo
 }
 
-// PickHealthy walks the ring forward from the key's position, wrapping
-// at the top, until it finds a replica that is up at the request's send
-// instant and not hedge-avoided — the standard consistent-hashing
-// failover: keys owned by a dark replica spill onto the next arcs, and
-// every other key keeps its owner. Returns -1 when the whole ring is
-// dark.
-func (r *consistentHash) PickHealthy(req *services.Request, outstanding []int, sched *faults.Schedule) int {
-	if len(r.ring) == 0 || r.active != len(outstanding) {
-		// Defensive: the ReplicaSet always Resizes before routing.
-		r.Resize(len(outstanding))
-	}
-	var kh uint64
-	if req.HasKV {
-		kh = hashString(r.salt, req.KV.Key)
-	} else {
-		kh = mix64(r.salt ^ 0x636f6e6e ^ uint64(req.Conn))
-	}
-	lo, hi := 0, len(r.ring)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.ring[mid].point < kh {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for walked := 0; walked < len(r.ring); walked++ {
-		if lo == len(r.ring) {
-			lo = 0
-		}
-		rep := r.ring[lo].replica
-		if rep != req.Avoid-1 && !sched.ReplicaDown(rep, req.SentAt) {
-			return rep
-		}
-		lo++
-	}
-	return -1
-}
-
-// hashString is FNV-1a over s, salted per run.
-func hashString(salt uint64, s string) uint64 {
+// rankHash is FNV-1a over the ETC key of rank, salted per run. The key's
+// bytes are rebuilt from the rank in a stack buffer.
+func rankHash(salt uint64, rank int) uint64 {
+	var buf [workload.KeyBytes]byte
 	h := uint64(14695981039346656037) ^ salt
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	for _, c := range workload.AppendKey(buf[:0], rank) {
+		h ^= uint64(c)
 		h *= 1099511628211
 	}
 	return h

@@ -564,11 +564,12 @@ func (s etcSource) Next() (any, int) {
 
 // NextKV implements loadgen.KVPayloadSource: the same draw as Next with
 // the body returned by value, so the generator stores it inline in the
-// pooled request — with the interned key table this makes issuing a
-// Memcached request allocation-free.
+// pooled request, which makes issuing a Memcached request
+// allocation-free. A request is 40 B of header and a KeyBytes key, plus
+// a SET's value.
 func (s etcSource) NextKV() (workload.KVRequest, int) {
 	req := s.etc.Next()
-	size := 40 + len(req.Key)
+	size := 40 + workload.KeyBytes
 	if req.Op == workload.OpSet {
 		size += req.ValueSize
 	}

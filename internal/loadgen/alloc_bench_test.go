@@ -34,7 +34,7 @@ func (staticPayload) Next() (any, int) { return struct{}{}, 64 }
 
 // etcPayload is the Memcached payload source the experiment layer builds
 // (mirrored here; importing experiment would cycle): ETC draws delivered
-// through the inline-KV form, with keys from the interned table.
+// through the inline-KV form, each request carrying its key's rank.
 type etcPayload struct{ etc *workload.ETC }
 
 func (p etcPayload) Next() (any, int) {
@@ -44,7 +44,7 @@ func (p etcPayload) Next() (any, int) {
 
 func (p etcPayload) NextKV() (workload.KVRequest, int) {
 	req := p.etc.Next()
-	size := 40 + len(req.Key)
+	size := 40 + workload.KeyBytes
 	if req.Op == workload.OpSet {
 		size += req.ValueSize
 	}
@@ -171,8 +171,8 @@ func BenchmarkRequestPathAllocs(b *testing.B) {
 		}
 	})
 	b.Run("memcached", func(b *testing.B) {
-		// The KV path: ETC payloads over the Memcached store. With the
-		// interned key table, inline KV bodies, and the size-only store
+		// The KV path: ETC payloads over the Memcached store. With
+		// rank-only keys, inline KV bodies, and the size-only store
 		// lookup this is as allocation-free as the synthetic path.
 		backend, err := services.NewMemcached(services.DefaultMemcachedConfig())
 		if err != nil {
@@ -269,11 +269,12 @@ func TestRequestPathAllocReduction(t *testing.T) {
 }
 
 // TestMemcachedKVPathAllocFree is the regression gate for the key-value
-// hot path: with the interned ETC key table, inline KV request bodies,
-// and the size-only store lookup, a warm Memcached run must stay below
-// 0.2 heap allocations per simulated request — the residue is per-run
-// setup (threads, RNG splits, recorders) plus first-touch overlay
-// entries for SET keys, all amortizing toward zero as runs lengthen.
+// hot path: with requests that carry their key's rank, inline KV
+// request bodies, and the size-only store lookup, a warm Memcached run
+// must stay below 0.2 heap allocations per simulated request — the
+// residue is per-run setup (threads, RNG splits, recorders) plus
+// first-touch overlay entries for SET keys, all amortizing toward zero
+// as runs lengthen.
 // Before this path existed the same run paid ≥3 allocs/request (key
 // Sprintf, payload boxing, store copy-out).
 func TestMemcachedKVPathAllocFree(t *testing.T) {

@@ -157,8 +157,8 @@ func (g *Generator) resetBackend(sr *shardedRun, stream *rng.Stream) error {
 // the destination shard), install the completion sink of the replica's
 // shard, and deliver across the c2s link — locally when the replica
 // shares the sender's shard, through the shard mailbox otherwise. The
-// jitter draw happens here either way, on the sending thread's stream in
-// send order, exactly like the single-engine path.
+// transit draws (Link.Transit) happen here either way, on the sending
+// thread's stream in send order, exactly like the single-engine path.
 func (sr *shardedRun) deliverArrive(w *run, th *thread, req *services.Request, sent sim.Time, reqBytes int) {
 	dst := sr.backendShard
 	if sr.cluster != nil {
@@ -173,17 +173,16 @@ func (sr *shardedRun) deliverArrive(w *run, th *thread, req *services.Request, s
 	}
 	wd := sr.workers[dst]
 	req.SetCompletionSink(wd)
-	if dst == w.shard {
-		th.c2s.Deliver(w.engine, sent, reqBytes, wd, sim.EventArg{Ptr: req, U64: evArrive})
-		return
-	}
-	// Cross-shard: same draw order as Link.DeliverFrom — delay first,
-	// then the loss check (consumed only inside loss windows).
-	deadline := sent.Add(th.c2s.DelayAt(sent, reqBytes))
-	if th.c2s.LostAt(sent) {
+	arrival, lost := th.c2s.Transit(sent, reqBytes)
+	if lost {
 		return // dropped on the wire; the sender's timeout notices
 	}
-	sr.set.Send(w.shard, dst, w.engine.Now(), deadline, wd, sim.EventArg{Ptr: req, U64: evArrive})
+	arg := sim.EventArg{Ptr: req, U64: evArrive}
+	if dst == w.shard {
+		w.engine.AtSink(arrival, wd, arg)
+		return
+	}
+	sr.set.Send(w.shard, dst, w.engine.Now(), arrival, wd, arg)
 }
 
 // completeSharded runs on the replica's shard when the response leaves

@@ -17,7 +17,7 @@ type etcSource struct{ etc *workload.ETC }
 
 func (s etcSource) Next() (any, int) {
 	req := s.etc.Next()
-	size := 40 + len(req.Key)
+	size := 40 + workload.KeyBytes
 	if req.Op == workload.OpSet {
 		size += req.ValueSize
 	}

@@ -33,16 +33,6 @@ type Link struct {
 	// sharding lookahead — still lower-bounds every delay) and a loss
 	// probability. Nil on the fault-free path.
 	deg *faults.LinkSchedule
-
-	// Same-deadline delivery batching (see Deliver): at most one flush
-	// event is pending per link at a time, holding the most recent batch.
-	pendingBatch  *deliveryBatch
-	pendingEngine *sim.Engine
-	pendingFrom   sim.Time
-	pendingTime   sim.Time
-	pendingID     sim.EventID
-	pendingSeq    uint64
-	freeBatches   []*deliveryBatch
 }
 
 // Config parameterizes a link.
@@ -106,67 +96,38 @@ func (l *Link) Delay(payloadBytes int) time.Duration {
 	return d
 }
 
-// DelayAt is Delay evaluated under the degradation schedule at the
-// message's entry instant: the jitter draw happens as usual, then the
-// window's delay factor (≥ 1) stretches the result. Both execution
-// modes evaluate the factor at the same explicit instant, keeping
-// sharded runs byte-identical to the single-engine path.
-func (l *Link) DelayAt(from sim.Time, payloadBytes int) time.Duration {
+// Transit draws a message's passage through the link: it enters at from
+// with payloadBytes of payload, and Transit returns the instant it
+// reaches the far end and whether the degradation schedule drops it on
+// the way. Every delivery path draws through it, in one order: the
+// jitter (Delay), stretched by the schedule's delay factor at from (≥ 1,
+// so MinDelay still bounds the result), then the loss. The loss draw
+// consumes the link's stream only when the loss probability at from is
+// positive, so fault-free runs, and degraded runs outside loss windows,
+// keep their exact stream positions. Both execution modes evaluate the
+// schedule at the same explicit instant, keeping sharded runs
+// byte-identical to the single-engine path.
+func (l *Link) Transit(from sim.Time, payloadBytes int) (arrival sim.Time, lost bool) {
 	d := l.Delay(payloadBytes)
-	if l.deg != nil {
-		if f := l.deg.FactorAt(from); f > 1 {
-			d = time.Duration(float64(d) * f)
-		}
-	}
-	return d
-}
-
-// LostAt reports whether a message entering the link at from is dropped
-// by the degradation schedule. The loss draw consumes the link's stream
-// only when the instant's loss probability is positive, so fault-free
-// runs (and degraded runs outside loss windows) keep their exact stream
-// positions. Callers must draw delay first, then loss — both paths
-// follow that order.
-func (l *Link) LostAt(from sim.Time) bool {
 	if l.deg == nil {
-		return false
+		return from.Add(d), false
 	}
-	p := l.deg.LossAt(from)
-	if p <= 0 {
-		return false
+	if f := l.deg.FactorAt(from); f > 1 {
+		d = time.Duration(float64(d) * f)
 	}
-	return l.stream.Float64() < p
-}
-
-// batchEntry is one delivery folded into a shared flush event.
-type batchEntry struct {
-	sink sim.EventSink
-	arg  sim.EventArg
-}
-
-// deliveryBatch is the payload of one flush event: the deliveries that
-// share its (link, deadline), in Deliver-call order.
-type deliveryBatch struct {
-	entries []batchEntry
+	if p := l.deg.LossAt(from); p > 0 {
+		lost = l.stream.Float64() < p
+	}
+	return from.Add(d), lost
 }
 
 // Deliver schedules a typed delivery event: a message of payloadBytes
 // enters the link at from, and sink.OnEvent(arrival, arg) fires when it
-// reaches the far end. The jitter draw happens at scheduling time.
-//
-// Same-deadline deliveries are batched: when this delivery lands on the
-// (deadline, origin) of the link's still-pending flush event AND the
-// engine has issued no event sequence numbers since that flush was
-// scheduled (engine.Scheduled() unchanged), the delivery rides the
-// existing flush instead of costing its own event. The guards make
-// batching invisible to execution order: batch members share the
-// flush's (deadline, origin) ordering key and would have held exactly
-// the sequence numbers after the flush's — no other event's tie-break
-// can fall between them — and events scheduled *during* the flush
-// dispatch get later numbers than every member, just as they would have
-// unbatched. Batched deliveries share the flush's EventID (Cancel
-// through it cancels the whole batch; all current call sites ignore the
-// return).
+// reaches the far end. The jitter and loss draws (Transit) happen at
+// scheduling time. Each delivery is one engine event, so deliveries that
+// share a deadline fire in Deliver-call order, like any same-deadline
+// events. A lost message schedules nothing and returns the zero
+// EventID.
 func (l *Link) Deliver(engine *sim.Engine, from sim.Time, payloadBytes int, sink sim.EventSink, arg sim.EventArg) sim.EventID {
 	return l.DeliverFrom(engine, engine.Now(), from, payloadBytes, sink, arg)
 }
@@ -181,47 +142,13 @@ func (l *Link) Deliver(engine *sim.Engine, from sim.Time, payloadBytes int, sink
 // later, and carrying the original instant restores the single engine's
 // exact FIFO slot among equal deadlines.
 func (l *Link) DeliverFrom(engine *sim.Engine, origin, from sim.Time, payloadBytes int, sink sim.EventSink, arg sim.EventArg) sim.EventID {
-	deadline := from.Add(l.DelayAt(from, payloadBytes))
-	if l.LostAt(from) {
+	arrival, lost := l.Transit(from, payloadBytes)
+	if lost {
 		// Dropped by the degradation schedule: the arrival never happens.
 		// The caller's resilience timers are what notice.
 		return sim.EventID{}
 	}
-	if l.pendingBatch != nil && l.pendingEngine == engine && l.pendingTime == deadline &&
-		l.pendingFrom == origin && engine.Scheduled() == l.pendingSeq && l.pendingID.Valid() {
-		l.pendingBatch.entries = append(l.pendingBatch.entries, batchEntry{sink: sink, arg: arg})
-		return l.pendingID
-	}
-	var b *deliveryBatch
-	if n := len(l.freeBatches); n > 0 {
-		b = l.freeBatches[n-1]
-		l.freeBatches = l.freeBatches[:n-1]
-	} else {
-		b = &deliveryBatch{}
-	}
-	b.entries = append(b.entries, batchEntry{sink: sink, arg: arg})
-	id := engine.AtSinkFrom(origin, deadline, l, sim.EventArg{Ptr: b})
-	l.pendingBatch, l.pendingEngine, l.pendingFrom, l.pendingTime = b, engine, origin, deadline
-	l.pendingID, l.pendingSeq = id, engine.Scheduled()
-	return id
-}
-
-// OnEvent fires a flush: it dispatches the batch's deliveries in the
-// order Deliver folded them in, then recycles the batch. Link is its own
-// sink so batching needs no extra allocation per flush.
-func (l *Link) OnEvent(now sim.Time, arg sim.EventArg) {
-	b := arg.Ptr.(*deliveryBatch)
-	if b == l.pendingBatch {
-		l.pendingBatch = nil
-	}
-	for i := range b.entries {
-		b.entries[i].sink.OnEvent(now, b.entries[i].arg)
-	}
-	for i := range b.entries {
-		b.entries[i] = batchEntry{}
-	}
-	b.entries = b.entries[:0]
-	l.freeBatches = append(l.freeBatches, b)
+	return engine.AtSinkFrom(origin, arrival, sink, arg)
 }
 
 // Delivered returns the number of messages carried.

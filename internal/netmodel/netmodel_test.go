@@ -91,8 +91,6 @@ func (s *deliverSink) OnEvent(_ sim.Time, arg sim.EventArg) { s.n += arg.U64 }
 // per-message cost every simulated request pays twice (request and
 // response links). Steady state must be 0 B/op: the event comes from
 // the engine pool and the sink argument carries no boxed values.
-// Re-benchmarked for the timer-wheel queue, which replaced the binary
-// heap this path previously scheduled through.
 func BenchmarkLinkDeliver(b *testing.B) {
 	for _, pending := range []int{0, 10_000} {
 		name := "idle"
@@ -159,12 +157,12 @@ func (s *orderSink) OnEvent(now sim.Time, arg sim.EventArg) {
 	s.at = append(s.at, now)
 }
 
-// TestDeliverBatchingPreservesOrder pins the batching watermark
-// guarantee: with a jitter-free link, back-to-back same-deadline
-// deliveries share one flush event, yet fire in exactly Deliver-call
-// order — and an unrelated event scheduled between deliveries both
-// breaks the batch and keeps the same total order (its seq separates
-// the two flushes, just as it would separate per-delivery events).
+// TestDeliverBatchingPreservesOrder pins that same-deadline deliveries
+// fire in exactly Deliver-call order with one engine event each: with a
+// jitter-free link, three back-to-back deliveries raise the engine's
+// pending count by three, and an unrelated event scheduled between
+// deliveries at the same deadline fires in its place, after the
+// deliveries scheduled before it and before those scheduled after it.
 func TestDeliverBatchingPreservesOrder(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JitterSD = 0
@@ -175,16 +173,13 @@ func TestDeliverBatchingPreservesOrder(t *testing.T) {
 	}
 	s := &orderSink{}
 
-	// Three consecutive deliveries: one engine event for all three.
-	before := engine.Scheduled()
+	before := engine.Pending()
 	for tag := uint64(1); tag <= 3; tag++ {
 		l.Deliver(engine, engine.Now(), 0, s, sim.EventArg{U64: tag})
 	}
-	if got := engine.Scheduled() - before; got != 1 {
-		t.Fatalf("3 same-deadline deliveries scheduled %d events, want 1", got)
+	if got := engine.Pending() - before; got != 3 {
+		t.Fatalf("3 same-deadline deliveries scheduled %d events, want 3", got)
 	}
-	// An unrelated event at the same deadline, then two more deliveries:
-	// the watermark moved, so a second flush must be scheduled after it.
 	engine.AtSink(engine.Now().Add(cfg.Base), s, sim.EventArg{U64: 99})
 	l.Deliver(engine, engine.Now(), 0, s, sim.EventArg{U64: 4})
 	l.Deliver(engine, engine.Now(), 0, s, sim.EventArg{U64: 5})
@@ -206,10 +201,9 @@ func TestDeliverBatchingPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestDeliverBatchMatchesJitteredPath checks the batch guard never
-// *changes* behavior on a jittered link: every delivery fires exactly
-// once at its drawn deadline regardless of accidental deadline
-// collisions.
+// TestDeliverBatchMatchesJitteredPath checks that on a jittered link
+// every delivery fires exactly once, in deadline order, whatever
+// deadlines happen to collide.
 func TestDeliverBatchMatchesJitteredPath(t *testing.T) {
 	engine := sim.NewEngine()
 	l, err := New(DefaultConfig(), rng.New(13))
@@ -239,11 +233,10 @@ func TestDeliverBatchMatchesJitteredPath(t *testing.T) {
 	}
 }
 
-// TestDeliverPendingInvalidatedByReset is a regression guard for the
-// stale-batch hazard: a flush left pending past a run (never fired),
-// then Engine.Reset, then a later run reaching the *same* deadline with
-// the *same* sequence watermark. Without the EventID.Valid() check the
-// new delivery would fold into the drained batch and vanish.
+// TestDeliverPendingInvalidatedByReset checks that Engine.Reset drops a
+// delivery still in flight: it never fires, not in the run it was
+// scheduled in nor in the next, and a delivery scheduled after the reset
+// at the same deadline fires exactly once.
 func TestDeliverPendingInvalidatedByReset(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JitterSD = 0
@@ -254,7 +247,7 @@ func TestDeliverPendingInvalidatedByReset(t *testing.T) {
 	}
 	s := &orderSink{}
 	l.Deliver(engine, engine.Now(), 0, s, sim.EventArg{U64: 1})
-	engine.Reset() // flush never fires; batch is now stale
+	engine.Reset()
 	l.Deliver(engine, engine.Now(), 0, s, sim.EventArg{U64: 2})
 	engine.Run()
 	if len(s.fired) != 1 || s.fired[0] != 2 {
@@ -262,12 +255,12 @@ func TestDeliverPendingInvalidatedByReset(t *testing.T) {
 	}
 }
 
-// BenchmarkLinkDeliverBatch measures the same-deadline batching win: a
-// jitter-free link carrying bursts of deliveries that all land on one
-// deadline. batch=1 is the degenerate case (every delivery pays its own
-// flush event); batch=16 amortizes one engine event over 16 deliveries.
-// Steady state must stay 0 B/op — batches are recycled through the
-// link's free list.
+// BenchmarkLinkDeliverBatch measures a jitter-free link carrying bursts
+// of deliveries that all land on one deadline: batch1 delivers and
+// drains one at a time, batch16 schedules 16 same-deadline events before
+// draining them. Each delivery is its own engine event either way, so
+// the two differ only in how the wheel holds the burst. No production
+// link has zero jitter. Steady state must stay 0 B/op.
 func BenchmarkLinkDeliverBatch(b *testing.B) {
 	for _, batch := range []int{1, 16} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {

@@ -182,10 +182,10 @@ func (m *Memcached) Arrive(req *Request, now sim.Time) {
 	req.ServerArrive = now
 
 	// Execute the operation on the store to determine outcome and response
-	// size. The store is addressed by kv.Rank (kv.Key only routes and sizes
-	// the request) and keeps only value sizes, which is all the cost model
-	// reads: a GET's cost depends on whether it hits and on the stored
-	// value's size.
+	// size. The store is addressed by kv.Rank, the key's popularity rank,
+	// and keeps only value sizes, which is all the cost model reads: a
+	// GET's cost depends on whether it hits and on the stored value's
+	// size.
 	var cost time.Duration
 	switch kv.Op {
 	case workload.OpGet:

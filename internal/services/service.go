@@ -51,10 +51,10 @@ type Request struct {
 	Payload any
 
 	// KV carries a key-value request body inline (HasKV set) instead of
-	// boxed in Payload: storing a struct with a string field in an
-	// interface heap-allocates, and for the Memcached path that boxing
-	// was the last per-request allocation once keys were interned. Its
-	// interned Key routes the request; the Memcached store reads its Rank.
+	// boxed in Payload: boxing it in an interface heap-allocates per
+	// request. The body is the key's rank, op and value size: the
+	// Memcached store reads the rank, and the consistent-hash router
+	// hashes the key workload.AppendKey rebuilds from it.
 	KV    workload.KVRequest
 	HasKV bool
 

@@ -67,7 +67,7 @@ func TestMemcachedServesGetAndSet(t *testing.T) {
 		t.Errorf("name = %s", m.Name())
 	}
 	// GET of a preloaded key: hit, service ≈ 10µs, response carries value.
-	dep, req := drive(t, m, workload.KVRequest{Op: workload.OpGet, Key: "etc-000000000042", Rank: 42})
+	dep, req := drive(t, m, workload.KVRequest{Op: workload.OpGet, Rank: 42})
 	if got := time.Duration(dep); got < 5*time.Microsecond || got > 60*time.Microsecond {
 		t.Errorf("GET service time %v, want ≈10µs", got)
 	}
@@ -76,13 +76,13 @@ func TestMemcachedServesGetAndSet(t *testing.T) {
 	}
 
 	// GET of a key past the preloaded ranks: miss, small response.
-	_, req = drive(t, m, workload.KVRequest{Op: workload.OpGet, Key: "absent", Rank: cfg.Keys})
+	_, req = drive(t, m, workload.KVRequest{Op: workload.OpGet, Rank: cfg.Keys})
 	if req.ResponseBytes != 24 {
 		t.Errorf("miss response = %d bytes, want 24", req.ResponseBytes)
 	}
 
 	// SET stores the value's size under its rank.
-	drive(t, m, workload.KVRequest{Op: workload.OpSet, Key: "new-key", Rank: cfg.Keys + 1, ValueSize: 128})
+	drive(t, m, workload.KVRequest{Op: workload.OpSet, Rank: cfg.Keys + 1, ValueSize: 128})
 	if size, ok := m.store.ValueSize(cfg.Keys + 1); !ok || size != 128 {
 		t.Errorf("after SET rank %d holds %d bytes (held: %v), want 128", cfg.Keys+1, size, ok)
 	}
@@ -119,7 +119,7 @@ func TestMemcachedResetRunRestoresStore(t *testing.T) {
 	// A run SETs the key with a different value size; a GET's modelled
 	// cost depends on that size, so without a restore the next run would
 	// observe this run's write.
-	drive(t, m, workload.KVRequest{Op: workload.OpSet, Key: "etc-000000000007", Rank: rank, ValueSize: orig + 999})
+	drive(t, m, workload.KVRequest{Op: workload.OpSet, Rank: rank, ValueSize: orig + 999})
 	if size, _ := m.store.ValueSize(rank); size != orig+999 {
 		t.Fatalf("set not applied: size=%d", size)
 	}
@@ -202,7 +202,7 @@ func TestMemcachedInstancesShareSnapshot(t *testing.T) {
 	if !ok {
 		t.Fatalf("preloaded rank %d missing", rank)
 	}
-	drive(t, a, workload.KVRequest{Op: workload.OpSet, Key: "etc-000000000009", Rank: rank, ValueSize: orig + 123})
+	drive(t, a, workload.KVRequest{Op: workload.OpSet, Rank: rank, ValueSize: orig + 123})
 	if size, _ := b.store.ValueSize(rank); size != orig {
 		t.Errorf("sibling instance sees a's write: size=%d, want %d", size, orig)
 	}

@@ -337,12 +337,3 @@ func (e *Engine) NextDeadline() Time {
 	}
 	return Infinity
 }
-
-// Scheduled returns the number of events ever scheduled on this engine
-// (the per-run sequence counter; Reset rezeroes it). It advances on
-// every AtSink, AfterSink and AtSinkFrom call, which makes it a watermark for
-// "has anything been scheduled since": netmodel's link batching uses it
-// to append to a pending flush only when no other event could have
-// claimed a sequence number between the batch's entries — the condition
-// under which batching is exactly order-preserving.
-func (e *Engine) Scheduled() uint64 { return e.nextSeq }

@@ -31,12 +31,59 @@ func (o Op) String() string {
 	return "SET"
 }
 
-// KVRequest is one generated key-value request.
+// KVRequest is one generated key-value request. Its key is a pure
+// function of its rank, AppendKey(dst, Rank), KeyBytes long; a request
+// carries only the rank, and the consistent-hash router rebuilds the key
+// bytes to hash them.
 type KVRequest struct {
 	Op        Op
-	Key       string // ETCKeys(n)[Rank]: routers hash it, the wire size counts it
-	Rank      int    // popularity rank: the Memcached store's item ID
-	ValueSize int    // bytes; 0 for GET
+	Rank      int // popularity rank: the Memcached store's item ID
+	ValueSize int // bytes; 0 for GET
+}
+
+// KeyBytes is the length of every ETC key: "etc-" and 12 decimal digits.
+const KeyBytes = 16
+
+// maxKeys is the largest key space whose ranks AppendKey writes in 12
+// digits.
+const maxKeys = 1_000_000_000_000
+
+// digitPairs holds the two-digit decimal strings "00" to "99" back to
+// back: entry i is at [2i, 2i+2).
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// AppendKey appends the ETC key of rank, the bytes fmt.Sprintf("etc-%012d",
+// rank) formats, to dst and returns the extended slice. It appends a
+// template key, then overwrites the rank's three 4-digit groups in
+// place, two digits per table load. Writing the digits into an array
+// and appending that instead doubled the time to hash a key: the copy's
+// wide load cannot be forwarded from the narrow digit stores. A rank
+// outside [0, 10¹²), which no source with a valid ETCConfig draws,
+// indexes past digitPairs and panics.
+func AppendKey(dst []byte, rank int) []byte {
+	r := uint64(rank)
+	dst = append(dst, "etc-000000000000"...)
+	k := dst[len(dst)-12:]
+	putDigits4(k[0:4], r/1e8)
+	putDigits4(k[4:8], r/1e4%1e4)
+	putDigits4(k[8:12], r%1e4)
+	return dst
+}
+
+// putDigits4 writes g < 10⁴ as four decimal digits into b.
+func putDigits4(b []byte, g uint64) {
+	hi, lo := g/100*2, g%100*2
+	_ = b[3]
+	b[0], b[1], b[2], b[3] = digitPairs[hi], digitPairs[hi+1], digitPairs[lo], digitPairs[lo+1]
 }
 
 // ETCConfig parameterizes the ETC workload model. The constants follow the
@@ -65,8 +112,8 @@ func DefaultETCConfig() ETCConfig {
 
 // Validate reports configuration errors.
 func (c ETCConfig) Validate() error {
-	if c.Keys < 1 {
-		return fmt.Errorf("workload: key space must be ≥1, got %d", c.Keys)
+	if c.Keys < 1 || uint64(c.Keys) > maxKeys {
+		return fmt.Errorf("workload: key space must be in [1, 10¹²], got %d", c.Keys)
 	}
 	if c.GetRatio < 0 || c.GetRatio > 1 {
 		return fmt.Errorf("workload: GET ratio %v outside [0,1]", c.GetRatio)
@@ -75,35 +122,6 @@ func (c ETCConfig) Validate() error {
 		return fmt.Errorf("workload: Zipf alpha must be positive, got %v", c.ZipfAlpha)
 	}
 	return nil
-}
-
-// Interned ETC key table. Key strings are a pure function of rank
-// ("etc-%012d"), so every generator thread and every run can share one
-// immutable table instead of fmt.Sprintf-ing a fresh string per request
-// — the last per-request allocation on the key-value hot path. The table
-// grows monotonically to the largest key space requested and is never
-// mutated after publication; ETCKeys hands out sub-slices of it.
-var (
-	keyTableMu sync.Mutex
-	keyTable   []string
-)
-
-// ETCKeys returns the interned key strings for ranks [0, n): index i is
-// the key for rank i. The returned slice is shared and must not be
-// modified. Building is deterministic, so concurrent callers always
-// agree on the contents.
-func ETCKeys(n int) []string {
-	keyTableMu.Lock()
-	defer keyTableMu.Unlock()
-	if n > len(keyTable) {
-		grown := make([]string, n)
-		copy(grown, keyTable)
-		for i := len(keyTable); i < n; i++ {
-			grown[i] = fmt.Sprintf("etc-%012d", i)
-		}
-		keyTable = grown
-	}
-	return keyTable[:n:n]
 }
 
 // Shared popularity tables. The Zipf rank sampler is a pure function of
@@ -142,27 +160,25 @@ type ETC struct {
 	cfg    ETCConfig
 	stream *rng.Stream
 	ranks  *rng.Discrete // shared Zipf popularity table (etcRanks)
-	keys   []string      // interned key table, index = popularity rank
 }
 
-// NewETC builds an ETC request source. Its rank and key tables are the
-// process-wide shared ones, so building a source costs no table work.
+// NewETC builds an ETC request source. Its rank table is the
+// process-wide shared one, so building a source costs no table work.
 func NewETC(cfg ETCConfig, stream *rng.Stream) (*ETC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &ETC{cfg: cfg, stream: stream, ranks: etcRanks(cfg.Keys, cfg.ZipfAlpha),
-		keys: ETCKeys(cfg.Keys)}, nil
+	return &ETC{cfg: cfg, stream: stream, ranks: etcRanks(cfg.Keys, cfg.ZipfAlpha)}, nil
 }
 
-// Next draws one request. The key is an interned string from the shared
-// table — drawing a request allocates nothing.
+// Next draws one request: its rank, then the GET/SET coin, then a SET's
+// value size. Drawing a request allocates nothing.
 func (e *ETC) Next() KVRequest {
 	rank := e.ranks.Draw(e.stream)
 	if e.stream.Float64() < e.cfg.GetRatio {
-		return KVRequest{Op: OpGet, Key: e.keys[rank], Rank: rank}
+		return KVRequest{Op: OpGet, Rank: rank}
 	}
-	return KVRequest{Op: OpSet, Key: e.keys[rank], Rank: rank, ValueSize: e.ValueSize()}
+	return KVRequest{Op: OpSet, Rank: rank, ValueSize: e.ValueSize()}
 }
 
 // ValueSize draws a value size in bytes from the generalized-Pareto ETC
@@ -190,18 +206,6 @@ func (c ETCConfig) MeanValueSize() float64 {
 		return math.Inf(1) // heavy-tailed beyond a finite mean
 	}
 	return c.ValueScale/(1-c.ValueShape) + 1
-}
-
-// KeySize draws an ETC-like key size in bytes (16–250, centered ≈31).
-func (e *ETC) KeySize() int {
-	k := int(e.stream.LogNormal(3.43, 0.25)) // median ≈ 31 bytes
-	if k < 16 {
-		k = 16
-	}
-	if k > 250 {
-		k = 250
-	}
-	return k
 }
 
 // Interarrival produces the time between successive requests — the paper's

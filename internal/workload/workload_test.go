@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -39,7 +40,7 @@ func TestETCPopularitySkew(t *testing.T) {
 	counts := make(map[string]int)
 	const n = 50000
 	for i := 0; i < n; i++ {
-		counts[e.Next().Key]++
+		counts[string(AppendKey(nil, e.Next().Rank))]++
 	}
 	// Hot key dominates: rank 0 should be far above a uniform share.
 	hot := counts["etc-000000000000"]
@@ -50,11 +51,12 @@ func TestETCPopularitySkew(t *testing.T) {
 }
 
 // TestETCKeyIsRankKey pins the rank↔key invariant the Memcached store
-// relies on (it is addressed by Rank while routers hash Key): every draw,
-// GET and SET, carries Key == ETCKeys(n)[Rank]. It also replays each
-// draw from a second stream in the documented order (rank, then the
-// GET/SET coin, then a SET's value size), so a change to that order or to
-// the rank a draw reports fails here.
+// and the routers rely on (the store is addressed by Rank while routers
+// hash the key): every draw, GET and SET, carries a rank inside the key
+// space whose key, AppendKey's bytes, is fmt.Sprintf("etc-%012d", Rank).
+// It also replays each draw from a second stream in the documented order
+// (rank, then the GET/SET coin, then a SET's value size), so a change to
+// that order or to the rank a draw reports fails here.
 func TestETCKeyIsRankKey(t *testing.T) {
 	cfg := DefaultETCConfig()
 	cfg.Keys = 5000
@@ -62,15 +64,18 @@ func TestETCKeyIsRankKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, keys := &ETC{cfg: cfg, stream: rng.New(7)}, ETCKeys(cfg.Keys)
+	ref := &ETC{cfg: cfg, stream: rng.New(7)}
 	ops := map[Op]int{}
+	var buf []byte
 	for i := 0; i < 20000; i++ {
 		r := e.Next()
-		if r.Rank < 0 || r.Rank >= cfg.Keys || r.Key != keys[r.Rank] {
-			t.Fatalf("draw %d: %v key %q carries rank %d", i, r.Op, r.Key, r.Rank)
+		if r.Rank < 0 || r.Rank >= cfg.Keys {
+			t.Fatalf("draw %d: %v rank %d outside [0, %d)", i, r.Op, r.Rank, cfg.Keys)
+		}
+		if buf = AppendKey(buf[:0], r.Rank); string(buf) != fmt.Sprintf("etc-%012d", r.Rank) {
+			t.Fatalf("draw %d: %v key %q carries rank %d", i, r.Op, buf, r.Rank)
 		}
 		want := KVRequest{Rank: e.ranks.Draw(ref.stream)}
-		want.Key = keys[want.Rank]
 		if ref.stream.Float64() >= cfg.GetRatio {
 			want.Op, want.ValueSize = OpSet, ref.ValueSize()
 		}
@@ -132,13 +137,43 @@ func TestETCMeanValueSize(t *testing.T) {
 	}
 }
 
+// TestETCKeySizes checks that every drawn key is KeyBytes long, inside
+// ETC's published key-size range [16, 250], across the default key
+// space.
 func TestETCKeySizes(t *testing.T) {
+	if KeyBytes < 16 || KeyBytes > 250 {
+		t.Fatalf("KeyBytes = %d, outside ETC's key-size range [16, 250]", KeyBytes)
+	}
 	e := newETC(t, 4)
+	var buf []byte
 	for i := 0; i < 10000; i++ {
-		k := e.KeySize()
-		if k < 16 || k > 250 {
-			t.Fatalf("key size %d out of ETC range [16, 250]", k)
+		r := e.Next()
+		if buf = AppendKey(buf[:0], r.Rank); len(buf) != KeyBytes {
+			t.Fatalf("rank %d key %q is %d bytes, want %d", r.Rank, buf, len(buf), KeyBytes)
 		}
+	}
+}
+
+// TestAppendKeyFormatsRank checks AppendKey against fmt at the rank
+// boundaries where a digit group fills or carries, up to the largest
+// rank a valid key space holds, and that it appends after dst's bytes.
+// A rank past that, or below zero, panics.
+func TestAppendKeyFormatsRank(t *testing.T) {
+	for _, rank := range []int{0, 1, 9, 10, 99, 100, 9_999, 10_000, 99_999, 100_000,
+		99_999_999, 100_000_000, 123_456_789_012, 100_000_000_000, 999_999_999_999} {
+		if got, want := string(AppendKey([]byte("k:"), rank)), fmt.Sprintf("k:etc-%012d", rank); got != want {
+			t.Errorf("AppendKey(%d) = %q, want %q", rank, got, want)
+		}
+	}
+	for _, rank := range []int{-1, 1_000_000_000_000} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AppendKey(%d) did not panic", rank)
+				}
+			}()
+			AppendKey(nil, rank)
+		}()
 	}
 }
 
@@ -152,8 +187,8 @@ func TestETCSetsCarryValueSize(t *testing.T) {
 		if r.Op == OpGet && r.ValueSize != 0 {
 			t.Fatal("GET with value size")
 		}
-		if !strings.HasPrefix(r.Key, "etc-") {
-			t.Fatalf("unexpected key %q", r.Key)
+		if key := AppendKey(nil, r.Rank); !strings.HasPrefix(string(key), "etc-") {
+			t.Fatalf("unexpected key %q", key)
 		}
 	}
 }
@@ -177,6 +212,18 @@ func TestETCConfigValidation(t *testing.T) {
 	bad.ZipfAlpha = math.NaN()
 	if _, err := NewETC(bad, rng.New(1)); err == nil {
 		t.Error("NaN alpha accepted")
+	}
+	// AppendKey writes 12 digits, so 10¹² keys is the largest space. It
+	// goes through Validate alone: NewETC would build its rank table.
+	most := DefaultETCConfig()
+	most.Keys = 1_000_000_000_000
+	if err := most.Validate(); err != nil {
+		t.Errorf("10¹² keys rejected: %v", err)
+	}
+	bad = DefaultETCConfig()
+	bad.Keys = 1_000_000_000_001
+	if _, err := NewETC(bad, rng.New(1)); err == nil {
+		t.Error("10¹²+1 keys accepted")
 	}
 }
 

@@ -133,9 +133,11 @@
 // schedule+fire from ~57 to ~47 ns (BenchmarkEngineSparseHorizon, median
 // of 6 alternating runs on a 2-vCPU Xeon host).
 // The Memcached request path is additionally allocation-free end to end:
-// ETC keys are interned in a shared table (workload.ETCKeys), request
-// bodies travel inline in pooled requests instead of boxed payloads, and
-// store lookups are size-only (kvstore.Fork.ValueSize) — gated below 0.2
+// a request carries its key's popularity rank, not the key string (the
+// key is a pure function of the rank, workload.AppendKey, rebuilt on the
+// stack where the consistent-hash router hashes it), request bodies
+// travel inline in pooled requests instead of boxed payloads, and store
+// lookups are size-only (kvstore.Fork.ValueSize) — gated below 0.2
 // allocs/request by TestMemcachedKVPathAllocFree. The store is addressed
 // by popularity rank (workload.KVRequest.Rank), not by key string, and it
 // keeps only what the cost model reads, each value's size: the preload
