@@ -4,8 +4,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/experiment"
+	"repro/internal/faults"
+	"repro/internal/hw"
+	"repro/internal/loadgen"
 )
 
 // runFaulty executes the faulty-cluster preset at smoke scale (the CI
@@ -43,6 +48,42 @@ func TestGoldenFaultyClusterTables(t *testing.T) {
 	}
 	checkGolden(t, "availability_small.golden", pr.AvailabilityTable())
 	checkGolden(t, "fault_timeline_small.golden", pr.FaultTimelineTable())
+}
+
+// TestGoldenLinkLossFleet pins the draw order of a degraded link: a
+// fleet whose client links triple their delay and drop 5% of messages
+// for the middle fifth of each run, with timeouts and retries recovering
+// the drops. Inside the loss window a link draws its loss from the
+// stream it draws its jitter from, jitter first, so a link that drew
+// jitter ahead of a loss draw would move every latency after the window
+// opens.
+func TestGoldenLinkLossFleet(t *testing.T) {
+	p := Preset{
+		Name:        "link-loss-fleet",
+		Description: "4 Memcached replicas behind consistent hashing, client links slowed and lossy mid-run",
+		Service:     experiment.ServiceMemcached,
+		Client:      hw.LPConfig(),
+		ClientName:  "LP",
+		Server:      hw.ServerBaselineConfig(),
+		Rates:       []float64{100_000, 400_000},
+		Replicas:    4,
+		Router:      cluster.RouterConsistentHash,
+		Faults: &faults.Plan{
+			Link: []faults.LinkWindow{{Start: 0.4, End: 0.6, DelayFactor: 3, Loss: 0.05}},
+		},
+		Resilience: &loadgen.ResilienceConfig{
+			Timeout:   2 * time.Millisecond,
+			Retries:   2,
+			RetryBase: 200 * time.Microsecond,
+			RetryCap:  2 * time.Millisecond,
+		},
+	}
+	pr, err := RunPreset(p, SweepOptions{Runs: 2, Seed: 2024, TargetSamples: 4000, Workers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "link_loss_fleet_small.golden",
+		pr.Render()+"\n\n"+pr.LoadBalanceTable()+"\n\n"+pr.AvailabilityTable()+"\n")
 }
 
 // TestFaultyClusterByteIdentical is the PR's acceptance invariant: the
