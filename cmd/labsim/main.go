@@ -241,6 +241,9 @@ func scenario(fs *flag.FlagSet, args []string) (experiment.Scenario, string, err
 		qps = *rate
 	}
 	sc := figures.PresetScenario(*base, qps, opts)
+	if err := sc.Validate(); err != nil { // -rate overrides the rates Options checked
+		return experiment.Scenario{}, "", err
+	}
 	sc.Point = mp
 	sc.Workers = f.Parallel
 	return sc, warning, nil

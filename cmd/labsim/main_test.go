@@ -74,6 +74,12 @@ func TestCheckFlags(t *testing.T) {
 		{"preset-and-client", "-preset cluster -client LP", "-client conflict with -preset"},
 		{"preset-smoke-knobs", "-preset cluster -rate 5000 -runs 1 -samples 300 -point nic -replicas 2", ""},
 		{"unknown-preset", "-preset terabit-qps", "unknown preset"},
+		{"rate-nan", "-rate NaN -runs 1 -samples 200", "got NaN"},
+		{"rate-plus-inf", "-rate +Inf -runs 1 -samples 200", "got +Inf"},
+		{"rate-tiny", "-rate 1e-300 -runs 1 -samples 200", "rate 1e-300 QPS makes a 200-sample run longer"},
+		{"rate-above-max", "-rate 1e12", "got 1e+12"},
+		{"preset-rate-above-max", "-preset cluster -rate 1e12", "got 1e+12"},
+		{"spec-rate-tiny", sp + "-rate 1e-300", "rate 1e-300 QPS"},
 	})
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -67,8 +68,13 @@ func runArgvCases(t *testing.T, cases []argvCase) {
 }
 
 // TestCheckFlags is the fail-fast table: bad flag combinations must be
-// rejected at startup, before any sweep runs.
+// rejected at startup, before any sweep runs, as must a spec whose rate
+// could not run.
 func TestCheckFlags(t *testing.T) {
+	hugeRate := filepath.Join(t.TempDir(), "huge-rate.yaml")
+	if err := os.WriteFile(hugeRate, []byte("version: 1\nname: huge\nservice: memcached\nrate: 1e12\nruns: 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	runArgvCases(t, []argvCase{
 		{"defaults", "", ""},
 		{"spec-alone", "-spec ../../examples/cluster.yaml", ""},
@@ -87,6 +93,7 @@ func TestCheckFlags(t *testing.T) {
 		{"shards-over-partitions", "-experiment million-qps -shards 6", "exceed the 5 machine+replica partitions"},
 		{"shards-unknown-partitions", "-shards 16", ""},
 		{"router-cannot-shard", "-experiment cluster -shards 2 -router round-robin", "cannot run sharded"},
+		{"spec-rate-above-max", "-spec " + hugeRate + " -samples 200", "got 1e+12"},
 	})
 }
 

@@ -9,6 +9,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -146,6 +147,11 @@ func (s Scenario) Clustered() bool { return s.Replicas > 1 || s.Autoscale != nil
 // past what long runs can afford.
 const DefaultStreamingThreshold = 200_000
 
+// MaxRateQPS is the highest offered load a scenario accepts. Above it
+// the mean gap between requests is shorter than the virtual clock's
+// 1 ns tick, so requests pile up at one instant instead of arriving.
+const MaxRateQPS = 1e9
+
 // EffectiveSampleMode resolves SampleAuto against the scenario's sample
 // target: the mode the runs will actually use.
 func (s Scenario) EffectiveSampleMode() metrics.Mode {
@@ -179,8 +185,14 @@ func (s Scenario) Validate() error {
 	default:
 		return fmt.Errorf("experiment: unknown service %q", s.Service)
 	}
-	if s.RateQPS <= 0 {
-		return fmt.Errorf("experiment: rate must be positive, got %v", s.RateQPS)
+	if !(s.RateQPS > 0) || s.RateQPS > MaxRateQPS { // NaN fails the first test, +Inf the second
+		return fmt.Errorf("experiment: rate must be positive, finite and at most %g QPS, got %v", MaxRateQPS, s.RateQPS)
+	}
+	if _, total := s.runTiming(); total <= 0 {
+		if s.Duration > 0 {
+			return fmt.Errorf("experiment: duration %v and its warm-up run longer than %v", s.Duration, time.Duration(math.MaxInt64))
+		}
+		return fmt.Errorf("experiment: rate %v QPS makes a %d-sample run longer than %v", s.RateQPS, s.targetSamples(), time.Duration(math.MaxInt64))
 	}
 	if s.Runs < 1 {
 		return fmt.Errorf("experiment: need ≥1 run, got %d", s.Runs)
@@ -408,15 +420,23 @@ func (s Scenario) targetSamples() int {
 }
 
 // runTiming derives the warmup and total duration from rate and samples
-// (or directly from an explicit Duration).
+// (or directly from an explicit Duration). A total that time.Duration
+// cannot hold comes back as 0, which Validate rejects.
 func (s Scenario) runTiming() (warmup, total time.Duration) {
 	measure := s.Duration
 	if measure <= 0 {
-		measure = time.Duration(float64(s.targetSamples()) / s.RateQPS * float64(time.Second))
+		ns := float64(s.targetSamples()) / s.RateQPS * float64(time.Second)
+		if !(ns < math.MaxInt64) {
+			return 0, 0
+		}
+		measure = time.Duration(ns)
 	}
 	warmup = measure / 10
 	if warmup < 30*time.Millisecond {
 		warmup = 30 * time.Millisecond
+	}
+	if measure > math.MaxInt64-warmup {
+		return 0, 0
 	}
 	return warmup, warmup + measure
 }

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,6 +42,50 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if err := (Scenario{Service: ServiceMemcached, RateQPS: 1, Runs: 0}).Validate(); err == nil {
 		t.Error("zero runs accepted")
+	}
+}
+
+// TestScenarioValidateRate is the rate table: a rate must be a finite
+// positive number, at most MaxRateQPS, whose run fits in a
+// time.Duration. Each rejection names the rate. Only Validate sees these
+// rates; a rejected one would run with a negative duration or schedule
+// requests at one instant until memory ran out.
+func TestScenarioValidateRate(t *testing.T) {
+	cases := []struct {
+		name     string
+		rate     float64
+		samples  int
+		duration time.Duration
+		wantErr  string // "" = accepted
+	}{
+		{"nan", math.NaN(), 200, 0, "got NaN"},
+		{"plus-inf", math.Inf(1), 200, 0, "got +Inf"},
+		{"minus-inf", math.Inf(-1), 200, 0, "got -Inf"},
+		{"zero", 0, 200, 0, "got 0"},
+		{"negative", -5, 200, 0, "got -5"},
+		{"tiny", 1e-300, 200, 0, "rate 1e-300 QPS makes a 200-sample run longer than"},
+		{"run-just-too-long", 1e-8, 1000, 0, "rate 1e-08 QPS makes a 1000-sample run longer than"},
+		{"slow-but-fits", 1e-6, 1000, 0, ""},
+		{"duration-too-long", 1000, 0, time.Duration(math.MaxInt64 / 10 * 9.5), "duration"},
+		{"paper-lp", 200_000, 150_000, 0, ""},
+		{"at-max", MaxRateQPS, 200, 0, ""},
+		{"above-max", math.Nextafter(MaxRateQPS, math.Inf(1)), 200, 0, "got 1.0000000000000001e+09"},
+		{"terabit", 1e12, 200, 0, "got 1e+12"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := Scenario{Service: ServiceMemcached, RateQPS: tc.rate, Runs: 1, TargetSamples: tc.samples, Duration: tc.duration}
+			err := s.Validate()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("rate %v: %v, want accepted", tc.rate, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("rate %v: %v, want error containing %q", tc.rate, err, tc.wantErr)
+			}
+		})
 	}
 }
 

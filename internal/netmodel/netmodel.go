@@ -3,6 +3,14 @@
 // with small lognormal jitter, plus a serialization term proportional to
 // message size.
 //
+// A link owns its stream and draws its jitter ahead, 32 multipliers at
+// a time (rng.Stream.FillLogNormal), handing them out in order, so every
+// delay is the one a draw per message would give. A link
+// with a fault schedule (SetDegrade) draws one multiplier per message
+// instead: inside a loss window its loss draws come from the same stream,
+// between the jitter draws, and a chunk drawn ahead would take their
+// place.
+//
 // The paper's experiments hold the network fixed (same rack-scale testbed
 // for every configuration), so this model deliberately has no contention
 // state — cross-run network variability is not the effect under study
@@ -33,7 +41,15 @@ type Link struct {
 	// sharding lookahead — still lower-bounds every delay) and a loss
 	// probability. Nil on the fault-free path.
 	deg *faults.LinkSchedule
+
+	// jitter holds multipliers drawn ahead; jitter[next:] are unused.
+	// Only a link without a schedule fills it.
+	next   int
+	jitter [jitterChunk]float64
 }
+
+// jitterChunk is the number of jitter multipliers a link draws at once.
+const jitterChunk = 32
 
 // Config parameterizes a link.
 type Config struct {
@@ -72,13 +88,19 @@ func New(cfg Config, stream *rng.Stream) (*Link, error) {
 		return nil, fmt.Errorf("netmodel: negative parameter in %+v", cfg)
 	}
 	return &Link{base: cfg.Base, jitterSD: cfg.JitterSD, perByteNs: cfg.PerByteNs,
-		min: cfg.MinDelay(), stream: stream}, nil
+		min: cfg.MinDelay(), stream: stream, next: jitterChunk}, nil
 }
 
 // SetDegrade installs (or with nil clears) a link-degradation schedule.
 // Links are created fresh per run, so the fault-free path never carries
-// one.
-func (l *Link) SetDegrade(d *faults.LinkSchedule) { l.deg = d }
+// one. It must come before the link's first delay: a link that has drawn
+// jitter ahead cannot give the draws back, and SetDegrade panics.
+func (l *Link) SetDegrade(d *faults.LinkSchedule) {
+	if l.next != jitterChunk {
+		panic("netmodel: SetDegrade after the link drew jitter ahead")
+	}
+	l.deg = d
+}
 
 // Delay returns the one-way delay for a message of the given payload size.
 // The result never falls below Config.MinDelay (the clamp fires with
@@ -88,12 +110,28 @@ func (l *Link) Delay(payloadBytes int) time.Duration {
 	l.delivered++
 	d := l.base + time.Duration(float64(payloadBytes)*l.perByteNs)
 	if l.jitterSD > 0 {
-		d = time.Duration(float64(d) * l.stream.LogNormal(0, l.jitterSD))
+		d = time.Duration(float64(d) * l.jitterMul())
 		if d < l.min {
 			d = l.min
 		}
 	}
 	return d
+}
+
+// jitterMul returns the next jitter multiplier, LogNormal(0, JitterSD):
+// from the chunk drawn ahead, refilled when spent, or one draw at a time
+// on a link with a schedule.
+func (l *Link) jitterMul() float64 {
+	if l.deg != nil {
+		return l.stream.LogNormal(0, l.jitterSD)
+	}
+	if l.next == jitterChunk {
+		l.stream.FillLogNormal(l.jitter[:], 0, l.jitterSD)
+		l.next = 0
+	}
+	m := l.jitter[l.next]
+	l.next++
+	return m
 }
 
 // Transit draws a message's passage through the link: it enters at from

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -144,6 +145,92 @@ func TestMinDelayFloor(t *testing.T) {
 			t.Fatalf("Delay() = %v below MinDelay floor %v", d, floor)
 		}
 	}
+}
+
+// TestDelayMatchesLogNormalAcrossChunks checks the jitter a link draws
+// ahead against one LogNormal draw per message from a twin stream, over
+// three chunks and one more delay, at payload sizes that vary by
+// message. The floor is raised to the base latency, so about half the
+// delays take the MinDelay clamp.
+func TestDelayMatchesLogNormalAcrossChunks(t *testing.T) {
+	cfg := DefaultConfig()
+	l, err := New(cfg, rng.New(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.min = cfg.Base
+	twin := rng.New(21)
+	clamped := 0
+	for i := 0; i < 3*jitterChunk+1; i++ {
+		bytes := 64 * (i % 5)
+		want := time.Duration(float64(cfg.Base+time.Duration(float64(bytes)*cfg.PerByteNs)) * twin.LogNormal(0, cfg.JitterSD))
+		if want < l.min {
+			want = l.min
+			clamped++
+		}
+		if got := l.Delay(bytes); got != want {
+			t.Fatalf("delay %d (%d B) = %v, one draw per message gives %v", i, bytes, got, want)
+		}
+	}
+	if clamped == 0 || clamped == 3*jitterChunk+1 {
+		t.Fatalf("%d of %d delays clamped, want some but not all", clamped, 3*jitterChunk+1)
+	}
+}
+
+// TestTransitDrawsOneAtATimeUnderSchedule checks that a link with a
+// fault schedule draws each message's jitter, then its loss inside a
+// loss window, from its stream in message order, as a twin stream
+// replays them: a link that drew jitter ahead would hand out jitter
+// values the loss draws own.
+func TestTransitDrawsOneAtATimeUnderSchedule(t *testing.T) {
+	cfg := DefaultConfig()
+	l, err := New(cfg, rng.New(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const horizon = sim.Time(1000 * time.Microsecond)
+	l.SetDegrade(faults.CompileLink([]faults.LinkWindow{{Start: 0.4, End: 0.6, DelayFactor: 3, Loss: 0.3}}, horizon))
+	twin := rng.New(22)
+	lost := 0
+	for i := 0; i < 3*jitterChunk+1; i++ {
+		from := sim.Time(i) * horizon / (3*jitterChunk + 1)
+		d := time.Duration(float64(cfg.Base+time.Duration(128*cfg.PerByteNs)) * twin.LogNormal(0, cfg.JitterSD))
+		inWindow := from >= horizon*4/10 && from < horizon*6/10
+		wantLost := false
+		if inWindow {
+			d = time.Duration(float64(d) * 3)
+			wantLost = twin.Float64() < 0.3
+		}
+		arrival, gotLost := l.Transit(from, 128)
+		if arrival != from.Add(d) || gotLost != wantLost {
+			t.Fatalf("message %d at %v: arrival %v lost %v, one draw at a time gives %v %v",
+				i, from, arrival, gotLost, from.Add(d), wantLost)
+		}
+		if gotLost {
+			lost++
+		}
+	}
+	if lost == 0 {
+		t.Fatal("no message lost inside the loss window; the loss draws went untested")
+	}
+}
+
+// TestSetDegradeAfterDrawPanics pins that a schedule cannot arrive after
+// a link has drawn jitter ahead: the link could not give those draws
+// back to the loss draws that own them.
+func TestSetDegradeAfterDrawPanics(t *testing.T) {
+	l, err := New(DefaultConfig(), rng.New(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.SetDegrade(nil) // before the first delay: allowed
+	l.Delay(0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetDegrade after a delay did not panic")
+		}
+	}()
+	l.SetDegrade(faults.CompileLink([]faults.LinkWindow{{Start: 0, End: 1, Loss: 0.1}}, sim.Time(time.Second)))
 }
 
 // orderSink records the firing order of tagged deliveries.

@@ -31,6 +31,13 @@ func splitmix64(state *uint64) uint64 {
 // derives its own streams (NewLabeled, Split) and draws from them on one
 // goroutine at a time. A stream handed to another goroutine moves with
 // its owner; it is never shared.
+//
+// A consumer that draws ahead, filling a chunk with FillExp,
+// FillLogNormal or FillNormal and handing the values out later, must be
+// its stream's only consumer, and the stream dies with it. Each value it
+// hands out is then the one a draw at the moment of use would have
+// returned; any other draw from the stream would land after the chunk
+// instead of between its values.
 type Stream struct {
 	s [4]uint64
 
@@ -119,6 +126,24 @@ func (s *Stream) Exp(rate float64) float64 {
 	return -math.Log(1-u) / rate
 }
 
+// FillExp fills dst with exponentially distributed variates at the given
+// rate. It draws exactly what len(dst) successive Exp(rate) calls draw,
+// one uniform each, and returns their values bit for bit: it takes all
+// the uniforms first, then all the logs, so the logs of independent
+// draws overlap where successive Exp calls run them one after another.
+// Like Exp, it panics if rate is not positive.
+func (s *Stream) FillExp(dst []float64, rate float64) {
+	if rate <= 0 {
+		panic("rng: FillExp with non-positive rate")
+	}
+	for i := range dst {
+		dst[i] = 1 - s.Float64()
+	}
+	for i, x := range dst {
+		dst[i] = -math.Log(x) / rate
+	}
+}
+
 // Normal returns a normally distributed variate with the given mean and
 // standard deviation, using the Marsaglia polar method.
 func (s *Stream) Normal(mean, stddev float64) float64 {
@@ -200,6 +225,18 @@ func (s *Stream) FillNormal(dst []float64, mean, stddev float64) {
 // normal has parameters mu and sigma.
 func (s *Stream) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(s.Normal(mu, sigma))
+}
+
+// FillLogNormal fills dst with log-normally distributed variates whose
+// underlying normal has parameters mu and sigma. It draws exactly what
+// len(dst) successive LogNormal(mu, sigma) calls draw and leaves the
+// stream as they leave it, spare included (FillNormal), then takes all
+// the exps, so independent chains overlap as in FillNormal.
+func (s *Stream) FillLogNormal(dst []float64, mu, sigma float64) {
+	s.FillNormal(dst, mu, sigma)
+	for i, x := range dst {
+		dst[i] = math.Exp(x)
+	}
 }
 
 // Gamma returns a Gamma(shape, scale) variate with mean shape·scale,

@@ -146,33 +146,41 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
-// checkFillNormal compares FillNormal with n successive Normal calls on a
-// twin stream: the variates, the stream state after them and the next
-// Normal draw. Both streams first make pre Normal(0, 1) calls, so an odd
-// pre hands FillNormal a spare drawn at other parameters.
-func checkFillNormal(t *testing.T, seed uint64, pre, n int, mean, stddev float64) {
+// checkFill compares fill, which fills a slice of n, with n successive
+// draw calls on a twin stream: the variates, the stream state after them
+// and the next draw. Both streams first make pre Normal(0, 1) calls, so
+// an odd pre leaves a spare drawn at other parameters, which FillNormal
+// and FillLogNormal must use first and FillExp must leave in place.
+func checkFill(t *testing.T, what string, seed uint64, pre, n int, fill func(*Stream, []float64), draw func(*Stream) float64) {
 	t.Helper()
-	fill, loop := New(seed), New(seed)
+	a, b := New(seed), New(seed)
 	for range pre {
-		fill.Normal(0, 1)
-		loop.Normal(0, 1)
+		a.Normal(0, 1)
+		b.Normal(0, 1)
 	}
 	got := make([]float64, n)
-	fill.FillNormal(got, mean, stddev)
+	fill(a, got)
+	what = fmt.Sprintf("seed %d, %d earlier normals, %s of %d", seed, pre, what, n)
 	for i, g := range got {
-		if w := loop.Normal(mean, stddev); !sameFloat(g, w) {
-			t.Fatalf("seed %d, %d earlier draws, FillNormal of %d at N(%v, %v): dst[%d] = %v, Normal gave %v",
-				seed, pre, n, mean, stddev, i, g, w)
+		if w := draw(b); !sameFloat(g, w) {
+			t.Fatalf("%s: dst[%d] = %v, one call at a time gave %v", what, i, g, w)
 		}
 	}
 	// Normal leaves a dead value in spare once it has used it.
-	if fill.s != loop.s || fill.hasSpare != loop.hasSpare || fill.hasSpare && !sameFloat(fill.spare, loop.spare) {
-		t.Fatalf("seed %d, %d earlier draws, FillNormal of %d: state %v %v %v, Normal calls leave %v %v %v",
-			seed, pre, n, fill.s, fill.hasSpare, fill.spare, loop.s, loop.hasSpare, loop.spare)
+	if a.s != b.s || a.hasSpare != b.hasSpare || a.hasSpare && !sameFloat(a.spare, b.spare) {
+		t.Fatalf("%s: state %v %v %v, calls one at a time leave %v %v %v",
+			what, a.s, a.hasSpare, a.spare, b.s, b.hasSpare, b.spare)
 	}
-	if a, b := fill.Normal(mean, stddev), loop.Normal(mean, stddev); !sameFloat(a, b) {
-		t.Fatalf("seed %d, %d earlier draws, FillNormal of %d: next Normal %v, want %v", seed, pre, n, a, b)
+	if x, y := draw(a), draw(b); !sameFloat(x, y) {
+		t.Fatalf("%s: next draw %v, want %v", what, x, y)
 	}
+}
+
+func checkFillNormal(t *testing.T, seed uint64, pre, n int, mean, stddev float64) {
+	t.Helper()
+	checkFill(t, fmt.Sprintf("FillNormal at N(%v, %v)", mean, stddev), seed, pre, n,
+		func(s *Stream, dst []float64) { s.FillNormal(dst, mean, stddev) },
+		func(s *Stream) float64 { return s.Normal(mean, stddev) })
 }
 
 // TestFillNormalMatchesNormal checks FillNormal against Normal at every
@@ -206,6 +214,78 @@ func TestFillNormalAllocFree(t *testing.T) {
 	s, dst := New(1), make([]float64, 64)
 	if allocs := testing.AllocsPerRun(100, func() { s.FillNormal(dst, 0, 0.15) }); allocs != 0 {
 		t.Errorf("FillNormal allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+func checkFillExp(t *testing.T, seed uint64, pre, n int, rate float64) {
+	t.Helper()
+	checkFill(t, fmt.Sprintf("FillExp at rate %v", rate), seed, pre, n,
+		func(s *Stream, dst []float64) { s.FillExp(dst, rate) },
+		func(s *Stream) float64 { return s.Exp(rate) })
+}
+
+// TestFillExpMatchesExp checks FillExp against Exp at every length from
+// 0 to 70, with and without a spare normal held by the stream, at four
+// rates.
+func TestFillExpMatchesExp(t *testing.T) {
+	for _, rate := range []float64{1, 1e5, 0.37, 4e-9} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			for pre := 0; pre <= 2; pre++ {
+				for n := 0; n <= 70; n++ {
+					checkFillExp(t, seed, pre, n, rate)
+				}
+			}
+		}
+	}
+}
+
+func checkFillLogNormal(t *testing.T, seed uint64, pre, n int, mu, sigma float64) {
+	t.Helper()
+	checkFill(t, fmt.Sprintf("FillLogNormal at (%v, %v)", mu, sigma), seed, pre, n,
+		func(s *Stream, dst []float64) { s.FillLogNormal(dst, mu, sigma) },
+		func(s *Stream) float64 { return s.LogNormal(mu, sigma) })
+}
+
+// TestFillLogNormalMatchesLogNormal checks FillLogNormal against
+// LogNormal at every length from 0 to 70, across FillNormal's 16-pair
+// chunk edge at 32 and at odd lengths, with and without a spare carried
+// in, at the link jitter's, the tier noise's and two other parameter
+// pairs.
+func TestFillLogNormalMatchesLogNormal(t *testing.T) {
+	for _, p := range [][2]float64{{0, 0.08}, {0, 0.6}, {1.5, 1}, {-2, 0.01}} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			for pre := 0; pre <= 2; pre++ {
+				for n := 0; n <= 70; n++ {
+					checkFillLogNormal(t, seed, pre, n, p[0], p[1])
+				}
+			}
+		}
+	}
+}
+
+// FuzzFillExpLogNormalMatchScalar runs checkFillExp and
+// checkFillLogNormal at any seed and length up to 255: FillExp at any
+// positive rate, subnormal and +Inf included, and FillLogNormal at any
+// mu and sigma, NaN and ±Inf included.
+func FuzzFillExpLogNormalMatchScalar(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(32), 1e5, 0.0, 0.08)
+	f.Add(uint64(2), uint8(1), uint8(33), 5e-324, 700.0, 1e300)
+	f.Add(uint64(3), uint8(3), uint8(255), math.Inf(1), math.NaN(), math.Inf(-1))
+	f.Fuzz(func(t *testing.T, seed uint64, pre, n uint8, rate, mu, sigma float64) {
+		if rate > 0 { // FillExp, like Exp, panics on any other rate
+			checkFillExp(t, seed, int(pre%4), int(n), rate)
+		}
+		checkFillLogNormal(t, seed, int(pre%4), int(n), mu, sigma)
+	})
+}
+
+func TestFillExpLogNormalAllocFree(t *testing.T) {
+	s, dst := New(1), make([]float64, 32)
+	if allocs := testing.AllocsPerRun(100, func() { s.FillExp(dst, 1e5) }); allocs != 0 {
+		t.Errorf("FillExp allocates %.1f times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.FillLogNormal(dst, 0, 0.08) }); allocs != 0 {
+		t.Errorf("FillLogNormal allocates %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -549,6 +629,39 @@ func BenchmarkFillNormal(b *testing.B) {
 		}
 		sinkNormal = dst[0]
 	})
+}
+
+// BenchmarkFillChunks draws one link's chunk of 32 jitter multipliers
+// and one arrival source's chunk of 32 Poisson gaps, with one fill call
+// and with 32 scalar calls each.
+func BenchmarkFillChunks(b *testing.B) {
+	dst := make([]float64, 32)
+	for _, bc := range []struct {
+		name string
+		draw func(s *Stream)
+	}{
+		{"FillLogNormal", func(s *Stream) { s.FillLogNormal(dst, 0, 0.08) }},
+		{"LogNormal", func(s *Stream) {
+			for j := range dst {
+				dst[j] = s.LogNormal(0, 0.08)
+			}
+		}},
+		{"FillExp", func(s *Stream) { s.FillExp(dst, 5e4) }},
+		{"Exp", func(s *Stream) {
+			for j := range dst {
+				dst[j] = s.Exp(5e4)
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := New(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.draw(s)
+			}
+			sinkNormal = dst[0]
+		})
+	}
 }
 
 var sinkRank int

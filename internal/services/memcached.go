@@ -62,13 +62,13 @@ func preloadSnapshot(etcCfg workload.ETCConfig) (*kvstore.Snapshot, error) {
 	if sn, ok := preloadSnapshots[etcCfg]; ok {
 		return sn, nil
 	}
-	etc, err := workload.NewETC(etcCfg, rng.NewLabeled(12345, "memcached-preload"))
-	if err != nil {
+	if err := etcCfg.Validate(); err != nil {
 		return nil, err
 	}
+	stream := rng.NewLabeled(12345, "memcached-preload")
 	sizes := make([]int32, etcCfg.Keys)
 	for i := range sizes {
-		sizes[i] = int32(etc.ValueSize()) // ValueSize is at most 1 MiB
+		sizes[i] = int32(etcCfg.ValueSize(stream)) // ValueSize is at most 1 MiB
 	}
 	sn, err := kvstore.NewSnapshot(sizes)
 	if err != nil {

@@ -217,14 +217,11 @@ func TestMemcachedPreloadByRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	etc, err := workload.NewETC(m.ETCConfig(), rng.NewLabeled(12345, "memcached-preload"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg, stream := m.ETCConfig(), rng.NewLabeled(12345, "memcached-preload")
 	const ids = 100_000
 	var total int
 	for id := 0; id < ids; id++ {
-		want := etc.ValueSize()
+		want := cfg.ValueSize(stream)
 		got, ok := m.store.ValueSize(id)
 		if !ok || got != want {
 			t.Fatalf("ID %d holds %d bytes (held: %v), want draw %d = %d", id, got, ok, id, want)

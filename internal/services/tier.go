@@ -151,6 +151,12 @@ type Tier struct {
 	busyMask []uint64
 	queue    jobFIFO
 
+	// stream is drawn one value at a time, unlike a link's jitter or an
+	// arrival source's gaps: per-request noise (Noise), the tail-stall
+	// coin and, when it hits, the stall's length (TailJitter), and each
+	// hiccup's length and next gap all interleave on it in event order.
+	// Noise values drawn ahead would take the values those other draws
+	// own.
 	stream       *rng.Stream
 	serviceScale float64
 	hiccups      bool

@@ -504,11 +504,13 @@ func (s *Spec) Validate() error {
 		}
 	}
 	// The scenario validator re-checks everything below, but compiling
-	// through it here turns "spec loads" into "spec runs".
-	sc := s.Scenario(rates[0])
-	sc.Runs = 1
-	if err := sc.Validate(); err != nil {
-		return fmt.Errorf("spec: %w", err)
+	// through it here, at every rate, turns "spec loads" into "spec runs".
+	for _, r := range rates {
+		sc := s.Scenario(r)
+		sc.Runs = 1
+		if err := sc.Validate(); err != nil {
+			return fmt.Errorf("spec: %w", err)
+		}
 	}
 	return nil
 }

@@ -177,6 +177,9 @@ func TestSpecValidationTable(t *testing.T) {
 		{"no-rates", strings.Replace(base, "rate: 1000\n", "", 1), "missing rates"},
 		{"zero-rate", strings.Replace(base, "rate: 1000", "rate: 0", 1), "missing rates"},
 		{"negative-rate", strings.Replace(base, "rate: 1000", "rate: -5", 1), "must be positive"},
+		{"huge-rate", strings.Replace(base, "rate: 1000", "rate: 1e12", 1), "got 1e+12"},
+		{"huge-second-rate", strings.Replace(base, "rate: 1000", "rates: [1000, 1e12]", 1), "got 1e+12"},
+		{"tiny-rate", strings.Replace(base, "rate: 1000", "rate: 1e-300", 1), "rate 1e-300 QPS makes a"},
 		{"rate-and-rates", base + "rates: [1, 2]\n", "mutually exclusive"},
 		{"zero-runs", strings.Replace(base, "runs: 1", "runs: 0", 1), "runs must be"},
 		{"negative-samples", base + "samples: -1\n", "negative samples"},

@@ -73,7 +73,10 @@ func (c ArrivalConfig) Validate() error {
 }
 
 // New builds the configured inter-arrival source at the given nominal
-// rate (QPS), drawing from stream.
+// rate (QPS), drawing from stream. A Poisson source draws its gaps a
+// chunk ahead (NewExponentialArrivals), so stream must be its alone; the
+// gamma, Weibull and ON/OFF sources draw once or more per gap, when
+// Next asks.
 func (c ArrivalConfig) New(rate float64, stream *rng.Stream) (Interarrival, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err

@@ -64,7 +64,7 @@ func TestETCKeyIsRankKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := &ETC{cfg: cfg, stream: rng.New(7)}
+	ref := rng.New(7)
 	ops := map[Op]int{}
 	var buf []byte
 	for i := 0; i < 20000; i++ {
@@ -75,9 +75,9 @@ func TestETCKeyIsRankKey(t *testing.T) {
 		if buf = AppendKey(buf[:0], r.Rank); string(buf) != fmt.Sprintf("etc-%012d", r.Rank) {
 			t.Fatalf("draw %d: %v key %q carries rank %d", i, r.Op, buf, r.Rank)
 		}
-		want := KVRequest{Rank: e.ranks.Draw(ref.stream)}
-		if ref.stream.Float64() >= cfg.GetRatio {
-			want.Op, want.ValueSize = OpSet, ref.ValueSize()
+		want := KVRequest{Rank: e.ranks.Draw(ref)}
+		if ref.Float64() >= cfg.GetRatio {
+			want.Op, want.ValueSize = OpSet, cfg.ValueSize(ref)
 		}
 		if r != want {
 			t.Fatalf("draw %d = %+v, replay %+v", i, r, want)
@@ -89,12 +89,47 @@ func TestETCKeyIsRankKey(t *testing.T) {
 	}
 }
 
+// TestETCNextMatchesScalarDrawsAcrossChunks checks the requests an ETC
+// source draws ahead against a twin stream drawing each request's rank,
+// GET/SET coin and a SET's value size in turn, over three chunks and
+// one more request. Half the requests are SETs, so chunks consume
+// different numbers of uniforms. After the last request the source's
+// stream sits where drawing out the fourth chunk leaves the twin.
+func TestETCNextMatchesScalarDrawsAcrossChunks(t *testing.T) {
+	cfg := DefaultETCConfig()
+	cfg.GetRatio = 0.5
+	e, err := NewETC(cfg, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := rng.New(9)
+	scalar := func() KVRequest {
+		r := KVRequest{Op: OpGet, Rank: e.ranks.Draw(twin)}
+		if twin.Float64() >= cfg.GetRatio {
+			r.Op, r.ValueSize = OpSet, cfg.ValueSize(twin)
+		}
+		return r
+	}
+	const n = 3*requestChunk + 1
+	for i := 0; i < n; i++ {
+		if got, want := e.Next(), scalar(); got != want {
+			t.Fatalf("request %d = %+v, one draw at a time gives %+v", i, got, want)
+		}
+	}
+	for i := n; i < 4*requestChunk; i++ {
+		scalar()
+	}
+	if *e.stream != *twin {
+		t.Fatal("after 3 chunks and one request the stream is not where 4 chunks of scalar draws leave it")
+	}
+}
+
 func TestETCValueSizes(t *testing.T) {
-	e := newETC(t, 3)
+	cfg, s := DefaultETCConfig(), rng.New(3)
 	var sum float64
 	const n = 100000
 	for i := 0; i < n; i++ {
-		v := e.ValueSize()
+		v := cfg.ValueSize(s)
 		if v < 1 || v > 1<<20 {
 			t.Fatalf("value size %d out of [1, 1MiB]", v)
 		}
@@ -119,11 +154,11 @@ func TestETCMeanValueSize(t *testing.T) {
 	}
 
 	// The analytic mean must agree with the empirical draw it models.
-	e := newETC(t, 17)
+	s := rng.New(17)
 	var sum float64
 	const n = 200000
 	for i := 0; i < n; i++ {
-		sum += float64(e.ValueSize())
+		sum += float64(cfg.ValueSize(s))
 	}
 	empirical := sum / n
 	if math.Abs(empirical-cfg.MeanValueSize())/cfg.MeanValueSize() > 0.05 {
@@ -319,6 +354,24 @@ func TestExponentialArrivalsMeanRate(t *testing.T) {
 	}
 	if ia.Rate() != 100000 {
 		t.Errorf("Rate = %v", ia.Rate())
+	}
+}
+
+// TestExponentialArrivalsMatchExpAcrossChunks checks the gaps a Poisson
+// source draws ahead against one Exp draw per gap from a twin stream,
+// over three chunks and one more gap.
+func TestExponentialArrivalsMatchExpAcrossChunks(t *testing.T) {
+	const rate = 50_000
+	ia, err := NewExponentialArrivals(rate, rng.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := rng.New(8)
+	for i := 0; i < 3*gapChunk+1; i++ {
+		want := time.Duration(twin.Exp(rate) * float64(time.Second))
+		if got := ia.Next(); got != want {
+			t.Fatalf("gap %d = %v, one Exp draw per gap gives %v", i, got, want)
+		}
 	}
 }
 

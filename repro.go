@@ -153,7 +153,8 @@
 // each rank draw O(1) expected instead of a bisection while returning
 // exactly the bisection's rank (TestDiscreteMatchesBisection): ~120 →
 // ~26 ns per draw at 100K keys (BenchmarkZipfDraw), ~8 ms and 800 KB →
-// ~0.2 µs and 80 B per workload.NewETC (BenchmarkNewETC).
+// ~0.2 µs and 80 B per workload.NewETC (BenchmarkNewETC; 448 B once each
+// source held a chunk of 16 requests drawn ahead).
 //
 // # Cluster layer
 //
