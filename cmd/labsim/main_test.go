@@ -133,6 +133,24 @@ func TestShardWarning(t *testing.T) {
 	}
 }
 
+// TestShapeFlagLabels pins the label of the scenario labsim's shape
+// flags describe: the client's name alone, since the base has no name.
+// The label names each run's random stream.
+func TestShapeFlagLabels(t *testing.T) {
+	for _, tc := range []struct{ args, label string }{
+		{"", "LP"},
+		{"-client HP", "HP"},
+	} {
+		got, _, err := parseArgs(tc.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Label != tc.label {
+			t.Errorf("labsim %s: label %q, want %q", tc.args, got.Label, tc.label)
+		}
+	}
+}
+
 // TestPresetAndSpecScenarios pins labsim's -preset and -spec paths to
 // the scenario figures.RunPreset runs at the peak rate, so labsim and
 // repro -experiment/-spec report the same numbers for the same seed:

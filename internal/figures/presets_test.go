@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -65,6 +66,64 @@ func TestPresetFullSizeSelectsStreaming(t *testing.T) {
 		sc := PresetScenario(p, p.Rates[0], SweepOptions{})
 		if got := sc.EffectiveSampleMode(); got != metrics.SampleStreaming {
 			t.Errorf("preset %s full-size sample mode = %v, want streaming", p.Name, got)
+		}
+	}
+}
+
+// TestPresetScenarioLabels pins the label of every built-in preset's
+// scenario and of every example spec's. The label names each run's
+// random stream, so a label that moved would move every number the
+// preset prints.
+func TestPresetScenarioLabels(t *testing.T) {
+	builtins := []struct{ name, label string }{
+		{"million-qps", "HP-million-qps"},
+		{"cluster", "HP-cluster"},
+		{"sharded", "HP-sharded"},
+		{"faulty-cluster", "HP-faulty-cluster"},
+		{"hour-long", "HP-hour-long"},
+	}
+	presets := Presets()
+	if len(presets) != len(builtins) {
+		t.Fatalf("%d built-in presets, the table pins %d", len(presets), len(builtins))
+	}
+	for i, p := range presets {
+		want := builtins[i]
+		if p.Name != want.name {
+			t.Fatalf("preset %d is %s, want %s", i, p.Name, want.name)
+		}
+		if got := PresetScenario(p, p.Rates[0], SweepOptions{}).Label; got != want.label {
+			t.Errorf("preset %s: label %q, want %q", p.Name, got, want.label)
+		}
+	}
+
+	examples := []struct{ file, label string }{
+		{"bursty-gamma.yaml", "HP-bursty-gamma"},
+		{"cluster.yaml", "HP-cluster"},
+		{"diurnal.yaml", "HP-diurnal"},
+		{"faulty-cluster.yaml", "HP-faulty-cluster"},
+		{"hour-long.yaml", "HP-hour-long"},
+		{"million-qps.yaml", "HP-million-qps"},
+		{"onoff-sessions.yaml", "HP-onoff-sessions"},
+		{"phases-spike.yaml", "HP-phases-spike"},
+		{"sharded.yaml", "HP-sharded"},
+		{"straggler.yaml", "HP-straggler"},
+		{"weibull-heavy.yaml", "HP-weibull-heavy"},
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "*.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(examples) {
+		t.Fatalf("%d example specs, the table pins %d", len(files), len(examples))
+	}
+	for i, file := range files {
+		want := examples[i]
+		if filepath.Base(file) != want.file {
+			t.Fatalf("example %d is %s, want %s", i, filepath.Base(file), want.file)
+		}
+		p := PresetFromSpec(loadExampleSpec(t, want.file))
+		if got := PresetScenario(p, p.Rates[0], SweepOptions{}).Label; got != want.label {
+			t.Errorf("spec %s: label %q, want %q", want.file, got, want.label)
 		}
 	}
 }
