@@ -62,7 +62,9 @@ bench-diff:
 # timeouts and retries, so a figure grid's -replicas, -router, -timeout
 # and -retries overrides are exercised end to end; the labsim lines with
 # -retries, -hedge and -timeout do the same for a preset's and a spec's
-# resilience overrides through the shared flag layer.
+# resilience overrides through the shared flag layer. The last labsim
+# line runs the scenario labsim's shape flags describe, with no preset or
+# spec behind it.
 smoke-presets:
 	$(GO) run ./cmd/repro -experiment million-qps -runs 1 -samples 2000
 	$(GO) run ./cmd/repro -experiment cluster -runs 1 -samples 2000
@@ -82,6 +84,7 @@ smoke-presets:
 	$(GO) run ./cmd/labsim -spec examples/cluster.yaml -runs 1 -samples 2000 -timeout 2ms -retries 1
 	$(GO) run ./cmd/labsim -spec examples/onoff-sessions.yaml -runs 1 -samples 2000
 	$(GO) run ./cmd/labsim -spec examples/straggler.yaml -runs 1 -samples 2000
+	$(GO) run ./cmd/labsim -client HP -service memcached -rate 50000 -runs 1 -samples 2000
 
 # profile captures CPU and allocation profiles of a reference sweep: the
 # request-path benchmark, which exercises the whole hot path (engine event

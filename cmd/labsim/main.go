@@ -18,9 +18,11 @@
 // run statistics. The defaults keep the single-backend path unchanged.
 //
 // -shards partitions every run's simulation across N conservatively-
-// synchronized engines; results are byte-identical to -shards 1, only
-// wall-clock changes. Clustered shapes need the consistent-hash router
-// (routing is decided at send time on the sharded path).
+// synchronized engines; at the tested scales results are byte-identical
+// to -shards 1 and only wall-clock changes (same-nanosecond ties can
+// still move a large run; see ROADMAP open item 1). Clustered shapes
+// need the consistent-hash router (routing is decided at send time on
+// the sharded path).
 //
 // -timeout arms the client resilience stack: requests that outlive the
 // timeout are abandoned and, with -retries, resent with exponential
@@ -223,10 +225,10 @@ func scenario(fs *flag.FlagSet, args []string) (experiment.Scenario, string, err
 		if *serverC1E {
 			server = server.WithMaxCState("C1E")
 		}
-		base = &figures.Preset{
-			Service: experiment.Service(*service), Client: client, ClientName: *clientName,
-			Server: server, Rates: []float64{*rate}, Runs: f.Runs, SynthDelay: *delay,
-		}
+		base = &figures.Preset{Rates: []float64{*rate}, Scenario: experiment.Scenario{
+			Service: experiment.Service(*service), Client: client, Server: server,
+			Runs: f.Runs, SynthDelay: *delay,
+		}}
 	}
 	opts, warning, err := f.Options(base)
 	if err != nil {
@@ -250,13 +252,8 @@ func scenario(fs *flag.FlagSet, args []string) (experiment.Scenario, string, err
 }
 
 func clientConfig(preset, maxCState, governor string, turbo bool) (hw.Config, error) {
-	var cfg hw.Config
-	switch preset {
-	case "LP":
-		cfg = hw.LPConfig()
-	case "HP":
-		cfg = hw.HPConfig()
-	default:
+	cfg, ok := hw.ClientByName(preset)
+	if !ok {
 		return cfg, fmt.Errorf("unknown client preset %q (want LP or HP)", preset)
 	}
 	if maxCState != "" {

@@ -28,8 +28,9 @@
 //
 // -shards partitions every run's simulation across N conservatively-
 // synchronized engines (send-time routing requires the consistent-hash
-// router on clustered shapes); output stays byte-identical to -shards 1
-// — only wall-clock changes.
+// router on clustered shapes); at the tested scales output stays
+// byte-identical to -shards 1 and only wall-clock changes (same-nanosecond
+// ties can still move a large run; see ROADMAP open item 1).
 //
 // -replicas and -router run any experiment's backend as a replica set
 // behind a routing policy (round-robin, least-outstanding,

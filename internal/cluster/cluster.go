@@ -135,10 +135,6 @@ func (rs *ReplicaSet) InstallFaults(plan *faults.Plan) {
 	}
 }
 
-// FaultSchedule returns the run's compiled fault schedule (nil without a
-// plan). Valid between StartRun and the next reset.
-func (rs *ReplicaSet) FaultSchedule() *faults.Schedule { return rs.sched }
-
 // Primary returns replica 0 — the instance whose workload accessors
 // (ETC config, query datasets) describe the whole set, since replicas
 // are built identically.

@@ -109,8 +109,8 @@ type Scenario struct {
 	Autoscale *cluster.AutoscalerConfig
 	// Shards partitions each run's simulation across this many
 	// conservatively-synchronized engines (package sim), cutting
-	// wall-clock on multi-core hosts while keeping every run
-	// byte-identical to the single-engine path (loadgen.Config.Shards).
+	// wall-clock on multi-core hosts. Runs match the single-engine path
+	// at the tested scales, not at every scale (loadgen.Config.Shards).
 	// 0 or 1 selects the legacy single-engine run. Sharding composes
 	// with Workers: each repetition worker drives its own shard set.
 	// Incompatible with Autoscale and with non-consistent-hash routers
@@ -188,11 +188,24 @@ func (s Scenario) Validate() error {
 	if !(s.RateQPS > 0) || s.RateQPS > MaxRateQPS { // NaN fails the first test, +Inf the second
 		return fmt.Errorf("experiment: rate must be positive, finite and at most %g QPS, got %v", MaxRateQPS, s.RateQPS)
 	}
-	if _, total := s.runTiming(); total <= 0 {
+	warmup, total := s.runTiming()
+	if total <= 0 {
 		if s.Duration > 0 {
 			return fmt.Errorf("experiment: duration %v and its warm-up run longer than %v", s.Duration, time.Duration(math.MaxInt64))
 		}
 		return fmt.Errorf("experiment: rate %v QPS makes a %d-sample run longer than %v", s.RateQPS, s.targetSamples(), time.Duration(math.MaxInt64))
+	}
+	// Each client thread offers RateQPS/threads and starts at a random
+	// phase within its first mean gap, so a window shorter than that gap
+	// would put first sends past the run, or past what time.Duration
+	// holds.
+	expected := float64(s.targetSamples())
+	if s.Duration > 0 {
+		expected = s.RateQPS * s.Duration.Seconds()
+	}
+	if machines, threads := s.clientDeployment(); expected < float64(machines*threads) {
+		return fmt.Errorf("experiment: rate %v QPS expects %.3g requests in the %v measurement window, fewer than one for each of its %d client threads",
+			s.RateQPS, expected, total-warmup, machines*threads)
 	}
 	if s.Runs < 1 {
 		return fmt.Errorf("experiment: need ≥1 run, got %d", s.Runs)
@@ -279,17 +292,23 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
+// clientDeployment is the service's client deployment that
+// generatorConfig builds: one machine of two generator threads for
+// HDSearch and SocialNet, four machines of one thread for the
+// mutilate-style Memcached and Synthetic.
+func (s Scenario) clientDeployment() (machines, threadsPerMachine int) {
+	if s.Service == ServiceHDSearch || s.Service == ServiceSocialNet {
+		return 1, 2
+	}
+	return 4, 1
+}
+
 // shardPartitions is the scenario's shard-assignable unit count at its
-// initial shape: the service's client machines (generatorConfig's
-// per-service deployment: one for HDSearch and SocialNet, four for the
-// mutilate-style Memcached and Synthetic) plus one partition per backend
-// replica, one for a bare backend. Shards above it would own no
+// initial shape: the service's client machines plus one partition per
+// backend replica, one for a bare backend. Shards above it would own no
 // simulation state.
 func (s Scenario) shardPartitions() int {
-	machines := 4
-	if s.Service == ServiceHDSearch || s.Service == ServiceSocialNet {
-		machines = 1
-	}
+	machines, _ := s.clientDeployment()
 	replicas := 1
 	if s.Clustered() {
 		_, replicas = s.clusterShape()
@@ -518,6 +537,7 @@ func (s Scenario) generatorConfig(backend services.Backend, warmup time.Duration
 		PhasesRepeat: s.PhasesRepeat,
 		Shards:       s.Shards,
 	}
+	cfg.Machines, cfg.ThreadsPerMachine = s.clientDeployment()
 	if s.Resilience != nil {
 		cfg.Resilience = *s.Resilience
 	}
@@ -528,8 +548,6 @@ func (s Scenario) generatorConfig(backend services.Backend, warmup time.Duration
 	case *services.Memcached:
 		// Mutilate: 4 client machines, 160 connections, block-wait
 		// time-sensitive pacing (§IV-B).
-		cfg.Machines = 4
-		cfg.ThreadsPerMachine = 1
 		cfg.ConnsPerThread = 40
 		cfg.TimeSensitive = true
 		etcCfg := b.ETCConfig()
@@ -543,8 +561,6 @@ func (s Scenario) generatorConfig(backend services.Backend, warmup time.Duration
 	case *services.HDSearch:
 		// MicroSuite client: one machine, busy-wait time-insensitive
 		// pacing with Poisson arrivals (§IV-B).
-		cfg.Machines = 1
-		cfg.ThreadsPerMachine = 2
 		cfg.ConnsPerThread = 8
 		cfg.TimeSensitive = false
 		cfg.Payloads = func(stream *rng.Stream) loadgen.PayloadSource {
@@ -553,8 +569,6 @@ func (s Scenario) generatorConfig(backend services.Backend, warmup time.Duration
 	case *services.SocialNet:
 		// wrk2: one machine, 20 connections, block-wait exponential
 		// pacing, read-user-timeline only (§IV-B).
-		cfg.Machines = 1
-		cfg.ThreadsPerMachine = 2
 		cfg.ConnsPerThread = 10
 		cfg.TimeSensitive = true
 		cfg.Payloads = func(stream *rng.Stream) loadgen.PayloadSource {
@@ -562,8 +576,6 @@ func (s Scenario) generatorConfig(backend services.Backend, warmup time.Duration
 		}
 	case *services.Synthetic:
 		// Same mutilate-style deployment as Memcached.
-		cfg.Machines = 4
-		cfg.ThreadsPerMachine = 1
 		cfg.ConnsPerThread = 40
 		cfg.TimeSensitive = true
 		cfg.Payloads = func(stream *rng.Stream) loadgen.PayloadSource {
@@ -796,11 +808,6 @@ func RunContext(ctx context.Context, s Scenario) (Result, error) {
 		res.P99CI = stats.Interval{Point: stats.Median(res.PerRunP99Us), Lower: stats.Min(res.PerRunP99Us), Upper: stats.Max(res.PerRunP99Us), Confidence: 0.95}
 	}
 	return res, nil
-}
-
-// ClientConfigs returns the paper's two client configurations (Table II).
-func ClientConfigs() map[string]hw.Config {
-	return map[string]hw.Config{"LP": hw.LPConfig(), "HP": hw.HPConfig()}
 }
 
 // ServerVariant derives the server configuration for a feature study.

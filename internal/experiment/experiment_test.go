@@ -47,8 +47,10 @@ func TestScenarioValidation(t *testing.T) {
 
 // TestScenarioValidateRate is the rate table: a rate must be a finite
 // positive number, at most MaxRateQPS, whose run fits in a
-// time.Duration. Each rejection names the rate. Only Validate sees these
-// rates; a rejected one would run with a negative duration or schedule
+// time.Duration and whose measurement window expects at least one
+// request per client thread. Each rejection names the rate. Only
+// Validate sees these rates; a rejected one would run with a negative
+// duration, schedule a thread's first send past the run, or schedule
 // requests at one instant until memory ran out.
 func TestScenarioValidateRate(t *testing.T) {
 	cases := []struct {
@@ -67,6 +69,11 @@ func TestScenarioValidateRate(t *testing.T) {
 		{"run-just-too-long", 1e-8, 1000, 0, "rate 1e-08 QPS makes a 1000-sample run longer than"},
 		{"slow-but-fits", 1e-6, 1000, 0, ""},
 		{"duration-too-long", 1000, 0, time.Duration(math.MaxInt64 / 10 * 9.5), "duration"},
+		{"tiny-with-duration", 1e-300, 0, time.Second, "rate 1e-300 QPS expects 1e-300 requests in the 1s measurement window"},
+		{"below-one-per-thread", 3, 0, time.Second, "rate 3 QPS expects 3 requests in the 1s measurement window, fewer than one for each of its 4 client threads"},
+		{"one-per-thread", 4, 0, time.Second, ""},
+		{"samples-below-threads", 1000, 3, 0, "rate 1000 QPS expects 3 requests in the 3ms measurement window"},
+		{"samples-at-threads", 1000, 4, 0, ""},
 		{"paper-lp", 200_000, 150_000, 0, ""},
 		{"at-max", MaxRateQPS, 200, 0, ""},
 		{"above-max", math.Nextafter(MaxRateQPS, math.Inf(1)), 200, 0, "got 1.0000000000000001e+09"},
@@ -189,8 +196,8 @@ func TestSweepHelpers(t *testing.T) {
 	if !C1EVariants()[1].Cfg.SMT == false && C1EVariants()[1].Cfg.MaxCState != "C1E" {
 		t.Error("C1E variant misconfigured")
 	}
-	cc := ClientConfigs()
-	if cc["LP"].Governor != hw.GovernorPowersave || cc["HP"].Governor != hw.GovernorPerformance {
+	cc := hw.Clients()
+	if cc[0].Governor != hw.GovernorPowersave || cc[1].Governor != hw.GovernorPerformance {
 		t.Error("client configs wrong")
 	}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/loadgen"
 	"repro/internal/rng"
@@ -71,18 +72,18 @@ func (o OrderingStudy) Run() (OrderingResult, error) {
 	execute := func(order []job, label string) (OrderingArm, error) {
 		// Backends persist across a whole arm (like a testbed that stays
 		// up between experiments), so leaked state would carry over.
-		gens := make([]*scenarioRunner, len(o.Scenarios))
+		runners := make([]func(*rng.Stream) (float64, error), len(o.Scenarios))
 		samples := make([][]float64, len(o.Scenarios))
 		for _, j := range order {
-			if gens[j.scenario] == nil {
-				g, err := newScenarioRunner(o.Scenarios[j.scenario])
+			if runners[j.scenario] == nil {
+				run, err := newScenarioRunner(o.Scenarios[j.scenario])
 				if err != nil {
 					return OrderingArm{}, err
 				}
-				gens[j.scenario] = g
+				runners[j.scenario] = run
 			}
 			stream := rng.NewLabeled(o.Seed, fmt.Sprintf("ordering/%s/s%d/r%d", label, j.scenario, j.rep))
-			avg, err := gens[j.scenario].runOnce(stream)
+			avg, err := runners[j.scenario](stream)
 			if err != nil {
 				return OrderingArm{}, err
 			}
@@ -122,7 +123,7 @@ func (o OrderingStudy) Run() (OrderingResult, error) {
 	for i := range o.Scenarios {
 		g, iv := grouped.MedianAvgUs[i], interleaved.MedianAvgUs[i]
 		if g != 0 {
-			d := 100 * abs(g-iv) / g
+			d := 100 * math.Abs(g-iv) / g
 			if d > res.MaxDiscrepancyPct {
 				res.MaxDiscrepancyPct = d
 			}
@@ -134,20 +135,10 @@ func (o OrderingStudy) Run() (OrderingResult, error) {
 	return res, nil
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// scenarioRunner holds a built backend+generator for repeated runs.
-type scenarioRunner struct {
-	s   Scenario
-	run func(stream *rng.Stream) (float64, error)
-}
-
-func newScenarioRunner(s Scenario) (*scenarioRunner, error) {
+// newScenarioRunner builds the scenario's backend and generator once
+// and returns a function that runs one repetition on them and reports
+// its mean latency.
+func newScenarioRunner(s Scenario) (func(*rng.Stream) (float64, error), error) {
 	backend, err := s.buildBackend()
 	if err != nil {
 		return nil, err
@@ -157,19 +148,14 @@ func newScenarioRunner(s Scenario) (*scenarioRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &scenarioRunner{
-		s: s,
-		run: func(stream *rng.Stream) (float64, error) {
-			rr, err := gen.RunOnce(stream, total)
-			if err != nil {
-				return 0, err
-			}
-			if rr.Latency.N == 0 {
-				return 0, fmt.Errorf("experiment: ordering run collected no samples")
-			}
-			return rr.Latency.Mean, nil
-		},
+	return func(stream *rng.Stream) (float64, error) {
+		rr, err := gen.RunOnce(stream, total)
+		if err != nil {
+			return 0, err
+		}
+		if rr.Latency.N == 0 {
+			return 0, fmt.Errorf("experiment: ordering run collected no samples")
+		}
+		return rr.Latency.Mean, nil
 	}, nil
 }
-
-func (r *scenarioRunner) runOnce(stream *rng.Stream) (float64, error) { return r.run(stream) }

@@ -61,21 +61,22 @@ func TestGoldenLinkLossFleet(t *testing.T) {
 	p := Preset{
 		Name:        "link-loss-fleet",
 		Description: "4 Memcached replicas behind consistent hashing, client links slowed and lossy mid-run",
-		Service:     experiment.ServiceMemcached,
-		Client:      hw.LPConfig(),
-		ClientName:  "LP",
-		Server:      hw.ServerBaselineConfig(),
 		Rates:       []float64{100_000, 400_000},
-		Replicas:    4,
-		Router:      cluster.RouterConsistentHash,
-		Faults: &faults.Plan{
-			Link: []faults.LinkWindow{{Start: 0.4, End: 0.6, DelayFactor: 3, Loss: 0.05}},
-		},
-		Resilience: &loadgen.ResilienceConfig{
-			Timeout:   2 * time.Millisecond,
-			Retries:   2,
-			RetryBase: 200 * time.Microsecond,
-			RetryCap:  2 * time.Millisecond,
+		Scenario: experiment.Scenario{
+			Service:  experiment.ServiceMemcached,
+			Client:   hw.LPConfig(),
+			Server:   hw.ServerBaselineConfig(),
+			Replicas: 4,
+			Router:   cluster.RouterConsistentHash,
+			Faults: &faults.Plan{
+				Link: []faults.LinkWindow{{Start: 0.4, End: 0.6, DelayFactor: 3, Loss: 0.05}},
+			},
+			Resilience: &loadgen.ResilienceConfig{
+				Timeout:   2 * time.Millisecond,
+				Retries:   2,
+				RetryBase: 200 * time.Microsecond,
+				RetryCap:  2 * time.Millisecond,
+			},
 		},
 	}
 	pr, err := RunPreset(p, SweepOptions{Runs: 2, Seed: 2024, TargetSamples: 4000, Workers: -1})

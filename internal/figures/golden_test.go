@@ -102,17 +102,18 @@ func TestGoldenSocialNetFigures(t *testing.T) {
 	fleet := Preset{
 		Name:        "socialnet-fleet",
 		Description: "3 SocialNet replicas behind consistent hashing, replica 1 crashed mid-run",
-		Service:     experiment.ServiceSocialNet,
-		Client:      hw.LPConfig(),
-		ClientName:  "LP",
-		Server:      hw.ServerBaselineConfig(),
 		Rates:       []float64{400, 800},
-		Replicas:    3,
-		Router:      cluster.RouterConsistentHash,
-		Faults: &faults.Plan{
-			Crashes: []faults.CrashWindow{{Replica: 1, Start: 0.3, End: 0.6}},
+		Scenario: experiment.Scenario{
+			Service:  experiment.ServiceSocialNet,
+			Client:   hw.LPConfig(),
+			Server:   hw.ServerBaselineConfig(),
+			Replicas: 3,
+			Router:   cluster.RouterConsistentHash,
+			Faults: &faults.Plan{
+				Crashes: []faults.CrashWindow{{Replica: 1, Start: 0.3, End: 0.6}},
+			},
+			Resilience: &loadgen.ResilienceConfig{Timeout: 8 * time.Millisecond, Retries: 2},
 		},
-		Resilience: &loadgen.ResilienceConfig{Timeout: 8 * time.Millisecond, Retries: 2},
 	}
 	pr, err := RunPreset(fleet, SweepOptions{Runs: 2, Seed: 2024, TargetSamples: 300, Workers: -1})
 	if err != nil {

@@ -29,58 +29,21 @@ import (
 // CLIs let -runs and -samples scale them down, which is how CI smokes
 // them per commit.
 
-// Preset is a named large-scale sweep: one service, one client, one
-// server, a rate axis.
+// Preset is a named large-scale sweep: one scenario shape over a rate
+// axis.
 type Preset struct {
 	// Name is the CLI spelling (repro -experiment NAME, labsim -preset NAME).
 	Name string
 	// Description is one line for usage text.
 	Description string
-	Service     experiment.Service
-	Client      hw.Config
-	ClientName  string
-	Server      hw.Config
 	// Rates is the sweep axis.
 	Rates []float64
-	// Runs and TargetSamples are the full-size defaults; SweepOptions
-	// overrides scale them down for smoke runs.
-	Runs          int
-	TargetSamples int
-	// Replicas and Router select the cluster path (experiment.Scenario
-	// semantics): a replicated backend fleet behind the named routing
-	// policy. Zero keeps the single-backend path.
-	Replicas int
-	Router   string
-	// Duration fixes the measurement window instead of TargetSamples
-	// (experiment.Scenario.Duration semantics); spec-driven phase
-	// programs use it.
-	Duration time.Duration
-	// SynthDelay is the synthetic service's added busy-wait.
-	SynthDelay time.Duration
-	// Classes, Phases and PhasesRepeat are the workload mix and load
-	// program (experiment.Scenario semantics). Built-in presets leave
-	// them empty; specs populate them.
-	Classes      []loadgen.ClassConfig
-	Phases       []loadgen.PhaseConfig
-	PhasesRepeat bool
-	// Autoscale enables the cluster's control loop.
-	Autoscale *cluster.AutoscalerConfig
-	// Shards partitions each run across this many conservatively-
-	// synchronized engines (experiment.Scenario.Shards semantics),
-	// byte-identical to the single-engine path. Zero keeps the legacy
-	// single-engine run.
-	Shards int
-	// Faults is the deterministic fault plan (experiment.Scenario.Faults
-	// semantics): crash windows, stragglers, link degradation, injected
-	// byte-identically at any -parallel and -shards.
-	Faults *faults.Plan
-	// Resilience is the client-side fault handling (timeouts, bounded
-	// retries, hedging); nil keeps the legacy fire-and-forget client.
-	Resilience *loadgen.ResilienceConfig
-	// HiccupRate / HiccupMean override the tiers' background-
-	// interference model (zero = service defaults).
-	HiccupRate float64
-	HiccupMean time.Duration
+	// Scenario is the full-size shape at every rate: service, hardware,
+	// run count and sample target, fleet, faults and resilience. It
+	// leaves the per-point fields zero (Label, RateQPS, Seed,
+	// SampleMode, Point, Workers and StreamingThreshold), which
+	// PresetScenario and the caller fill in.
+	experiment.Scenario
 }
 
 // Presets returns the built-in large-scale presets.
@@ -89,91 +52,96 @@ func Presets() []Preset {
 		{
 			Name:        "million-qps",
 			Description: "Memcached load sweep to 1M QPS (2× the paper's peak), 1M streamed samples per run",
-			Service:     experiment.ServiceMemcached,
-			Client:      hw.HPConfig(),
-			ClientName:  "HP",
-			Server:      hw.ServerBaselineConfig(),
 			Rates:       []float64{250_000, 500_000, 750_000, 1_000_000},
-			Runs:        5,
-			// 1M post-warmup samples per run: far past the streaming
-			// threshold, so each run reduces in O(1) memory while the
-			// wheel keeps per-event cost flat at ~10^5 pending events.
-			TargetSamples: 1_000_000,
+			Scenario: experiment.Scenario{
+				Service: experiment.ServiceMemcached,
+				Client:  hw.HPConfig(),
+				Server:  hw.ServerBaselineConfig(),
+				Runs:    5,
+				// 1M post-warmup samples per run: far past the streaming
+				// threshold, so each run reduces in O(1) memory while the
+				// wheel keeps per-event cost flat at ~10^5 pending events.
+				TargetSamples: 1_000_000,
+			},
 		},
 		{
 			Name:        "cluster",
 			Description: "Replicated Memcached fleet: 4 replicas behind consistent hashing, to 2M QPS offered",
-			Service:     experiment.ServiceMemcached,
-			Client:      hw.HPConfig(),
-			ClientName:  "HP",
-			Server:      hw.ServerBaselineConfig(),
 			// One instance saturates near 900K QPS; the upper rates only
 			// stay serviceable because the router spreads them over the
 			// fleet — the scale-out table's axis.
-			Rates:         []float64{250_000, 500_000, 1_000_000, 2_000_000},
-			Runs:          5,
-			TargetSamples: 250_000,
-			Replicas:      4,
-			Router:        cluster.RouterConsistentHash,
+			Rates: []float64{250_000, 500_000, 1_000_000, 2_000_000},
+			Scenario: experiment.Scenario{
+				Service:       experiment.ServiceMemcached,
+				Client:        hw.HPConfig(),
+				Server:        hw.ServerBaselineConfig(),
+				Runs:          5,
+				TargetSamples: 250_000,
+				Replicas:      4,
+				Router:        cluster.RouterConsistentHash,
+			},
 		},
 		{
 			Name:        "sharded",
 			Description: "Replicated Memcached fleet across 4 sharded engines: the cluster sweep, parallelized in-run",
-			Service:     experiment.ServiceMemcached,
-			Client:      hw.HPConfig(),
-			ClientName:  "HP",
-			Server:      hw.ServerBaselineConfig(),
+			Rates:       []float64{250_000, 500_000, 1_000_000, 2_000_000},
 			// The cluster preset's shape — consistent hashing is the one
 			// routing policy the sharded path admits (send-time routing) —
 			// with each run partitioned over 4 engines: 4 client machines
 			// + 4 replicas = 8 partitions, 2 per shard.
-			Rates:         []float64{250_000, 500_000, 1_000_000, 2_000_000},
-			Runs:          5,
-			TargetSamples: 250_000,
-			Replicas:      4,
-			Router:        cluster.RouterConsistentHash,
-			Shards:        4,
+			Scenario: experiment.Scenario{
+				Service:       experiment.ServiceMemcached,
+				Client:        hw.HPConfig(),
+				Server:        hw.ServerBaselineConfig(),
+				Runs:          5,
+				TargetSamples: 250_000,
+				Replicas:      4,
+				Router:        cluster.RouterConsistentHash,
+				Shards:        4,
+			},
 		},
 		{
 			Name:        "faulty-cluster",
 			Description: "Replicated Memcached fleet with a mid-run replica crash, client timeouts and bounded retries",
-			Service:     experiment.ServiceMemcached,
-			Client:      hw.HPConfig(),
-			ClientName:  "HP",
-			Server:      hw.ServerBaselineConfig(),
+			Rates:       []float64{250_000, 500_000, 1_000_000},
 			// The cluster preset's fleet with one replica crashed for the
 			// middle third of every run. Consistent hashing keeps the run
 			// shardable, so the fault path is exercised by both execution
 			// modes; the resilience stack turns the dark replica's share
 			// into retries against the survivors instead of lost requests.
-			Rates:         []float64{250_000, 500_000, 1_000_000},
-			Runs:          5,
-			TargetSamples: 250_000,
-			Replicas:      4,
-			Router:        cluster.RouterConsistentHash,
-			Faults: &faults.Plan{
-				Crashes: []faults.CrashWindow{{Replica: 1, Start: 0.35, End: 0.65}},
-			},
-			Resilience: &loadgen.ResilienceConfig{
-				Timeout:   2 * time.Millisecond,
-				Retries:   2,
-				RetryBase: 200 * time.Microsecond,
-				RetryCap:  2 * time.Millisecond,
+			Scenario: experiment.Scenario{
+				Service:       experiment.ServiceMemcached,
+				Client:        hw.HPConfig(),
+				Server:        hw.ServerBaselineConfig(),
+				Runs:          5,
+				TargetSamples: 250_000,
+				Replicas:      4,
+				Router:        cluster.RouterConsistentHash,
+				Faults: &faults.Plan{
+					Crashes: []faults.CrashWindow{{Replica: 1, Start: 0.35, End: 0.65}},
+				},
+				Resilience: &loadgen.ResilienceConfig{
+					Timeout:   2 * time.Millisecond,
+					Retries:   2,
+					RetryBase: 200 * time.Microsecond,
+					RetryCap:  2 * time.Millisecond,
+				},
 			},
 		},
 		{
 			Name:        "hour-long",
 			Description: "Memcached at 100K QPS for one virtual hour per run (360M samples, streamed)",
-			Service:     experiment.ServiceMemcached,
-			Client:      hw.HPConfig(),
-			ClientName:  "HP",
-			Server:      hw.ServerBaselineConfig(),
 			Rates:       []float64{100_000},
-			Runs:        3,
-			// TargetSamples sets the measurement window: samples/rate =
-			// 3600 virtual seconds. Only streaming reduction makes the
-			// run's memory independent of those 3.6e8 samples.
-			TargetSamples: 360_000_000,
+			Scenario: experiment.Scenario{
+				Service: experiment.ServiceMemcached,
+				Client:  hw.HPConfig(),
+				Server:  hw.ServerBaselineConfig(),
+				Runs:    3,
+				// TargetSamples sets the measurement window: samples/rate =
+				// 3600 virtual seconds. Only streaming reduction makes the
+				// run's memory independent of those 3.6e8 samples.
+				TargetSamples: 360_000_000,
+			},
 		},
 	}
 }
@@ -203,52 +171,18 @@ type PresetResult struct {
 	Results []experiment.Result // index-aligned with Preset.Rates
 }
 
-// PresetScenario assembles the scenario for one rate of a preset under
-// the given options: the preset supplies full-size defaults, the
-// options' Runs/TargetSamples override them (the smoke knob CI uses),
-// and SweepOptions.override applies the fleet, engine and resilience
-// overrides. The label, which seeds every run's streams, is the client
-// and preset name; an unnamed preset (labsim's shape flags) is labelled
-// by its client alone.
+// PresetScenario is the preset's scenario at one rate under the given
+// options (SweepOptions.override), labelled by its client and preset
+// name. The label names every run's random stream; an unnamed preset
+// (labsim's shape flags) is labelled by its client alone.
 func PresetScenario(p Preset, rate float64, opts SweepOptions) experiment.Scenario {
-	samples := p.TargetSamples
-	if opts.TargetSamples > 0 {
-		samples = opts.TargetSamples
-	}
-	duration := p.Duration
-	if opts.TargetSamples > 0 {
-		// The smoke knob wins outright: an explicit sample target also
-		// shrinks duration-sized (phase-program) presets to smoke scale.
-		duration = 0
-	}
-	label := p.ClientName
+	sc := p.Scenario
+	sc.Label = p.Client.Name
 	if p.Name != "" {
-		label += "-" + p.Name
+		sc.Label += "-" + p.Name
 	}
-	return opts.override(experiment.Scenario{
-		Service:       p.Service,
-		Label:         label,
-		Client:        p.Client,
-		Server:        p.Server,
-		RateQPS:       rate,
-		Runs:          opts.runs(p.Runs),
-		TargetSamples: samples,
-		Duration:      duration,
-		Classes:       p.Classes,
-		Phases:        p.Phases,
-		PhasesRepeat:  p.PhasesRepeat,
-		SynthDelay:    p.SynthDelay,
-		Seed:          opts.Seed,
-		SampleMode:    opts.SampleMode,
-		Replicas:      p.Replicas,
-		Router:        p.Router,
-		Autoscale:     p.Autoscale,
-		Shards:        p.Shards,
-		Faults:        p.Faults,
-		Resilience:    p.Resilience,
-		HiccupRate:    p.HiccupRate,
-		HiccupMean:    p.HiccupMean,
-	})
+	sc.RateQPS = rate
+	return opts.override(sc)
 }
 
 // PresetFromSpec compiles a loaded workload spec into a Preset, the
@@ -256,32 +190,9 @@ func PresetScenario(p Preset, rate float64, opts SweepOptions) experiment.Scenar
 // to a Preset equal to the built-in one — the parity the golden tests
 // pin — so -spec is a superset of -experiment/-preset.
 func PresetFromSpec(s *spec.Spec) Preset {
-	client, clientName := s.ClientConfig()
-	p := Preset{
-		Name:          s.Name,
-		Description:   s.Description,
-		Service:       experiment.Service(s.Service),
-		Client:        client,
-		ClientName:    clientName,
-		Server:        s.ServerConfig(),
-		Rates:         s.SweepRates(),
-		Runs:          s.Runs,
-		TargetSamples: s.Samples,
-		Replicas:      s.Replicas,
-		Router:        s.Router,
-		Duration:      s.Duration.Std(),
-		SynthDelay:    s.SynthDelay.Std(),
-		Classes:       s.LoadgenClasses(),
-		Phases:        s.LoadgenPhases(),
-		PhasesRepeat:  s.PhasesRepeat,
-		Autoscale:     s.AutoscalerConfig(),
-		Shards:        s.Shards,
-	}
-	sc := s.Scenario(s.SweepRates()[0])
-	p.Faults = sc.Faults
-	p.Resilience = sc.Resilience
-	p.HiccupRate = sc.HiccupRate
-	p.HiccupMean = sc.HiccupMean
+	rates := s.SweepRates()
+	p := Preset{Name: s.Name, Description: s.Description, Rates: rates, Scenario: s.Scenario(rates[0])}
+	p.Label, p.RateQPS = "", 0
 	return p
 }
 
@@ -337,7 +248,7 @@ func (pr *PresetResult) Render() string {
 		mode = pr.Results[0].Scenario.EffectiveSampleMode()
 	}
 	fmt.Fprintf(&b, "%s: %s (%s client, %s server, %s reduction)\n",
-		p.Name, p.Description, p.ClientName, p.Server.Name, mode)
+		p.Name, p.Description, p.Client.Name, p.Server.Name, mode)
 	fmt.Fprintf(&b, "%-12s %10s %12s %12s %12s %10s\n",
 		"rate", "runs", "avg(µs)", "p99(µs)", "stddev(µs)", "samples")
 	for i, rate := range p.Rates {

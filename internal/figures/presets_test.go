@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -73,8 +74,20 @@ func TestPresetFullSizeSelectsStreaming(t *testing.T) {
 // TestPresetScenarioLabels pins the label of every built-in preset's
 // scenario and of every example spec's. The label names each run's
 // random stream, so a label that moved would move every number the
-// preset prints.
+// preset prints. It also checks that each preset leaves the per-point
+// fields of its scenario zero, for PresetScenario and the caller to set.
 func TestPresetScenarioLabels(t *testing.T) {
+	check := func(p Preset, label string) {
+		t.Helper()
+		if got := PresetScenario(p, p.Rates[0], SweepOptions{}).Label; got != label {
+			t.Errorf("preset %s: label %q, want %q", p.Name, got, label)
+		}
+		sc := p.Scenario
+		if sc.Label != "" || sc.RateQPS != 0 || sc.Seed != 0 || sc.SampleMode != metrics.SampleAuto ||
+			sc.Point != core.InApp || sc.Workers != 0 || sc.StreamingThreshold != 0 {
+			t.Errorf("preset %s sets a per-point field: %+v", p.Name, sc)
+		}
+	}
 	builtins := []struct{ name, label string }{
 		{"million-qps", "HP-million-qps"},
 		{"cluster", "HP-cluster"},
@@ -91,9 +104,7 @@ func TestPresetScenarioLabels(t *testing.T) {
 		if p.Name != want.name {
 			t.Fatalf("preset %d is %s, want %s", i, p.Name, want.name)
 		}
-		if got := PresetScenario(p, p.Rates[0], SweepOptions{}).Label; got != want.label {
-			t.Errorf("preset %s: label %q, want %q", p.Name, got, want.label)
-		}
+		check(p, want.label)
 	}
 
 	examples := []struct{ file, label string }{
@@ -121,9 +132,6 @@ func TestPresetScenarioLabels(t *testing.T) {
 		if filepath.Base(file) != want.file {
 			t.Fatalf("example %d is %s, want %s", i, filepath.Base(file), want.file)
 		}
-		p := PresetFromSpec(loadExampleSpec(t, want.file))
-		if got := PresetScenario(p, p.Rates[0], SweepOptions{}).Label; got != want.label {
-			t.Errorf("spec %s: label %q, want %q", want.file, got, want.label)
-		}
+		check(PresetFromSpec(loadExampleSpec(t, want.file)), want.label)
 	}
 }

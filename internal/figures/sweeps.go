@@ -56,8 +56,9 @@ type SweepOptions struct {
 	Router   string
 	// Shards overrides the preset/sweep engine partitioning
 	// (experiment.Scenario.Shards): every cell's runs execute across
-	// this many conservatively-synchronized engines, byte-identical to
-	// the single-engine path. Zero keeps each preset's own shape.
+	// this many conservatively-synchronized engines, matching the
+	// single-engine path at the tested scales. Zero keeps each preset's
+	// own shape.
 	Shards int
 	// Timeout, Retries and Hedge override the preset's client-side
 	// resilience knobs (loadgen.ResilienceConfig semantics): a positive
@@ -90,12 +91,21 @@ func (o SweepOptions) envContext() (context.Context, int) {
 	return envpool.WithPool(sched.WithBudget(context.Background(), budget), backends), workers
 }
 
-// override applies the options' fleet, engine and resilience overrides to
-// a scenario built in a preset's or grid's own shape: each set option
-// replaces the scenario's value, and each zero value keeps it. Timeout,
+// override applies the options to a scenario built in a preset's or
+// grid cell's own shape. Seed and SampleMode always apply. Every other
+// option replaces the scenario's value when set and keeps it when zero.
+// An explicit TargetSamples also zeroes Duration: the smoke knob shrinks
+// duration-sized (phase-program) presets to smoke scale too. Timeout,
 // Retries and Hedge override single fields of the scenario's resilience
 // config, starting from a fresh one when the scenario has none.
 func (o SweepOptions) override(s experiment.Scenario) experiment.Scenario {
+	s.Seed, s.SampleMode = o.Seed, o.SampleMode
+	if o.Runs > 0 {
+		s.Runs = o.Runs
+	}
+	if o.TargetSamples > 0 {
+		s.TargetSamples, s.Duration = o.TargetSamples, 0
+	}
 	if o.Replicas > 0 {
 		s.Replicas = o.Replicas
 	}
@@ -124,13 +134,6 @@ func (o SweepOptions) override(s experiment.Scenario) experiment.Scenario {
 	return s
 }
 
-func (o SweepOptions) runs(def int) int {
-	if o.Runs > 0 {
-		return o.Runs
-	}
-	return def
-}
-
 func (o SweepOptions) progress(format string, args ...any) {
 	if o.Progress != nil {
 		o.Progress(fmt.Sprintf(format, args...))
@@ -152,24 +155,9 @@ func (s *Sweep) Get(client, variant string, rateIdx int) experiment.Result {
 	return s.Results[client][variant][rateIdx]
 }
 
-// clientList returns LP and HP in stable order.
-func clientList() []struct {
-	Name string
-	Cfg  hw.Config
-} {
-	return []struct {
-		Name string
-		Cfg  hw.Config
-	}{
-		{"LP", hw.LPConfig()},
-		{"HP", hw.HPConfig()},
-	}
-}
-
 // sweepCell is one (client, variant, rate) grid point of a service sweep.
 type sweepCell struct {
-	client  string
-	cfg     hw.Config
+	client  hw.Config
 	variant experiment.ServerVariant
 	rateIdx int
 	rate    float64
@@ -192,13 +180,13 @@ func RunServiceSweep(service experiment.Service, variants []experiment.ServerVar
 		sw.Variants = append(sw.Variants, v.Name)
 	}
 	var cells []sweepCell
-	for _, cl := range clientList() {
+	for _, cl := range hw.Clients() {
 		sw.Clients = append(sw.Clients, cl.Name)
 		sw.Results[cl.Name] = make(map[string][]experiment.Result, len(variants))
 		for _, v := range variants {
 			sw.Results[cl.Name][v.Name] = make([]experiment.Result, len(rates))
 			for ri, rate := range rates {
-				cells = append(cells, sweepCell{client: cl.Name, cfg: cl.Cfg, variant: v, rateIdx: ri, rate: rate})
+				cells = append(cells, sweepCell{client: cl, variant: v, rateIdx: ri, rate: rate})
 			}
 		}
 	}
@@ -210,32 +198,29 @@ func RunServiceSweep(service experiment.Service, variants []experiment.ServerVar
 		func(ctx context.Context, _ struct{}, i int) (experiment.Result, error) {
 			c := cells[i]
 			res, err := experiment.RunContext(ctx, opts.override(experiment.Scenario{
-				Service:       service,
-				Label:         c.client + "-" + c.variant.Name,
-				Client:        c.cfg,
-				Server:        c.variant.Cfg,
-				RateQPS:       c.rate,
-				Runs:          opts.runs(50),
-				TargetSamples: opts.TargetSamples,
-				Seed:          opts.Seed,
-				SampleMode:    opts.SampleMode,
+				Service: service,
+				Label:   c.client.Name + "-" + c.variant.Name,
+				Client:  c.client,
+				Server:  c.variant.Cfg,
+				RateQPS: c.rate,
+				Runs:    50,
 			}))
 			if err != nil {
-				return experiment.Result{}, fmt.Errorf("figures: %s %s-%s @%s: %w", service, c.client, c.variant.Name, FormatRate(c.rate), err)
+				return experiment.Result{}, fmt.Errorf("figures: %s %s-%s @%s: %w", service, c.client.Name, c.variant.Name, FormatRate(c.rate), err)
 			}
 			return res, nil
 		},
 		func(i int, res experiment.Result) {
 			c := cells[i]
 			opts.progress("%s %s-%s @%s: avg=%.1fµs p99=%.1fµs (%d runs)",
-				service, c.client, c.variant.Name, FormatRate(c.rate), res.MedianAvgUs(), res.MedianP99Us(), len(res.Runs))
+				service, c.client.Name, c.variant.Name, FormatRate(c.rate), res.MedianAvgUs(), res.MedianP99Us(), len(res.Runs))
 		})
 	if err != nil {
 		return nil, sched.Unwrap(err)
 	}
 	for i, res := range results {
 		c := cells[i]
-		sw.Results[c.client][c.variant.Name][c.rateIdx] = res
+		sw.Results[c.client.Name][c.variant.Name][c.rateIdx] = res
 	}
 	return sw, nil
 }
@@ -287,20 +272,19 @@ func RunSyntheticStudy(opts SweepOptions) (*SyntheticSweep, error) {
 		Results: make(map[string][][]experiment.Result),
 	}
 	type synthCell struct {
-		client  string
-		cfg     hw.Config
+		client  hw.Config
 		delay   time.Duration
 		dIdx    int
 		rate    float64
 		rateIdx int
 	}
 	var cells []synthCell
-	for _, cl := range clientList() {
+	for _, cl := range hw.Clients() {
 		grid := make([][]experiment.Result, len(sw.Delays))
 		for di, delay := range sw.Delays {
 			grid[di] = make([]experiment.Result, len(sw.Rates))
 			for ri, rate := range sw.Rates {
-				cells = append(cells, synthCell{client: cl.Name, cfg: cl.Cfg, delay: delay, dIdx: di, rate: rate, rateIdx: ri})
+				cells = append(cells, synthCell{client: cl, delay: delay, dIdx: di, rate: rate, rateIdx: ri})
 			}
 		}
 		sw.Results[cl.Name] = grid
@@ -313,32 +297,29 @@ func RunSyntheticStudy(opts SweepOptions) (*SyntheticSweep, error) {
 		func(ctx context.Context, _ struct{}, i int) (experiment.Result, error) {
 			c := cells[i]
 			res, err := experiment.RunContext(ctx, opts.override(experiment.Scenario{
-				Service:       experiment.ServiceSynthetic,
-				Label:         fmt.Sprintf("%s-d%d", c.client, c.delay.Microseconds()),
-				Client:        c.cfg,
-				Server:        hw.ServerBaselineConfig(),
-				RateQPS:       c.rate,
-				Runs:          opts.runs(20),
-				TargetSamples: opts.TargetSamples,
-				SynthDelay:    c.delay,
-				Seed:          opts.Seed,
-				SampleMode:    opts.SampleMode,
+				Service:    experiment.ServiceSynthetic,
+				Label:      fmt.Sprintf("%s-d%d", c.client.Name, c.delay.Microseconds()),
+				Client:     c.client,
+				Server:     hw.ServerBaselineConfig(),
+				RateQPS:    c.rate,
+				Runs:       20,
+				SynthDelay: c.delay,
 			}))
 			if err != nil {
-				return experiment.Result{}, fmt.Errorf("figures: synthetic %s delay=%v @%s: %w", c.client, c.delay, FormatRate(c.rate), err)
+				return experiment.Result{}, fmt.Errorf("figures: synthetic %s delay=%v @%s: %w", c.client.Name, c.delay, FormatRate(c.rate), err)
 			}
 			return res, nil
 		},
 		func(i int, res experiment.Result) {
 			c := cells[i]
-			opts.progress("synthetic %s delay=%v @%s: avg=%.1fµs", c.client, c.delay, FormatRate(c.rate), res.MedianAvgUs())
+			opts.progress("synthetic %s delay=%v @%s: avg=%.1fµs", c.client.Name, c.delay, FormatRate(c.rate), res.MedianAvgUs())
 		})
 	if err != nil {
 		return nil, sched.Unwrap(err)
 	}
 	for i, res := range results {
 		c := cells[i]
-		sw.Results[c.client][c.dIdx][c.rateIdx] = res
+		sw.Results[c.client.Name][c.dIdx][c.rateIdx] = res
 	}
 	return sw, nil
 }

@@ -172,6 +172,20 @@ func HPConfig() Config {
 	}
 }
 
+// Clients returns the paper's two client configurations (Table II) in
+// table order: LP, then HP.
+func Clients() []Config { return []Config{LPConfig(), HPConfig()} }
+
+// ClientByName returns the configuration in Clients whose Name is name.
+func ClientByName(name string) (Config, bool) {
+	for _, c := range Clients() {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return Config{}, false
+}
+
 // ServerBaselineConfig returns the paper's server-side baseline (Table II):
 // C0+C1 only, acpi-cpufreq performance, turbo off, SMT off, fixed uncore,
 // tickless on — chosen empirically to avoid high variability.

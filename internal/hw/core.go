@@ -95,10 +95,6 @@ type Core struct {
 	idleGaps    []time.Duration
 }
 
-// IdleGaps returns the recorded idle-period durations when the machine's
-// idle-gap diagnostic is enabled.
-func (c *Core) IdleGaps() []time.Duration { return c.idleGaps }
-
 // ID returns the hardware thread index within its machine.
 func (c *Core) ID() int { return c.id }
 

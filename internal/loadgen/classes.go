@@ -220,16 +220,6 @@ func ValidatePhases(phases []PhaseConfig) error {
 	return nil
 }
 
-// PhasesTotal returns the program's total duration (one cycle when
-// repeating).
-func PhasesTotal(phases []PhaseConfig) time.Duration {
-	var total time.Duration
-	for _, p := range phases {
-		total += p.Duration
-	}
-	return total
-}
-
 // phaseSchedule is the run-scoped compiled phase program: cumulative
 // boundaries for O(len) scale lookup. It is pure configuration — no
 // randomness — so it cannot perturb any stream.

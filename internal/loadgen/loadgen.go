@@ -148,9 +148,12 @@ type Config struct {
 	// (see sharded.go). 0 keeps the legacy single-engine path; K ≥ 1
 	// shards whole client machines (and backend replicas) round-robin
 	// across K engines, with the network link's minimum delay as
-	// lookahead. Sharded output is byte-identical to the single-engine
-	// run. Requires Net.Base > 0 and TraceEvery == 0; K must not exceed
-	// the machine+replica partition count (checked at run time).
+	// lookahead. Sharded output matches the single-engine run at the
+	// scales the differential tests cover; same-nanosecond hand-off and
+	// record-merge ties can still order events differently at scale
+	// (see sharded.go). Requires Net.Base > 0 and TraceEvery == 0; K
+	// must not exceed the machine+replica partition count (checked at
+	// run time).
 	Shards int
 }
 

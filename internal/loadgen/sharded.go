@@ -41,15 +41,21 @@ import (
 // instant, the evRespCross hand-off and its s2c draw at the departure
 // instant — exactly the instants the single engine scheduled them at;
 // and measurements are buffered per shard and merged at epoch barriers
-// by (receive instant, shard) — the single-engine firing order — before
-// replaying into one recorder, so even order-sensitive reductions
-// (streaming reservoirs) see the exact single-engine sample sequence.
-// The one residual approximation: two events originated on *different*
-// shards in the same nanosecond AND bound for the same deadline
-// nanosecond tie on the full (deadline, origin) key and fall back to
-// adoption order rather than the single engine's scheduling sequence —
-// a double same-ns coincidence the differential tests (which cover
-// rates to 2M QPS, where single-ns coincidences are routine) never hit.
+// by (receive instant, shard) before replaying into one recorder, so
+// order-sensitive reductions (streaming reservoirs) see the
+// single-engine sample sequence while no two shards record at one
+// instant. Output is byte-identical at the scales the differential
+// tests cover (presets of a few hundred samples, a 30K-QPS synthetic
+// shape), not at every scale. Two ties break it (ROADMAP open item 1):
+//   - hand-off ties: two responses that depart in the same nanosecond
+//     schedule their evRespCross hand-offs with equal (deadline,
+//     origin) keys, so per-engine seq, which is adoption order, decides
+//     whose s2c jitter is drawn first. One same-ns coincidence is
+//     enough: 8 of the benchmark's 12 fleet runs differ between K=0
+//     and K=2;
+//   - record-merge ties: two shards that record at the same receive
+//     instant are replayed in shard order, not in the single engine's
+//     order, which moves a streaming (order-sensitive) mean.
 
 // ShardedBackend is the optional services.Backend extension the sharded
 // path needs from a partitioned (replicated) backend. cluster.ReplicaSet

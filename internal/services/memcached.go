@@ -224,11 +224,6 @@ func (m *Memcached) Restart(now sim.Time) { m.tier.Restart(now) }
 // SetDegrade implements Degrader.
 func (m *Memcached) SetDegrade(d *faults.DegradeSchedule) { m.tier.SetDegrade(d) }
 
-// QueueStats exposes tier diagnostics.
-func (m *Memcached) QueueStats() (completed uint64, maxDepth int) {
-	return m.tier.Completed(), m.tier.MaxQueueDepth()
-}
-
 // TierStats implements TierStatsProvider.
 func (m *Memcached) TierStats() []TierStats { return []TierStats{m.tier.Stats()} }
 

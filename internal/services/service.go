@@ -195,8 +195,7 @@ func (r *Request) complete(departed sim.Time) {
 // reproducibility. Returned requests are fully zeroed, so a pooled run is
 // indistinguishable from a freshly-allocating one.
 type RequestPool struct {
-	free  []*Request
-	grown int
+	free []*Request
 }
 
 // Get returns a zeroed Request, reusing a recycled one when available.
@@ -207,7 +206,6 @@ func (p *RequestPool) Get() *Request {
 		p.free = p.free[:n-1]
 		return r
 	}
-	p.grown++
 	return &Request{}
 }
 
@@ -218,10 +216,6 @@ func (p *RequestPool) Put(req *Request) {
 	*req = Request{}
 	p.free = append(p.free, req)
 }
-
-// Allocated reports how many Requests the pool has created fresh — like
-// sim.Engine.EventAllocs, it stops growing in steady state.
-func (p *RequestPool) Allocated() int { return p.grown }
 
 // TierStats is a snapshot of one worker pool's run-scoped counters,
 // separated by queue discipline (shared FIFO vs. per-connection affinity).

@@ -392,11 +392,6 @@ func Parse(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// clientConfigs maps spec client names to hardware configurations.
-func clientConfigs() map[string]hw.Config {
-	return map[string]hw.Config{"LP": hw.LPConfig(), "HP": hw.HPConfig()}
-}
-
 // serverConfigs maps spec server names to hardware configurations.
 func serverConfigs() map[string]hw.Config {
 	return map[string]hw.Config{
@@ -439,7 +434,7 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("spec: unknown service %q (want memcached|hdsearch|socialnet|synthetic)", s.Service)
 	}
-	if _, ok := clientConfigs()[s.clientName()]; !ok {
+	if _, ok := hw.ClientByName(s.clientName()); !ok {
 		return fmt.Errorf("spec: unknown client %q (want LP|HP)", s.Client)
 	}
 	if _, ok := serverConfigs()[s.serverName()]; !ok {
@@ -523,63 +518,26 @@ func (s *Spec) SweepRates() []float64 {
 	return s.Rates
 }
 
-// ClientConfig returns the resolved client hardware configuration and
-// its name.
-func (s *Spec) ClientConfig() (hw.Config, string) {
-	name := s.clientName()
-	return clientConfigs()[name], name
-}
-
-// ServerConfig returns the resolved server hardware configuration.
-func (s *Spec) ServerConfig() hw.Config { return serverConfigs()[s.serverName()] }
-
-// LoadgenClasses compiles the class mix.
-func (s *Spec) LoadgenClasses() []loadgen.ClassConfig {
-	if len(s.Classes) == 0 {
-		return nil
-	}
-	classes := make([]loadgen.ClassConfig, len(s.Classes))
-	for i, c := range s.Classes {
-		classes[i] = c.compile()
-	}
-	return classes
-}
-
-// LoadgenPhases compiles the phase program.
-func (s *Spec) LoadgenPhases() []loadgen.PhaseConfig {
-	if len(s.Phases) == 0 {
-		return nil
-	}
-	phases := make([]loadgen.PhaseConfig, len(s.Phases))
-	for i, p := range s.Phases {
-		phases[i] = p.compile()
-	}
-	return phases
-}
-
-// AutoscalerConfig compiles the autoscale section (nil when absent).
-func (s *Spec) AutoscalerConfig() *cluster.AutoscalerConfig { return s.Autoscale.compile() }
-
 // Scenario compiles the spec at one rate of its sweep, with the same
 // label convention the built-in presets use.
 func (s *Spec) Scenario(rate float64) experiment.Scenario {
-	client, clientName := s.ClientConfig()
+	client, _ := hw.ClientByName(s.clientName())
 	sc := experiment.Scenario{
 		Service:       experiment.Service(s.Service),
-		Label:         clientName + "-" + s.Name,
+		Label:         client.Name + "-" + s.Name,
 		Client:        client,
-		Server:        s.ServerConfig(),
+		Server:        serverConfigs()[s.serverName()],
 		RateQPS:       rate,
 		Runs:          s.Runs,
 		TargetSamples: s.Samples,
 		Duration:      s.Duration.Std(),
-		Classes:       s.LoadgenClasses(),
-		Phases:        s.LoadgenPhases(),
+		Classes:       compileAll(s.Classes, ClassSpec.compile),
+		Phases:        compileAll(s.Phases, PhaseSpec.compile),
 		PhasesRepeat:  s.PhasesRepeat,
 		SynthDelay:    s.SynthDelay.Std(),
 		Replicas:      s.Replicas,
 		Router:        s.Router,
-		Autoscale:     s.AutoscalerConfig(),
+		Autoscale:     s.Autoscale.compile(),
 		Shards:        s.Shards,
 		Faults:        s.Faults.compile(),
 		Resilience:    s.Resilience.compile(),
@@ -589,4 +547,17 @@ func (s *Spec) Scenario(rate float64) experiment.Scenario {
 		sc.HiccupMean = s.Hiccups.MeanDuration.Std()
 	}
 	return sc
+}
+
+// compileAll compiles each section of a list; an empty list compiles to
+// nil.
+func compileAll[S, C any](specs []S, compile func(S) C) []C {
+	if len(specs) == 0 {
+		return nil
+	}
+	out := make([]C, len(specs))
+	for i, sp := range specs {
+		out[i] = compile(sp)
+	}
+	return out
 }

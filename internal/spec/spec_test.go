@@ -149,10 +149,11 @@ func TestSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, name := s.ClientConfig(); name != "HP" {
+	sc := s.Scenario(1000)
+	if name := sc.Client.Name; name != "HP" {
 		t.Errorf("default client %q, want HP", name)
 	}
-	if got := s.ServerConfig().Name; got == "" {
+	if got := sc.Server.Name; got == "" {
 		t.Errorf("default server unresolved")
 	}
 	if rates := s.SweepRates(); len(rates) != 1 || rates[0] != 1000 {
@@ -180,6 +181,7 @@ func TestSpecValidationTable(t *testing.T) {
 		{"huge-rate", strings.Replace(base, "rate: 1000", "rate: 1e12", 1), "got 1e+12"},
 		{"huge-second-rate", strings.Replace(base, "rate: 1000", "rates: [1000, 1e12]", 1), "got 1e+12"},
 		{"tiny-rate", strings.Replace(base, "rate: 1000", "rate: 1e-300", 1), "rate 1e-300 QPS makes a"},
+		{"tiny-rate-with-duration", strings.Replace(base, "rate: 1000", "rate: 1e-300\nduration: 1s", 1), "rate 1e-300 QPS expects"},
 		{"rate-and-rates", base + "rates: [1, 2]\n", "mutually exclusive"},
 		{"zero-runs", strings.Replace(base, "runs: 1", "runs: 0", 1), "runs must be"},
 		{"negative-samples", base + "samples: -1\n", "negative samples"},

@@ -209,13 +209,17 @@
 // minimum next deadline plus one lookahead, exchanging timestamped
 // event batches through per-edge mailboxes at a barrier, so no shard
 // ever receives an event in its past and every epoch makes progress
-// (deadlock-free with no null-message traffic). Merged output is
-// byte-identical to the single-engine run at any K and any -parallel:
-// events fire in (deadline, origin, seq) order, and the sharded
-// runtime replays deferred cross-shard events with their original
-// schedule instants, reproducing the single engine's FIFO tie-breaks
-// exactly (pinned by differential tests at the loadgen, preset and
-// spec levels, plus figure goldens). Perf note: the win scales with
+// (deadlock-free with no null-message traffic). Events fire in
+// (deadline, origin, seq) order, and the sharded runtime replays
+// deferred cross-shard events with their original schedule instants,
+// so merged output matches the single-engine run at the scales the
+// differential tests cover (the loadgen, preset and spec levels, plus
+// figure goldens), at any -parallel. It is not byte-identical at every
+// K and scale: two response hand-offs that leave in the same
+// nanosecond tie on (deadline, origin), and two shards' records at the
+// same receive instant are merged in shard order, so at benchmark
+// scale some runs differ between K=0 and K=2 (ROADMAP open item 1).
+// Perf note: the win scales with
 // events per epoch ≈ event rate × lookahead, so shard the high-rate
 // replicated scenarios (the "sharded" preset's 250K–2M QPS sweep
 // gates ≥2× at 4 shards on ≥4 cores); for low-rate or single-backend
@@ -254,8 +258,10 @@
 // availability and fault-timeline tables. Every standing guarantee
 // holds under faults: fault events ride the virtual clock, retry and
 // hedge timers draw no randomness outside labeled streams, and a
-// faulty run is byte-identical at any -parallel and any -shards
-// (differential-tested); the fault-free path stays allocation-free and
+// faulty run is byte-identical at any -parallel and, at the tested
+// scales, at any -shards (differential-tested; see "Sharded runs" for
+// the ties that break it at scale); the fault-free path stays
+// allocation-free and
 // byte-identical to prior releases — resilience state machines engage
 // only when a timeout is configured.
 //
