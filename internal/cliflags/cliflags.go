@@ -146,7 +146,7 @@ func (f *Flags) Options(base *figures.Preset) (figures.SweepOptions, string, err
 		if _, err := cluster.NewRouter(f.Router); err != nil {
 			return figures.SweepOptions{}, "", err
 		}
-		if f.Replicas == 0 && (base == nil || base.Replicas <= 1 && base.Autoscale == nil) {
+		if f.Replicas == 0 && (base == nil || !base.Clustered()) {
 			return figures.SweepOptions{}, "", fmt.Errorf("-router %s requires -replicas (or a clustered preset/spec)", f.Router)
 		}
 	}
