@@ -203,9 +203,11 @@ func (s Scenario) Validate() error {
 	if s.Duration > 0 {
 		expected = s.RateQPS * s.Duration.Seconds()
 	}
-	if machines, threads := s.clientDeployment(); expected < float64(machines*threads) {
+	machines, threadsPerMachine := s.clientDeployment()
+	threads := machines * threadsPerMachine
+	if expected < float64(threads) {
 		return fmt.Errorf("experiment: rate %v QPS expects %.3g requests in the %v measurement window, fewer than one for each of its %d client threads",
-			s.RateQPS, expected, total-warmup, machines*threads)
+			s.RateQPS, expected, total-warmup, threads)
 	}
 	if s.Runs < 1 {
 		return fmt.Errorf("experiment: need ≥1 run, got %d", s.Runs)
@@ -218,6 +220,13 @@ func (s Scenario) Validate() error {
 	}
 	if err := loadgen.ValidatePhases(s.Phases); err != nil {
 		return err
+	}
+	// The same holds for the smallest share of its rate that a thread
+	// ever offers: the rarest class's first send and gaps, and every gap
+	// a slow phase stretches, must fit the window as well.
+	if share, source := s.smallestShare(); expected*share < float64(threads) {
+		return fmt.Errorf("experiment: %s offers %.3g of rate %v QPS, %.3g requests in the %v measurement window, fewer than one for each of its %d client threads",
+			source, share, s.RateQPS, expected*share, total-warmup, threads)
 	}
 	if s.PhasesRepeat && len(s.Phases) == 0 {
 		return fmt.Errorf("experiment: phases repeat set without phases")
@@ -301,6 +310,31 @@ func (s Scenario) clientDeployment() (machines, threadsPerMachine int) {
 		return 1, 2
 	}
 	return 4, 1
+}
+
+// smallestShare returns the smallest share of its rate that a client
+// thread ever offers, the smallest class fraction times the smallest
+// phase scale below 1 (a rate or an end scale), and names the class and
+// phase it comes from. Without classes or slow phases the share is 1.
+func (s Scenario) smallestShare() (share float64, source string) {
+	fraction, scale := 1.0, 1.0
+	var class, phase string
+	for _, c := range s.Classes {
+		if c.Fraction < fraction {
+			fraction, class = c.Fraction, fmt.Sprintf("class %q (fraction %g)", c.Name, c.Fraction)
+		}
+	}
+	for _, p := range s.Phases {
+		for _, v := range []float64{p.RateScale, p.EndScale} {
+			if v > 0 && v < scale {
+				scale, phase = v, fmt.Sprintf("phase %q (scale %g)", p.Name, v)
+			}
+		}
+	}
+	if class != "" && phase != "" {
+		return fraction * scale, class + " in " + phase
+	}
+	return fraction * scale, class + phase
 }
 
 // shardPartitions is the scenario's shard-assignable unit count at its

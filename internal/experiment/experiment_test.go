@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/hw"
+	"repro/internal/loadgen"
 )
 
 func runQuick(t *testing.T, s Scenario) Result {
@@ -91,6 +92,53 @@ func TestScenarioValidateRate(t *testing.T) {
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("rate %v: %v, want error containing %q", tc.rate, err, tc.wantErr)
+			}
+		})
+	}
+
+	// The same window rule applies to the smallest share of the rate a
+	// thread offers: its rarest class in its slowest phase. Memcached at
+	// 100K QPS expects its default 20,000 requests over 4 threads.
+	type (
+		class = loadgen.ClassConfig
+		phase = loadgen.PhaseConfig
+	)
+	mix := func(rare float64) []class {
+		return []class{{Name: "a", Fraction: 1 - rare}, {Name: "b", Fraction: rare}}
+	}
+	shares := []struct {
+		name    string
+		classes []class
+		phases  []phase
+		wantErr string // "" = accepted
+	}{
+		{"tiny-fraction", []class{{Name: "a", Fraction: 1}, {Name: "b", Fraction: 1e-15}}, nil,
+			`class "b" (fraction 1e-15) offers 1e-15 of rate 100000 QPS, 2e-11 requests in the 200ms measurement window, fewer than one for each of its 4 client threads`},
+		{"tiny-rate-scale", nil, []phase{{Name: "p", Duration: time.Millisecond, RateScale: 1e-300}},
+			`phase "p" (scale 1e-300) offers`},
+		{"tiny-end-scale", nil, []phase{{Name: "p", Duration: time.Millisecond, RateScale: 1, EndScale: 1e-300}},
+			`phase "p" (scale 1e-300) offers`},
+		{"tiny-fraction-fast-phase", []class{{Name: "a", Fraction: 1}, {Name: "b", Fraction: 1e-15}},
+			[]phase{{Name: "burst", Duration: time.Millisecond, RateScale: 3}},
+			`experiment: class "b" (fraction 1e-15) offers`},
+		{"rare-class-in-slow-phase", mix(0.25), []phase{{Name: "night", Duration: time.Millisecond, RateScale: 1, EndScale: 1.0 / 2048}},
+			`class "b" (fraction 0.25) in phase "night" (scale 0.00048828125) offers 0.000122 of rate`},
+		{"rare-class-in-slow-phase-fits", mix(0.25), []phase{{Name: "night", Duration: time.Millisecond, RateScale: 1, EndScale: 1.0 / 1024}}, ""},
+		{"one-per-thread-class", mix(4.0 / 20_000), nil, ""},
+		{"below-one-per-thread-class", mix(3.0 / 20_000), nil, `class "b" (fraction 0.00015) offers`},
+	}
+	for _, tc := range shares {
+		t.Run(tc.name, func(t *testing.T) {
+			s := Scenario{Service: ServiceMemcached, RateQPS: 100_000, Runs: 1, Classes: tc.classes, Phases: tc.phases}
+			err := s.Validate()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("%v, want accepted", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("%v, want error containing %q", err, tc.wantErr)
 			}
 		})
 	}

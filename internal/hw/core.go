@@ -59,14 +59,15 @@ type Core struct {
 	id      int
 	sibling *Core // SMT sibling thread, nil when SMT is off
 
-	gov  *idleGovernor
+	gov  idleGovernor
 	idle bool
 	// viaSleep distinguishes a real governor-chosen idle (entered through
 	// Sleep) from the initial boot idle, which must not pollute the
 	// governor's history or the wake statistics.
 	viaSleep bool
-	// state is the C-state currently occupied while idle.
-	state CState
+	// state is the index in SkylakeCStates of the C-state occupied while
+	// idle.
+	state int
 	// idleSince is when the core last went idle.
 	idleSince sim.Time
 	// busyUntil is the end of the latest scheduled work.
@@ -87,34 +88,28 @@ type Core struct {
 	sleepMark    sim.Time
 	busySnapshot time.Duration
 
-	// Statistics.
-	wakeCount   map[string]int
+	// Statistics. wakes counts the exits from each C-state by its index.
+	wakes       [numCStates]int
 	totalIdle   time.Duration
 	totalBusy   time.Duration
 	weightedPow float64 // idle time × relative power, for energy reports
 	idleGaps    []time.Duration
 }
 
-// ID returns the hardware thread index within its machine.
-func (c *Core) ID() int { return c.id }
-
 // Idle reports whether the core is currently idle.
 func (c *Core) Idle() bool { return c.idle }
 
-// CurrentCState returns the occupied idle state name ("C0" when busy).
-func (c *Core) CurrentCState() string {
+// CStateIndex returns the index in SkylakeCStates of the occupied idle
+// state: 0, C0, when the core is busy or polling.
+func (c *Core) CStateIndex() int {
 	if !c.idle {
-		return "C0"
+		return 0
 	}
-	return c.state.Name
+	return c.state
 }
 
 // BusyUntil returns the completion instant of the core's latest work.
 func (c *Core) BusyUntil() sim.Time { return c.busyUntil }
-
-// WakeCounts returns per-C-state wake counts accumulated since the last
-// run reset. The returned map is live; callers must not modify it.
-func (c *Core) WakeCounts() map[string]int { return c.wakeCount }
 
 // nextTickIn returns the distance to the next periodic tick, or 0 on
 // tickless kernels.
@@ -165,7 +160,7 @@ func (c *Core) WakeLatency(now sim.Time) time.Duration {
 	if !c.idle {
 		return 0
 	}
-	lat := time.Duration(float64(c.state.ExitLatency) * c.machine.wakeScale)
+	lat := time.Duration(float64(SkylakeCStates[c.state].ExitLatency) * c.machine.wakeScale)
 	lat += c.machine.uncoreWakePenalty(now)
 	return lat
 }
@@ -184,8 +179,8 @@ func (c *Core) Wake(now sim.Time) sim.Time {
 	if c.viaSleep {
 		c.gov.record(idleDur)
 		c.totalIdle += idleDur
-		c.weightedPow += idleDur.Seconds() * c.state.RelativePower
-		c.wakeCount[c.state.Name]++
+		c.weightedPow += idleDur.Seconds() * SkylakeCStates[c.state].RelativePower
+		c.wakes[c.state]++
 		if c.machine.recordIdleGaps {
 			c.idleGaps = append(c.idleGaps, idleDur)
 		}
@@ -201,7 +196,7 @@ func (c *Core) Wake(now sim.Time) sim.Time {
 	// Under a powersave governor the core restarts at minimum frequency
 	// and ramps; under performance it is already at full speed. A wake
 	// from C0 (poll) keeps the frequency hot.
-	if c.machine.cfg.Governor == GovernorPowersave && c.state.Name != "C0" {
+	if c.machine.cfg.Governor == GovernorPowersave && c.state != 0 {
 		c.rampDone = ready.Add(time.Duration(float64(DVFSRampLatency) * c.machine.wakeScale))
 	} else {
 		c.rampDone = ready
@@ -220,7 +215,7 @@ func (c *Core) rollEpoch(t sim.Time) {
 	if idx == c.epochIdx {
 		return
 	}
-	cfg := c.machine.cfg
+	cfg := &c.machine.cfg
 	// Attribute accumulated busy time across the epochs elapsed since the
 	// last roll (a single long execution may span several epochs).
 	span := time.Duration(idx-c.epochIdx) * pstateEpoch
@@ -246,7 +241,7 @@ func (c *Core) rollEpoch(t sim.Time) {
 // speedAt returns the execution speed multiplier (relative to nominal
 // frequency) at instant t.
 func (c *Core) speedAt(t sim.Time) float64 {
-	cfg := c.machine.cfg
+	cfg := &c.machine.cfg
 	var ghz float64
 	switch {
 	case t < c.rampDone:
@@ -298,14 +293,4 @@ func (c *Core) Execute(start sim.Time, nominal time.Duration) sim.Time {
 	c.epochBusy += t.Sub(start)
 	c.busyUntil = t
 	return t
-}
-
-// Utilization returns the busy fraction of the elapsed (busy+idle
-// accounted) time since the last run reset.
-func (c *Core) Utilization() float64 {
-	total := c.totalBusy + c.totalIdle
-	if total == 0 {
-		return 0
-	}
-	return float64(c.totalBusy) / float64(total)
 }

@@ -21,13 +21,19 @@ type CState struct {
 	RelativePower float64
 }
 
-// SkylakeCStates is the platform C-state table, shallowest first.
+// SkylakeCStates is the platform C-state table, shallowest first. The
+// model names a state by its index here: the idle governor chooses an
+// index, a core occupies one and counts its wakes by it, and index 0 is
+// C0, the polling idle that costs nothing to leave.
 var SkylakeCStates = []CState{
 	{Name: "C0", ExitLatency: 0, TargetResidency: 0, RelativePower: 1.00},
 	{Name: "C1", ExitLatency: 2 * time.Microsecond, TargetResidency: 2 * time.Microsecond, RelativePower: 0.30},
 	{Name: "C1E", ExitLatency: 10 * time.Microsecond, TargetResidency: 20 * time.Microsecond, RelativePower: 0.15},
 	{Name: "C6", ExitLatency: 133 * time.Microsecond, TargetResidency: 600 * time.Microsecond, RelativePower: 0.02},
 }
+
+// numCStates is len(SkylakeCStates), the size of a core's wake counters.
+const numCStates = 4
 
 // CStateByName returns the platform state with the given name.
 func CStateByName(name string) (CState, bool) {
@@ -39,16 +45,15 @@ func CStateByName(name string) (CState, bool) {
 	return CState{}, false
 }
 
-// enabledStates returns the platform states up to and including max.
+// enabledStates returns the platform states up to and including max, a
+// prefix of SkylakeCStates, so a state's index is the same in both.
 func enabledStates(max string) []CState {
-	var out []CState
-	for _, s := range SkylakeCStates {
-		out = append(out, s)
+	for i, s := range SkylakeCStates {
 		if s.Name == max {
-			break
+			return SkylakeCStates[:i+1]
 		}
 	}
-	return out
+	return SkylakeCStates
 }
 
 // idleGovernor selects the C-state for each idle period. Two strategies
@@ -70,10 +75,12 @@ type idleGovernor struct {
 	states []CState
 	ladder bool
 
-	// menu state.
+	// menu state: the last len(history) idle periods, idx the slot the
+	// next one overwrites, n the slots filled, and sum their total.
 	history [8]time.Duration
 	n       int
 	idx     int
+	sum     time.Duration
 
 	// ladder state.
 	depth        int
@@ -84,12 +91,20 @@ type idleGovernor struct {
 // ladder needs before climbing one state deeper.
 const ladderPromoteThreshold = 6
 
-func newIdleGovernor(maxState string, ladder bool) *idleGovernor {
-	return &idleGovernor{states: enabledStates(maxState), ladder: ladder}
+func newIdleGovernor(maxState string, ladder bool) idleGovernor {
+	return idleGovernor{states: enabledStates(maxState), ladder: ladder}
 }
 
-// record notes an observed idle duration for future predictions.
+// reset clears the governor's history for a new run, keeping its states
+// and strategy.
+func (g *idleGovernor) reset() {
+	*g = idleGovernor{states: g.states, ladder: g.ladder}
+}
+
+// record notes an observed idle duration, never negative, for future
+// predictions.
 func (g *idleGovernor) record(idle time.Duration) {
+	g.sum += idle - g.history[g.idx]
 	g.history[g.idx] = idle
 	g.idx = (g.idx + 1) % len(g.history)
 	if g.n < len(g.history) {
@@ -131,6 +146,10 @@ func (g *idleGovernor) recordLadder(idle time.Duration) {
 // sends server workers into C1E, while a smooth (HP-driven) process at the
 // same rate produces short queueing-compressed idles and stays shallow —
 // the paper's Figure 3 mechanism.
+//
+// record keeps the history's sum, so only the largest observation needs a
+// scan. It scans all eight slots: unfilled slots hold 0 and idles are
+// never negative, so the largest slot is the largest observation.
 func (g *idleGovernor) typicalIdle() (time.Duration, bool) {
 	if g.n == 0 {
 		return 0, false
@@ -138,20 +157,11 @@ func (g *idleGovernor) typicalIdle() (time.Duration, bool) {
 	if g.n == 1 {
 		return g.history[0], true
 	}
-	maxIdx := 0
-	for i := 1; i < g.n; i++ {
-		if g.history[i] > g.history[maxIdx] {
-			maxIdx = i
-		}
+	largest := g.history[0]
+	for _, d := range g.history[1:] {
+		largest = max(largest, d)
 	}
-	var sum time.Duration
-	for i := 0; i < g.n; i++ {
-		if i == maxIdx {
-			continue
-		}
-		sum += g.history[i]
-	}
-	return sum / time.Duration(g.n-1), true
+	return (g.sum - largest) / time.Duration(g.n-1), true
 }
 
 // menuLoadThreshold is the recent busy fraction above which the menu
@@ -159,11 +169,12 @@ func (g *idleGovernor) typicalIdle() (time.Duration, bool) {
 // a loaded CPU should not pay long exit latencies).
 const menuLoadThreshold = 0.42
 
-// choose picks the C-state for an idle period. timerHint is the time until
-// the next known deadline (0 means no deadline is known). tickBound caps
-// the prediction on non-tickless kernels, where the periodic tick will end
-// the idle period regardless. load is the core's recent busy fraction.
-func (g *idleGovernor) choose(timerHint, tickBound time.Duration, load float64) CState {
+// choose picks the C-state for an idle period and returns its index in
+// SkylakeCStates. timerHint is the time until the next known deadline (0
+// means no deadline is known). tickBound caps the prediction on
+// non-tickless kernels, where the periodic tick will end the idle period
+// regardless. load is the core's recent busy fraction.
+func (g *idleGovernor) choose(timerHint, tickBound time.Duration, load float64) int {
 	if g.ladder {
 		// The ladder ignores timer hints; only the periodic tick bounds it
 		// (no point entering a state whose residency exceeds the tick).
@@ -171,7 +182,7 @@ func (g *idleGovernor) choose(timerHint, tickBound time.Duration, load float64) 
 		for d > 0 && tickBound > 0 && g.states[d].TargetResidency > tickBound {
 			d--
 		}
-		return g.states[d]
+		return d
 	}
 	predicted := time.Duration(1<<62 - 1)
 	if timerHint > 0 {
@@ -192,10 +203,10 @@ func (g *idleGovernor) choose(timerHint, tickBound time.Duration, load float64) 
 	if load > menuLoadThreshold {
 		residencyScale = 2
 	}
-	best := g.states[0]
-	for _, s := range g.states[1:] {
-		if s.TargetResidency*residencyScale <= predicted {
-			best = s
+	best := 0
+	for i := 1; i < len(g.states); i++ {
+		if g.states[i].TargetResidency*residencyScale <= predicted {
+			best = i
 		}
 	}
 	return best

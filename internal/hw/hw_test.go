@@ -18,6 +18,34 @@ func mustMachine(t *testing.T, name string, cores int, cfg Config) *Machine {
 	return m
 }
 
+// ID returns the hardware thread index within its machine.
+func (c *Core) ID() int { return c.id }
+
+// CurrentCState returns the occupied idle state name ("C0" when busy).
+func (c *Core) CurrentCState() string { return SkylakeCStates[c.CStateIndex()].Name }
+
+// WakeCounts returns the core's wakes since the last run reset by the
+// name of the C-state they left; a state never left has no entry.
+func (c *Core) WakeCounts() map[string]int {
+	out := make(map[string]int)
+	for i, n := range c.wakes {
+		if n > 0 {
+			out[SkylakeCStates[i].Name] = n
+		}
+	}
+	return out
+}
+
+// Utilization returns the busy fraction of the elapsed (busy+idle
+// accounted) time since the last run reset.
+func (c *Core) Utilization() float64 {
+	total := c.totalBusy + c.totalIdle
+	if total == 0 {
+		return 0
+	}
+	return float64(c.totalBusy) / float64(total)
+}
+
 func TestConfigPresetsMatchTableII(t *testing.T) {
 	lp := LPConfig()
 	if lp.MaxCState != "C6" || lp.Driver != DriverIntelPstate || lp.Governor != GovernorPowersave ||
@@ -71,6 +99,9 @@ func TestConfigModifiers(t *testing.T) {
 }
 
 func TestCStateTableOrdering(t *testing.T) {
+	if len(SkylakeCStates) != numCStates {
+		t.Fatalf("%d C-states, but cores count wakes in %d slots", len(SkylakeCStates), numCStates)
+	}
 	for i := 1; i < len(SkylakeCStates); i++ {
 		prev, cur := SkylakeCStates[i-1], SkylakeCStates[i]
 		if cur.ExitLatency <= prev.ExitLatency {
@@ -110,6 +141,11 @@ func TestMachineThreadTopology(t *testing.T) {
 	}
 	if smtOn.Core(0).sibling != smtOn.Core(10) {
 		t.Error("SMT sibling pairing broken")
+	}
+	for i := 0; i < smtOn.NumThreads(); i++ {
+		if id := smtOn.Core(i).ID(); id != i {
+			t.Errorf("Core(%d).ID() = %d", i, id)
+		}
 	}
 	if smtOn.NumPhysicalCores() != 10 {
 		t.Errorf("physical cores = %d, want 10", smtOn.NumPhysicalCores())

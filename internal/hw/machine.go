@@ -71,9 +71,7 @@ func NewMachine(name string, physicalCores int, cfg Config) (*Machine, error) {
 			machine:      m,
 			id:           i,
 			gov:          newIdleGovernor(cfg.MaxCState, !cfg.Tickless),
-			idle:         true,
-			state:        SkylakeCStates[0], // boot in C0-poll until first sleep decision
-			wakeCount:    make(map[string]int),
+			idle:         true, // in C0-poll until the first sleep decision
 			epochFreqGHz: cfg.MinFreqGHz,
 		}
 	}
@@ -125,14 +123,14 @@ func (m *Machine) ResetRun(stream *rng.Stream) {
 	m.allIdleSince = 0
 	m.idleCores = len(m.cores)
 	for _, c := range m.cores {
-		c.gov = newIdleGovernor(m.cfg.MaxCState, !m.cfg.Tickless)
+		c.gov.reset()
 		c.idle = true
 		c.viaSleep = false
-		c.state = SkylakeCStates[0]
+		c.state = 0
 		c.idleSince = 0
 		c.busyUntil = 0
 		c.rampDone = 0
-		c.wakeCount = make(map[string]int)
+		c.wakes = [numCStates]int{}
 		c.totalIdle = 0
 		c.totalBusy = 0
 		c.weightedPow = 0
@@ -208,12 +206,15 @@ func (m *Machine) EnergyProxy(runLength time.Duration) float64 {
 	return e
 }
 
-// IdleDistribution aggregates per-C-state wake counts across cores.
+// IdleDistribution aggregates per-C-state wake counts across cores, keyed
+// by state name; a state no core woke from has no entry.
 func (m *Machine) IdleDistribution() map[string]int {
 	out := make(map[string]int)
 	for _, c := range m.cores {
-		for s, n := range c.wakeCount {
-			out[s] += n
+		for i, n := range c.wakes {
+			if n > 0 {
+				out[SkylakeCStates[i].Name] += n
+			}
 		}
 	}
 	return out

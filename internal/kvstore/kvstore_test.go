@@ -10,7 +10,7 @@ import (
 
 // These tests check the single-fork basics: a value set is read back, an
 // ID never set misses, an overwrite replaces the size, the item size limit
-// holds, and one fork is safe under concurrent callers.
+// holds, and forks each driven by their own goroutine share one base.
 
 func TestSetGet(t *testing.T) {
 	f := frozen(t, 0, 0).Fork()
@@ -70,11 +70,15 @@ func TestValueSizeLimit(t *testing.T) {
 	}
 }
 
-// TestConcurrentAccess runs Set and ValueSize on one fork from parallel
-// goroutines (run under -race). Each goroutine writes its own IDs, so
-// each must read back exactly what it wrote.
+// TestConcurrentAccess runs Set and ValueSize from parallel goroutines
+// (run under -race), each on a fork of one snapshot that it alone owns:
+// the concurrency an environment pool's workers and a run's shards have,
+// each driving its own Memcached instance. Every goroutine writes IDs
+// inside and past the base that its siblings write too, so each fork must
+// read back exactly what its own goroutine wrote, and the base must keep
+// its sizes.
 func TestConcurrentAccess(t *testing.T) {
-	f := frozen(t, 100, 5).Fork()
+	sn := frozen(t, 100, 5)
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -82,15 +86,28 @@ func TestConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			f := sn.Fork()
+			wrote := make(map[int]int)
 			for i := 0; i < 1000; i++ {
-				id := g*50 + i%50
+				id := (g*50 + i*7) % 160
 				size := 1 + i%50 + g
 				if err := f.Set(id, size); err != nil {
 					errs <- err
 					return
 				}
+				wrote[id] = size
 				if got, ok := f.ValueSize(id); !ok || got != size {
 					errs <- fmt.Errorf("goroutine %d: ValueSize(%d) = %d, %v; want %d", g, id, got, ok, size)
+					return
+				}
+			}
+			for id := 0; id < 170; id++ {
+				want, wantOK := wrote[id]
+				if !wantOK && id < 100 {
+					want, wantOK = 5, true
+				}
+				if got, ok := f.ValueSize(id); got != want || ok != wantOK {
+					errs <- fmt.Errorf("goroutine %d: final ValueSize(%d) = %d, %v; want %d, %v", g, id, got, ok, want, wantOK)
 					return
 				}
 			}
@@ -100,6 +117,11 @@ func TestConcurrentAccess(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	for id, size := range sn.sizes {
+		if size != 5 {
+			t.Fatalf("base changed under its forks: ID %d holds %d bytes", id, size)
+		}
 	}
 }
 

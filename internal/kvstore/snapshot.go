@@ -8,12 +8,15 @@
 // Memcached experiment cells share one preloaded key space instead of N
 // private copies: every cell forks the shared snapshot, and a run reset
 // is "drop the overlay" instead of replaying the run's writes.
+//
+// Only the Snapshot is shared between goroutines. A Fork has one owner:
+// each Memcached instance owns its fork, and one environment-pool worker
+// or one shard drives that instance at a time, so a fork takes no lock.
 package kvstore
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrTooLarge reports a value size outside [0, MaxValueSize].
@@ -59,12 +62,10 @@ func (sn *Snapshot) Fork() *Fork {
 }
 
 // Fork is a mutable overlay over an immutable Snapshot. An ID the base
-// does not hold starts absent. A Fork is safe for concurrent use, though
-// the intended deployment is one fork per experiment environment (a
-// single sim-engine goroutine) with only the shared base read
-// concurrently.
+// does not hold starts absent. A Fork is not safe for concurrent use: it
+// belongs to the one goroutine that drives its Memcached instance, while
+// sibling forks on other goroutines read the shared base freely.
 type Fork struct {
-	mu      sync.Mutex
 	base    *Snapshot
 	overlay map[int]int32
 }
@@ -76,8 +77,6 @@ func (f *Fork) Base() *Snapshot { return f.base }
 // false when it holds none: id was never set in the fork since its last
 // Reset and lies outside the base.
 func (f *Fork) ValueSize(id int) (int, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if size, ok := f.overlay[id]; ok {
 		return int(size), true
 	}
@@ -94,8 +93,6 @@ func (f *Fork) Set(id, size int) error {
 	if err := checkSize(size); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.overlay[id] = int32(size)
 	return nil
 }
@@ -103,8 +100,4 @@ func (f *Fork) Set(id, size int) error {
 // Reset drops the overlay, returning the fork to the snapshot's state. It
 // replaces the per-key restore loop a mutable store needs after a run:
 // O(1) in the key-space size, O(written IDs) for the garbage collector.
-func (f *Fork) Reset() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	clear(f.overlay)
-}
+func (f *Fork) Reset() { clear(f.overlay) }

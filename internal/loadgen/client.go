@@ -100,7 +100,7 @@ func (res *RunResult) fillMachineStats(clients []*hw.Machine, backend services.B
 // generators.
 func clientLoopStart(core *hw.Core, t sim.Time) sim.Time {
 	if core.Idle() {
-		fromDeep := core.CurrentCState() != "C0"
+		fromDeep := core.CStateIndex() != 0 // not C0, the polling idle
 		ready := core.Wake(t)
 		if fromDeep {
 			// Full scheduler context switch after a hardware sleep.
@@ -121,10 +121,10 @@ func clientLoopStart(core *hw.Core, t sim.Time) sim.Time {
 // uncore ramp before the event loop can see it (eligible), then the
 // loop's wake/dispatch cost (start = when parsing begins), then the
 // response parse itself (done = the in-app timestamp instant).
-// wakeState is the C-state the receive core was in when the response
-// arrived ("C0" = awake or polling).
-func clientReceive(machine *hw.Machine, core *hw.Core, now sim.Time) (wakeState string, eligible, start, done sim.Time) {
-	wakeState = core.CurrentCState()
+// wakeState is the index in hw.SkylakeCStates of the C-state the receive
+// core was in when the response arrived (0, C0 = awake or polling).
+func clientReceive(machine *hw.Machine, core *hw.Core, now sim.Time) (wakeState int, eligible, start, done sim.Time) {
+	wakeState = core.CStateIndex()
 	eligible = now.Add(hw.IRQDeliveryCost + machine.UncoreRXPenalty())
 	start = clientLoopStart(core, eligible)
 	done = core.Execute(start, recvWork)

@@ -917,7 +917,7 @@ func (r *run) onReceive(th *thread, req *services.Request, now sim.Time) {
 			ServerDepart:  req.ServerDepart.Microseconds(),
 			ClientNICUs:   now.Microseconds(),
 			MeasuredUs:    done.Microseconds(),
-			RecvWakeState: wakeState,
+			RecvWakeState: hw.SkylakeCStates[wakeState].Name,
 			RecvWakeUs:    float64(start.Sub(eligible)) / 1e3,
 		})
 	}

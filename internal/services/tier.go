@@ -141,10 +141,11 @@ type tierWorker struct {
 // threads pinned on a single socket", §IV-B) and of each HDSearch /
 // Social Network tier.
 type Tier struct {
-	name    string
-	machine *hw.Machine
-	engine  *sim.Engine
-	workers []tierWorker
+	name   string
+	engine *sim.Engine
+	// stackCost is StackCost, fixed by the machine's SMT setting.
+	stackCost time.Duration
+	workers   []tierWorker
 	// busyMask has bit i set ⇔ workers[i] is busy. Phantom bits past the
 	// pool size are kept set so "any idle worker?" is one != ^0 compare
 	// per word and the first-idle pick is a TrailingZeros.
@@ -243,7 +244,11 @@ func NewTier(cfg TierConfig) (*Tier, error) {
 	if hiccupMean == 0 {
 		hiccupMean = defaultHiccupMeanDuration
 	}
-	t := &Tier{name: cfg.Name, machine: cfg.Machine, hiccups: cfg.Hiccups,
+	stackCost := stackCostSMTOff
+	if cfg.Machine.Config().SMT {
+		stackCost = stackCostSMTOn
+	}
+	t := &Tier{name: cfg.Name, stackCost: stackCost, hiccups: cfg.Hiccups,
 		hiccupRate: hiccupRate, hiccupMean: hiccupMean,
 		contention: cfg.Contention, tailProb: cfg.TailJitterProb, tailMean: cfg.TailJitterMean,
 		serviceScale: 1}
@@ -312,12 +317,7 @@ func (t *Tier) BusyTime() time.Duration { return t.busyTime }
 
 // StackCost returns the per-request network-stack occupancy charged to the
 // worker under the machine's SMT setting.
-func (t *Tier) StackCost() time.Duration {
-	if t.machine.Config().SMT {
-		return stackCostSMTOn
-	}
-	return stackCostSMTOff
-}
+func (t *Tier) StackCost() time.Duration { return t.stackCost }
 
 // ResetRun clears the queue and draws fresh run-scoped service noise:
 // a small lognormal scale plus an occasional "disturbed run" inflation
@@ -494,7 +494,7 @@ func (t *Tier) dispatch(now sim.Time, w *tierWorker, job tierJob) {
 	}
 	start := now
 	if w.core.Idle() {
-		wasDeep := w.core.CurrentCState() != "C0"
+		wasDeep := w.core.CStateIndex() != 0 // not C0, the polling idle
 		start = w.core.Wake(now)
 		if wasDeep {
 			start = start.Add(wakeDispatchCost)

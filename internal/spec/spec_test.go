@@ -195,11 +195,15 @@ func TestSpecValidationTable(t *testing.T) {
 		{"bad-router", base + "replicas: 2\nrouter: random\n", "router"},
 		{"fractions", base + "classes:\n  - name: a\n    fraction: 0.5\n", "sum to"},
 		{"zero-fraction", base + "classes:\n  - name: a\n    fraction: 0\n", "fraction"},
+		{"tiny-fraction", base + "classes:\n  - name: a\n    fraction: 1\n  - name: b\n    fraction: 1e-15\n", `class "b" (fraction 1e-15) offers`},
 		{"gamma-cv", base + "classes:\n  - name: a\n    fraction: 1\n    arrival:\n      process: gamma\n      cv: -1\n", "cv > 0"},
 		{"weibull-shape", base + "classes:\n  - name: a\n    fraction: 1\n    arrival:\n      process: weibull\n      shape: 0\n", "shape > 0"},
+		{"weibull-tiny-shape", base + "classes:\n  - name: a\n    fraction: 1\n    arrival:\n      process: weibull\n      shape: 0.001\n", "weibull shape 0.001 is too small"},
 		{"bad-process", base + "classes:\n  - name: a\n    fraction: 1\n    arrival:\n      process: pareto\n", "unknown arrival process"},
 		{"zero-phase", base + "phases:\n  - name: p\n    duration: 0s\n    rate_scale: 1\n", "must be positive"},
 		{"zero-scale", base + "phases:\n  - name: p\n    duration: 1s\n    rate_scale: 0\n", "rate scale"},
+		{"tiny-scale", base + "phases:\n  - name: p\n    duration: 1ms\n    rate_scale: 1e-300\n", `phase "p" (scale 1e-300) offers`},
+		{"tiny-end-scale", base + "phases:\n  - name: p\n    duration: 1ms\n    rate_scale: 1\n    end_scale: 1e-300\n", `phase "p" (scale 1e-300) offers`},
 		{"repeat-no-phases", base + "phases_repeat: true\n", "phases_repeat"},
 		{"bad-autoscale", base + "replicas: 2\nautoscale:\n  min: 3\n  max: 1\n", "bounds"},
 		{"faults-no-replicas", base + "faults:\n  crashes:\n    - replica: 0\n      start_frac: 0.1\n      end_frac: 0.2\n", "replicated fleet"},

@@ -58,8 +58,8 @@ func (c ArrivalConfig) Validate() error {
 			return fmt.Errorf("workload: gamma arrivals need cv > 0, got %v", c.CV)
 		}
 	case ArrivalWeibull:
-		if c.Shape <= 0 || math.IsNaN(c.Shape) || math.IsInf(c.Shape, 0) {
-			return fmt.Errorf("workload: weibull arrivals need shape > 0, got %v", c.Shape)
+		if err := checkWeibullShape(c.Shape); err != nil {
+			return err
 		}
 	case ArrivalOnOff:
 		if c.OnMean <= 0 || c.OffMean <= 0 {
@@ -137,10 +137,27 @@ func NewWeibullArrivals(rate, shape float64, stream *rng.Stream) (Interarrival, 
 	if rate <= 0 {
 		return nil, fmt.Errorf("workload: arrival rate must be positive, got %v", rate)
 	}
-	if shape <= 0 || math.IsNaN(shape) || math.IsInf(shape, 0) {
-		return nil, fmt.Errorf("workload: weibull arrivals need shape > 0, got %v", shape)
+	if err := checkWeibullShape(shape); err != nil {
+		return nil, err
 	}
-	return &weibullArrivals{rate: rate, shape: shape, scale: 1 / (rate * math.Gamma(1+1/shape)), stream: stream}, nil
+	scale := 1 / (rate * math.Gamma(1+1/shape))
+	if scale == 0 {
+		return nil, fmt.Errorf("workload: weibull arrivals at rate %v with shape %v overflow: rate·Γ(1+1/shape) is not finite", rate, shape)
+	}
+	return &weibullArrivals{rate: rate, shape: shape, scale: scale, stream: stream}, nil
+}
+
+// checkWeibullShape rejects a shape k that is not positive and finite, or
+// so small that Γ(1+1/k), which sets the mean gap, overflows (below about
+// 1/170.6): the scale would then be 0, which rng.Weibull rejects.
+func checkWeibullShape(k float64) error {
+	if k <= 0 || math.IsNaN(k) || math.IsInf(k, 0) {
+		return fmt.Errorf("workload: weibull arrivals need shape > 0, got %v", k)
+	}
+	if math.IsInf(math.Gamma(1+1/k), 0) {
+		return fmt.Errorf("workload: weibull shape %v is too small: Γ(1+1/shape) overflows", k)
+	}
+	return nil
 }
 
 func (w *weibullArrivals) Next() time.Duration {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -153,6 +154,7 @@ func TestArrivalConfigValidate(t *testing.T) {
 		{Process: ArrivalWeibull},                                 // shape unset
 		{Process: ArrivalWeibull, Shape: -0.5},                    // shape negative
 		{Process: ArrivalWeibull, Shape: math.Inf(1)},             // shape inf
+		{Process: ArrivalWeibull, Shape: 0.001},                   // Γ(1+1/shape) overflows
 		{Process: ArrivalOnOff},                                   // means unset
 		{Process: ArrivalOnOff, OnMean: time.Second},              // off unset
 		{Process: ArrivalOnOff, OnMean: -time.Second, OffMean: 1}, // on negative
@@ -165,6 +167,16 @@ func TestArrivalConfigValidate(t *testing.T) {
 		if _, err := cfg.New(100, rng.New(1)); err == nil {
 			t.Errorf("%+v: New succeeded, want error", cfg)
 		}
+	}
+	// A shape just above the overflow validates, but at a rate where
+	// rate·Γ(1+1/shape) overflows the mean gap's scale would be 0: New
+	// rejects it rather than build a source whose first gap panics.
+	near := ArrivalConfig{Process: ArrivalWeibull, Shape: 0.00587}
+	if err := near.Validate(); err != nil {
+		t.Errorf("%+v: %v, want valid", near, err)
+	}
+	if _, err := near.New(1000, rng.New(1)); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Errorf("%+v at 1000 QPS: New returned %v, want an overflow error", near, err)
 	}
 	// Zero and negative rates are rejected for every process.
 	for _, cfg := range []ArrivalConfig{{}, {Process: ArrivalGamma, CV: 2}, {Process: ArrivalWeibull, Shape: 0.7}, {Process: ArrivalOnOff, OnMean: time.Second, OffMean: time.Second}} {
