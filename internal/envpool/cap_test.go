@@ -2,10 +2,14 @@ package envpool
 
 import (
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/hw"
 	"repro/internal/loadgen"
+	"repro/internal/netmodel"
+	"repro/internal/rng"
 	"repro/internal/services"
 )
 
@@ -126,5 +130,134 @@ func TestMachineLeasing(t *testing.T) {
 	}
 	if builds, _ := p.MachineStats(); builds != 2 {
 		t.Errorf("distinct key should build: %d builds, want 2", builds)
+	}
+}
+
+// TestLeaseEngineSets covers engine-set pooling: sets are leased by
+// (shard count, lookahead) key, counted as builds and reuses like
+// machine sets, bounded by the same idle cap, and a set of one shape
+// never serves a config of another.
+func TestLeaseEngineSets(t *testing.T) {
+	p := New()
+	p.MaxIdlePerKey = 1
+	single := loadgen.Config{
+		Machines: 4, ThreadsPerMachine: 1, ConnsPerThread: 5, RateQPS: 1000,
+		ClientHW: hw.HPConfig(), TimeSensitive: true, Net: netmodel.DefaultConfig(),
+		Payloads: func(*rng.Stream) loadgen.PayloadSource { return nil },
+	}
+	sharded := single
+	sharded.Shards = 2
+	keyOf := func(cfg loadgen.Config) (EngineKey, func() (*loadgen.Engines, error)) {
+		shards, lookahead := cfg.EngineSpec()
+		return EngineKey{Shards: shards, Lookahead: lookahead}, func() (*loadgen.Engines, error) {
+			return loadgen.NewEngines(shards, lookahead)
+		}
+	}
+	k0, build0 := keyOf(single)
+	k2, build2 := keyOf(sharded)
+	if k0 != (EngineKey{}) || k2 != (EngineKey{Shards: 2, Lookahead: sharded.Net.MinDelay()}) {
+		t.Fatalf("keys %+v and %+v, want the zero key and 2 shards at %v", k0, k2, sharded.Net.MinDelay())
+	}
+
+	a, err := p.LeaseEngines(k0, build0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ReleaseEngines(k0, a)
+	b, err := p.LeaseEngines(k0, build0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b != a {
+		t.Error("second lease did not reuse the idle engine set")
+	}
+	if builds, reuses := p.EngineStats(); builds != 1 || reuses != 1 {
+		t.Errorf("engine stats = %d builds / %d reuses, want 1/1", builds, reuses)
+	}
+
+	// A live lease is never handed out twice, and a distinct key builds.
+	c, err := p.LeaseEngines(k0, build0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == b {
+		t.Fatal("two live leases share an engine set")
+	}
+	d, err := p.LeaseEngines(k2, build2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds, _ := p.EngineStats(); builds != 3 {
+		t.Errorf("%d builds, want 3", builds)
+	}
+
+	// A set serves only the shape it was built for.
+	backend, err := services.NewSynthetic(services.DefaultSyntheticConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines, err := loadgen.BuildMachines(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadgen.NewLeased(single, backend, machines, d); err == nil {
+		t.Error("a 2-shard engine set served a single-engine config")
+	}
+	if _, err := loadgen.NewLeased(sharded, backend, machines, d); err != nil {
+		t.Errorf("the 2-shard set refused its own shape: %v", err)
+	}
+
+	// At the cap of 1, the second release of a key is dropped.
+	p.ReleaseEngines(k0, b)
+	p.ReleaseEngines(k0, c)
+	p.ReleaseEngines(k2, d)
+	if got := p.IdleEngineSets(); got != 2 {
+		t.Errorf("idle engine sets = %d, want 2 (one per key)", got)
+	}
+	if got := p.Evictions(); got != 1 {
+		t.Errorf("evictions = %d, want 1", got)
+	}
+}
+
+// TestLeaseEngineSetsExclusive has goroutines lease, hold and release
+// sets of one key at once: no set is ever held by two of them. Run it
+// under -race, where the pool's own bookkeeping is checked as well.
+func TestLeaseEngineSetsExclusive(t *testing.T) {
+	p := New()
+	key := EngineKey{}
+	build := func() (*loadgen.Engines, error) { return loadgen.NewEngines(0, 0) }
+	var (
+		mu   sync.Mutex
+		held = map[*loadgen.Engines]bool{}
+		wg   sync.WaitGroup
+	)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				es, err := p.LeaseEngines(key, build)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				if held[es] {
+					t.Error("an engine set was leased while another worker held it")
+				}
+				held[es] = true
+				mu.Unlock()
+				runtime.Gosched()
+				mu.Lock()
+				held[es] = false
+				mu.Unlock()
+				p.ReleaseEngines(key, es)
+			}
+		}()
+	}
+	wg.Wait()
+	builds, reuses := p.EngineStats()
+	if builds > 8 || builds+reuses != 8*200 {
+		t.Errorf("%d builds and %d reuses for 8 workers × 200 leases", builds, reuses)
 	}
 }

@@ -19,10 +19,23 @@
 // The same contract holds for client machines (hw.Machine.ResetRun), so
 // the pool also leases prebuilt client-machine sets by MachineKey:
 // scenarios that share a client hardware configuration and deployment
-// shape reuse machines instead of rebuilding them per cell. Idle lists
-// are bounded per key (MaxIdlePerKey, default DefaultMaxIdlePerKey);
-// releases beyond the bound drop the instance and count as evictions,
-// so long many-configuration sweeps cannot grow residency unboundedly.
+// shape reuse machines instead of rebuilding them per cell.
+//
+// It holds for engine sets too (loadgen.Engines): a generator's
+// simulation engines, their request free lists and, on the sharded
+// path, the sim.ShardSet that drives them. Every run resets each engine
+// completely (sim.Engine.Reset), whatever the last run left in it —
+// events pending past its horizon, timeouts armed, requests in flight —
+// and a finished sharded run leaves no mail behind. So the pool leases
+// sets by EngineKey, the shard count and lookahead, and every benchmark
+// repetition and sweep cell runs on the wheel arrays, event free lists
+// and pooled requests of the one before it instead of allocating its
+// own.
+//
+// Idle lists are bounded per key (MaxIdlePerKey, default
+// DefaultMaxIdlePerKey); releases beyond the bound drop the instance and
+// count as evictions, so long many-configuration sweeps cannot grow
+// residency unboundedly.
 //
 // Both resources travel by context: WithPool / sched.WithBudget attach
 // them, experiment.RunContext and the figures sweeps pick them up.
@@ -35,6 +48,7 @@ import (
 	"time"
 
 	"repro/internal/hw"
+	"repro/internal/loadgen"
 	"repro/internal/sched"
 	"repro/internal/services"
 )
@@ -89,6 +103,18 @@ type MachineKey struct {
 	Cores int
 }
 
+// EngineKey identifies an interchangeable engine set: the shape
+// loadgen.Config.EngineSpec returns. Everything else a generator runs —
+// service, rates, fleet, faults — is absent on purpose: engines are
+// blind to it, and every run resets them fully.
+type EngineKey struct {
+	// Shards is the run's shard count (0 = the single-engine path).
+	Shards int
+	// Lookahead is the sharded path's conservative lookahead (zero with
+	// no shards).
+	Lookahead time.Duration
+}
+
 // cache is one keyed idle list with its counters; Pool methods serialize
 // access under Pool.mu.
 type cache[K comparable, V any] struct {
@@ -131,9 +157,9 @@ func (c *cache[K, V]) idleCount() int {
 	return n
 }
 
-// Pool caches idle prebuilt backends by configuration key, and idle
-// client-machine sets by machine key. It is safe for concurrent use;
-// every instance is leased exclusively.
+// Pool caches idle prebuilt backends by configuration key, idle
+// client-machine sets by machine key and idle engine sets by engine key.
+// It is safe for concurrent use; every instance is leased exclusively.
 type Pool struct {
 	// MaxIdlePerKey caps each key's idle list; releases beyond the cap
 	// drop the instance (counted in Evictions). 0 selects
@@ -143,6 +169,7 @@ type Pool struct {
 	mu       sync.Mutex
 	backends cache[Key, services.Backend]
 	machines cache[MachineKey, []*hw.Machine]
+	engines  cache[EngineKey, *loadgen.Engines]
 }
 
 // New returns an empty pool.
@@ -150,6 +177,7 @@ func New() *Pool {
 	return &Pool{
 		backends: newCache[Key, services.Backend](),
 		machines: newCache[MachineKey, []*hw.Machine](),
+		engines:  newCache[EngineKey, *loadgen.Engines](),
 	}
 }
 
@@ -160,27 +188,42 @@ func (p *Pool) maxIdle() int {
 	return DefaultMaxIdlePerKey
 }
 
+// lease takes an idle instance for key from c, or builds one outside
+// the lock, so distinct keys construct concurrently. A failed build is
+// not counted.
+func lease[K comparable, V any](p *Pool, c *cache[K, V], key K, build func() (V, error)) (V, error) {
+	p.mu.Lock()
+	if v, ok := c.take(key); ok {
+		p.mu.Unlock()
+		return v, nil
+	}
+	c.builds++
+	p.mu.Unlock()
+
+	v, err := build()
+	if err != nil {
+		p.mu.Lock()
+		c.builds--
+		p.mu.Unlock()
+		var zero V
+		return zero, err
+	}
+	return v, nil
+}
+
+// release returns an instance to c's idle list under key, subject to
+// the per-key idle cap.
+func release[K comparable, V any](p *Pool, c *cache[K, V], key K, v V) {
+	p.mu.Lock()
+	c.put(key, v, p.maxIdle())
+	p.mu.Unlock()
+}
+
 // Lease returns an exclusive backend for key, reusing an idle instance
 // when one is available and building a fresh one with build otherwise.
 // Return the instance with Release when the lease ends.
 func (p *Pool) Lease(key Key, build func() (services.Backend, error)) (services.Backend, error) {
-	p.mu.Lock()
-	if b, ok := p.backends.take(key); ok {
-		p.mu.Unlock()
-		return b, nil
-	}
-	p.backends.builds++
-	p.mu.Unlock()
-
-	// Build outside the lock so distinct keys construct concurrently.
-	b, err := build()
-	if err != nil {
-		p.mu.Lock()
-		p.backends.builds--
-		p.mu.Unlock()
-		return nil, err
-	}
-	return b, nil
+	return lease(p, &p.backends, key, build)
 }
 
 // Release returns a leased backend to the idle list under its key. The
@@ -188,12 +231,9 @@ func (p *Pool) Lease(key Key, build func() (services.Backend, error)) (services.
 // ResetRun-completeness contract). At the per-key idle cap the instance
 // is dropped instead, bounding pool residency.
 func (p *Pool) Release(key Key, b services.Backend) {
-	if b == nil {
-		return
+	if b != nil {
+		release(p, &p.backends, key, b)
 	}
-	p.mu.Lock()
-	p.backends.put(key, b, p.maxIdle())
-	p.mu.Unlock()
 }
 
 // LeaseMachines returns an exclusive client-machine set for key, reusing
@@ -203,33 +243,32 @@ func (p *Pool) Release(key Key, b services.Backend) {
 // machines completely, so a reused set produces results identical to a
 // fresh build.
 func (p *Pool) LeaseMachines(key MachineKey, build func() ([]*hw.Machine, error)) ([]*hw.Machine, error) {
-	p.mu.Lock()
-	if ms, ok := p.machines.take(key); ok {
-		p.mu.Unlock()
-		return ms, nil
-	}
-	p.machines.builds++
-	p.mu.Unlock()
-
-	ms, err := build()
-	if err != nil {
-		p.mu.Lock()
-		p.machines.builds--
-		p.mu.Unlock()
-		return nil, err
-	}
-	return ms, nil
+	return lease(p, &p.machines, key, build)
 }
 
 // ReleaseMachines returns a leased machine set to the idle list under
 // its key, subject to the same per-key idle cap as backends.
 func (p *Pool) ReleaseMachines(key MachineKey, ms []*hw.Machine) {
-	if len(ms) == 0 {
-		return
+	if len(ms) != 0 {
+		release(p, &p.machines, key, ms)
 	}
-	p.mu.Lock()
-	p.machines.put(key, ms, p.maxIdle())
-	p.mu.Unlock()
+}
+
+// LeaseEngines returns an exclusive engine set for key, reusing an idle
+// set when one is available and building a fresh one otherwise. Return
+// the set with ReleaseEngines when the lease ends. Every run resets the
+// set's engines completely, so a reused set produces results identical
+// to a fresh build.
+func (p *Pool) LeaseEngines(key EngineKey, build func() (*loadgen.Engines, error)) (*loadgen.Engines, error) {
+	return lease(p, &p.engines, key, build)
+}
+
+// ReleaseEngines returns a leased engine set to the idle list under its
+// key, subject to the same per-key idle cap.
+func (p *Pool) ReleaseEngines(key EngineKey, es *loadgen.Engines) {
+	if es != nil {
+		release(p, &p.engines, key, es)
+	}
 }
 
 // Stats reports how many backends were built versus leased from the
@@ -248,12 +287,20 @@ func (p *Pool) MachineStats() (builds, reuses int) {
 	return p.machines.builds, p.machines.reuses
 }
 
-// Evictions reports how many instances (backends plus machine sets)
-// were dropped at the per-key idle cap.
+// EngineStats reports how many engine sets were built versus leased
+// from the idle list.
+func (p *Pool) EngineStats() (builds, reuses int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.engines.builds, p.engines.reuses
+}
+
+// Evictions reports how many instances (backends, machine sets and
+// engine sets) were dropped at the per-key idle cap.
 func (p *Pool) Evictions() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.backends.evictions + p.machines.evictions
+	return p.backends.evictions + p.machines.evictions + p.engines.evictions
 }
 
 // IdleCount returns the number of idle backends currently pooled.
@@ -269,6 +316,14 @@ func (p *Pool) IdleMachineSets() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.machines.idleCount()
+}
+
+// IdleEngineSets returns the number of idle engine sets currently
+// pooled.
+func (p *Pool) IdleEngineSets() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.engines.idleCount()
 }
 
 type poolCtxKey struct{}

@@ -3,6 +3,7 @@ package envpool_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -235,4 +236,86 @@ func TestScenarioLeasesReleased(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Error("two pooled executions of the same scenario differ")
 	}
+}
+
+// TestLeasedEnginesMatchFreshPool runs a scenario on a pool whose engine
+// set last served the faulty-cluster preset, at K=0 and at K=2, and on a
+// fresh pool: the RunMetrics agree bit for bit. The faulty run ends with
+// requests in flight and their 2 ms timeouts armed, and at K=2 with
+// hand-offs scheduled on both shards, so the next lessee's reset has
+// real state to clear. The scenario then reuses the set, not a new one.
+func TestLeasedEnginesMatchFreshPool(t *testing.T) {
+	faulty, _ := figures.PresetByName("faulty-cluster")
+	fleet, _ := figures.PresetByName("cluster")
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("K=%d", shards), func(t *testing.T) {
+			opts := figures.SweepOptions{Runs: 1, Seed: 3, TargetSamples: 2000, Shards: shards}
+			dirty := figures.PresetScenario(faulty, 500_000, opts)
+			opts.Runs = 2
+			sc := figures.PresetScenario(fleet, 500_000, opts)
+
+			reused := envpool.New()
+			ctx := envpool.WithPool(context.Background(), reused)
+			if _, err := experiment.RunContext(ctx, dirty); err != nil {
+				t.Fatal(err)
+			}
+			got, err := experiment.RunContext(ctx, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if builds, reuses := reused.EngineStats(); builds != 1 || reuses != 1 {
+				t.Fatalf("engine stats %d builds / %d reuses, want 1/1", builds, reuses)
+			}
+			want, err := experiment.RunContext(envpool.WithPool(context.Background(), envpool.New()), sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Runs {
+				if !sameBits(reflect.ValueOf(got.Runs[i]), reflect.ValueOf(want.Runs[i])) {
+					t.Errorf("run %d on the reused set:\n%+v\nwant (fresh pool):\n%+v", i, got.Runs[i], want.Runs[i])
+				}
+			}
+		})
+	}
+}
+
+// sameBits reports whether a and b hold the same values, comparing
+// floats by their bits, so neither a NaN nor a signed zero hides a
+// difference.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameBits(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.String:
+		return a.String() == b.String()
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return a.Int() == b.Int()
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return a.Uint() == b.Uint()
+	}
+	panic("sameBits: unhandled kind " + a.Kind().String())
 }

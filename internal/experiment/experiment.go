@@ -218,6 +218,15 @@ func (s Scenario) Validate() error {
 	if err := loadgen.ValidateClasses(s.Classes); err != nil {
 		return err
 	}
+	// A class's arrival source is built at its per-thread rate when the
+	// run starts, and a Weibull source fails there if rate·Γ(1+1/k)
+	// overflows. Check each class at that rate here instead.
+	perThreadRate := s.RateQPS / float64(threads)
+	for _, c := range s.Classes {
+		if err := c.Arrival.ValidateAt(perThreadRate * c.Fraction); err != nil {
+			return fmt.Errorf("experiment: class %q at its per-thread rate of %g QPS: %w", c.Name, perThreadRate*c.Fraction, err)
+		}
+	}
 	if err := loadgen.ValidatePhases(s.Phases); err != nil {
 		return err
 	}
@@ -695,12 +704,13 @@ func (s Scenario) backendKey() envpool.Key {
 //     global "-parallel N" bound. With Workers == 0 under a budget the
 //     scenario inherits the budget's width instead of running
 //     sequentially (the budget already bounds real concurrency).
-//   - A backend pool (envpool.WithPool) supplies the workers' backends:
-//     idle instances with this scenario's key are leased instead of
-//     rebuilt, and every lease is returned when the scenario finishes.
+//   - A backend pool (envpool.WithPool) supplies the workers' backends,
+//     client machines and engine sets: idle instances with this
+//     scenario's keys are leased instead of rebuilt, and every lease is
+//     returned when the scenario finishes.
 //
-// Neither resource affects the Result — leased backends are fully reset
-// per run and the budget only schedules — so the byte-identical
+// Neither resource affects the Result — leased instances are fully
+// reset per run and the budget only schedules — so the byte-identical
 // guarantee is unchanged.
 func RunContext(ctx context.Context, s Scenario) (Result, error) {
 	if err := s.Validate(); err != nil {
@@ -710,59 +720,51 @@ func RunContext(ctx context.Context, s Scenario) (Result, error) {
 
 	backends := envpool.From(ctx)
 	key := s.backendKey()
-	type machineLease struct {
-		key      envpool.MachineKey
-		machines []*hw.Machine
-	}
+	// releases returns every lease the scenario's workers took, when the
+	// scenario ends.
 	var (
-		leaseMu        sync.Mutex
-		leased         []services.Backend
-		leasedMachines []machineLease
+		leaseMu  sync.Mutex
+		releases []func()
 	)
+	held := func(release func()) {
+		leaseMu.Lock()
+		releases = append(releases, release)
+		leaseMu.Unlock()
+	}
 	defer func() {
-		if backends == nil {
-			return
-		}
 		leaseMu.Lock()
 		defer leaseMu.Unlock()
-		for _, b := range leased {
-			backends.Release(key, b)
-		}
-		for _, ml := range leasedMachines {
-			backends.ReleaseMachines(ml.key, ml.machines)
+		for _, release := range releases {
+			release()
 		}
 	}()
 
 	// Each worker owns one generator for all the repetitions it executes,
-	// so the generator's persistent simulation engine and request free
-	// list are reused run over run: after the worker's first repetition,
+	// so the generator's simulation engines and request free lists are
+	// reused run over run: after the worker's first repetition,
 	// steady-state simulation allocates nothing. Reuse is invisible to
 	// results (the engine resets fully; pooled requests are zeroed), which
 	// the byte-identical-for-every-worker-count tests pin.
 	newWorker := func(int) (*loadgen.Generator, error) {
-		var backend services.Backend
-		var err error
-		if backends != nil {
-			backend, err = backends.Lease(key, s.buildBackend)
-		} else {
-			backend, err = s.buildBackend()
+		if backends == nil {
+			backend, err := s.buildBackend()
+			if err != nil {
+				return nil, err
+			}
+			return loadgen.New(s.generatorConfig(backend, warmup), backend)
 		}
+		backend, err := backends.Lease(key, s.buildBackend)
 		if err != nil {
 			return nil, err
 		}
-		if backends != nil {
-			leaseMu.Lock()
-			leased = append(leased, backend)
-			leaseMu.Unlock()
-		}
+		held(func() { backends.Release(key, backend) })
+		// Lease the worker's client machines and engine set alongside its
+		// backend: scenarios sharing a client configuration reuse machine
+		// sets, and scenarios sharing an engine shape reuse engine sets,
+		// instead of rebuilding them per sweep cell or benchmark
+		// repetition. Both are fully reset per run, so reuse never changes
+		// results.
 		genCfg := s.generatorConfig(backend, warmup)
-		if backends == nil {
-			return loadgen.New(genCfg, backend)
-		}
-		// Lease the worker's client machines alongside its backend:
-		// scenarios sharing a client configuration reuse machine sets
-		// instead of rebuilding them per sweep cell. Machines are fully
-		// reset per run, so reuse never changes results.
 		count, cores := genCfg.MachineSpec()
 		mkey := envpool.MachineKey{Client: genCfg.ClientHW, Machines: count, Cores: cores}
 		machines, err := backends.LeaseMachines(mkey, func() ([]*hw.Machine, error) {
@@ -771,10 +773,17 @@ func RunContext(ctx context.Context, s Scenario) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		leaseMu.Lock()
-		leasedMachines = append(leasedMachines, machineLease{key: mkey, machines: machines})
-		leaseMu.Unlock()
-		return loadgen.NewWithMachines(genCfg, backend, machines)
+		held(func() { backends.ReleaseMachines(mkey, machines) })
+		shards, lookahead := genCfg.EngineSpec()
+		ekey := envpool.EngineKey{Shards: shards, Lookahead: lookahead}
+		engines, err := backends.LeaseEngines(ekey, func() (*loadgen.Engines, error) {
+			return loadgen.NewEngines(shards, lookahead)
+		})
+		if err != nil {
+			return nil, err
+		}
+		held(func() { backends.ReleaseEngines(ekey, engines) })
+		return loadgen.NewLeased(genCfg, backend, machines, engines)
 	}
 
 	workers := sched.Resolve(s.Workers)

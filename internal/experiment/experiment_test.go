@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/loadgen"
+	"repro/internal/workload"
 )
 
 func runQuick(t *testing.T, s Scenario) Result {
@@ -126,6 +127,12 @@ func TestScenarioValidateRate(t *testing.T) {
 		{"rare-class-in-slow-phase-fits", mix(0.25), []phase{{Name: "night", Duration: time.Millisecond, RateScale: 1, EndScale: 1.0 / 1024}}, ""},
 		{"one-per-thread-class", mix(4.0 / 20_000), nil, ""},
 		{"below-one-per-thread-class", mix(3.0 / 20_000), nil, `class "b" (fraction 0.00015) offers`},
+		// A Weibull class's mean gap needs rate·Γ(1+1/k) finite at the
+		// class's per-thread rate, 100K QPS ÷ 4 threads here. Γ(1+1/k) is
+		// about 4.6e307 at k = 0.00587 and 2.8e299 at k = 0.006.
+		{"weibull-overflows-at-thread-rate", []class{{Name: "w", Fraction: 1, Arrival: workload.ArrivalConfig{Process: workload.ArrivalWeibull, Shape: 0.00587}}}, nil,
+			`class "w" at its per-thread rate of 25000 QPS: workload: weibull arrivals at rate 25000 with shape 0.00587 overflow`},
+		{"weibull-fits-at-thread-rate", []class{{Name: "w", Fraction: 1, Arrival: workload.ArrivalConfig{Process: workload.ArrivalWeibull, Shape: 0.006}}}, nil, ""},
 	}
 	for _, tc := range shares {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"repro/internal/envpool"
 	"repro/internal/hw"
 )
 
@@ -115,5 +117,41 @@ func TestParallelRunErrorDeterministic(t *testing.T) {
 	}
 	if errPar.Error() != errSeq.Error() {
 		t.Errorf("parallel error %q differs from sequential %q", errPar, errSeq)
+	}
+}
+
+// TestWorkersLeaseDistinctEngineSets runs a scenario's repetitions on
+// four workers, single-engine and sharded, twice on one pool: the second
+// time every worker leases an engine set an earlier worker returned.
+// Both Results equal the sequential run without a pool, and the pool
+// builds at most one set per worker and key. Run it under -race: two
+// workers driving one set's engines at once is a data race.
+func TestWorkersLeaseDistinctEngineSets(t *testing.T) {
+	pool := envpool.New()
+	ctx := envpool.WithPool(context.Background(), pool)
+	for _, shards := range []int{0, 2} {
+		s := detScenario(1)
+		s.Runs, s.Shards = 4, shards
+		seq, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Workers = 4
+		for pass := 0; pass < 2; pass++ {
+			par, err := RunContext(ctx, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(normalize(seq), normalize(par)) {
+				t.Errorf("K=%d pass %d: pooled parallel Result differs from sequential", shards, pass)
+			}
+		}
+	}
+	builds, reuses := pool.EngineStats()
+	if builds > 2*4 || reuses == 0 {
+		t.Errorf("%d engine-set builds and %d reuses, want at most 4 per key and some reuse", builds, reuses)
+	}
+	if got := pool.IdleEngineSets(); got != builds {
+		t.Errorf("%d idle engine sets of %d built: a lease was not returned", got, builds)
 	}
 }

@@ -53,17 +53,6 @@ func (th *thread) fillPayload(req *services.Request) int {
 	return reqBytes
 }
 
-// reuseEngine returns a generator's persistent engine: created on the
-// first run, reset (keeping its event free list) on every later one.
-func reuseEngine(enginep **sim.Engine) *sim.Engine {
-	if *enginep == nil {
-		*enginep = sim.NewEngine()
-	} else {
-		(*enginep).Reset()
-	}
-	return *enginep
-}
-
 // resetMachines resets the client machines, then the backend's, each
 // from its own split of the run stream: the environment reset both
 // generators start every run with.

@@ -65,15 +65,14 @@ func (c ClosedLoopConfig) Validate() error {
 }
 
 // ClosedLoopGenerator drives a service with a fixed client population.
-// Like Generator, it owns a persistent engine and request free list that
-// successive RunOnce calls reuse; it is not safe for concurrent runs.
+// Like Generator, it builds a one-engine set (Engines) on its first run
+// that successive RunOnce calls reuse; it is not safe for concurrent
+// runs.
 type ClosedLoopGenerator struct {
 	cfg      ClosedLoopConfig
 	backend  services.Backend
 	machines []*hw.Machine
-
-	engine *sim.Engine
-	pool   services.RequestPool
+	es       *Engines
 }
 
 // NewClosedLoop builds the generator.
@@ -119,7 +118,10 @@ func (g *ClosedLoopGenerator) RunOnce(stream *rng.Stream, duration time.Duration
 	if duration <= 0 {
 		return ClosedLoopResult{}, fmt.Errorf("loadgen: non-positive run duration %v", duration)
 	}
-	engine := reuseEngine(&g.engine)
+	if err := reuseEngines(&g.es, 0, 0); err != nil {
+		return ClosedLoopResult{}, err
+	}
+	engine := g.es.engines[0]
 	resetMachines(stream, g.machines, g.backend)
 	g.backend.ResetRun(engine, stream.Split())
 	end := sim.Time(0).Add(duration)
@@ -128,6 +130,7 @@ func (g *ClosedLoopGenerator) RunOnce(stream *rng.Stream, duration time.Duration
 	r := &closedRun{
 		g:      g,
 		engine: engine,
+		pool:   &g.es.pools[0],
 		end:    end,
 		rec:    &recorder{warmupUntil: sim.Time(0).Add(g.cfg.Warmup)},
 		think:  stream.Split(),
@@ -187,6 +190,7 @@ func (g *ClosedLoopGenerator) RunOnce(stream *rng.Stream, duration time.Duration
 type closedRun struct {
 	g       *ClosedLoopGenerator
 	engine  *sim.Engine
+	pool    *services.RequestPool
 	threads []*thread
 	rec     *recorder
 	end     sim.Time
@@ -233,7 +237,7 @@ func (r *closedRun) issue(th *thread, conn int, now sim.Time) {
 	if now > r.end {
 		return
 	}
-	req := r.g.pool.Get()
+	req := r.pool.Get()
 	reqBytes := th.fillPayload(req)
 	req.ID = r.nextID
 	req.Thread = th.id
@@ -261,7 +265,7 @@ func (r *closedRun) receive(th *thread, req *services.Request, now sim.Time) {
 	r.drainCheck(th, done)
 
 	conn := req.Conn
-	r.g.pool.Put(req)
+	r.pool.Put(req)
 	next := done
 	if r.g.cfg.ThinkTime > 0 {
 		next = next.Add(time.Duration(r.think.Exp(1) * float64(r.g.cfg.ThinkTime)))

@@ -237,24 +237,80 @@ func (c Config) Validate() error {
 	return c.ClientHW.Validate()
 }
 
-// Generator drives one service from a set of client machines. Create once
-// per scenario; call RunOnce per repetition. A generator is not safe for
-// concurrent RunOnce calls: it owns persistent simulation engines and
-// request free lists that successive runs reuse, which is what keeps
-// steady-state request traffic allocation-free.
+// Generator drives one service from a set of client machines. Create
+// one per worker of a scenario and call RunOnce per repetition. A
+// generator is not safe for concurrent RunOnce calls: it runs on an
+// engine set (Engines) whose simulation engines and request free lists
+// successive runs reuse, which is what keeps steady-state request
+// traffic allocation-free. A generator built by New makes its set on its
+// first run and keeps it; one built by NewLeased runs on a set leased
+// from an envpool, which outlives the generator and serves the next
+// scenario with the same engine shape.
 type Generator struct {
 	cfg      Config
 	backend  services.Backend
 	machines []*hw.Machine
+	es       *Engines
+}
 
-	// engines and pools hold one simulation engine and request free list
-	// per run worker: one on the single-engine path, Config.Shards on the
-	// sharded path, where set drives the engines (nil otherwise). Built
-	// on the first run and kept: Reset restores run-visible state while
-	// keeping the event free lists and the recycled requests.
-	engines []*sim.Engine
-	pools   []services.RequestPool
-	set     *sim.ShardSet
+// Engines is the simulation state a generator's runs execute on: one
+// engine and request free list per run worker — one on the
+// single-engine path, Config.Shards on the sharded path, where a
+// sim.ShardSet drives them. Every run resets the engines, keeping their
+// event free lists and wheel arrays and the recycled requests, so a set
+// serves run after run, and generator after generator, without
+// allocating them again. A set serves one generator at a time.
+type Engines struct {
+	shards    int
+	lookahead time.Duration
+	engines   []*sim.Engine
+	pools     []services.RequestPool
+	set       *sim.ShardSet // nil on the single-engine path
+}
+
+// EngineSpec returns the engine-set shape cfg runs on: the shard count
+// and, on the sharded path, the lookahead (the link's minimum delay;
+// zero with no shards). Configs with equal specs run on interchangeable
+// sets — the key the envpool engine cache leases by.
+func (c Config) EngineSpec() (shards int, lookahead time.Duration) {
+	if c.Shards == 0 {
+		return 0, 0
+	}
+	return c.Shards, c.Net.MinDelay()
+}
+
+// NewEngines builds an engine set of the given shape (Config.EngineSpec):
+// one engine with no shards, or shards engines under a ShardSet.
+func NewEngines(shards int, lookahead time.Duration) (*Engines, error) {
+	es := &Engines{shards: shards, lookahead: lookahead, engines: make([]*sim.Engine, max(shards, 1))}
+	for i := range es.engines {
+		es.engines[i] = sim.NewEngine()
+	}
+	es.pools = make([]services.RequestPool, len(es.engines))
+	if shards > 0 {
+		set, err := sim.NewShardSet(es.engines, lookahead)
+		if err != nil {
+			return nil, err
+		}
+		es.set = set
+	}
+	return es, nil
+}
+
+// reuseEngines readies a generator's engine set for a run: built by
+// NewEngines on the first run, and reset on every run.
+func reuseEngines(es **Engines, shards int, lookahead time.Duration) error {
+	if *es == nil {
+		built, err := NewEngines(shards, lookahead)
+		if err != nil {
+			return err
+		}
+		*es = built
+	}
+	for _, e := range (*es).engines {
+		e.Reset()
+	}
+	return nil
 }
 
 // MachineSpec returns the client-machine deployment shape New builds
@@ -289,21 +345,24 @@ func BuildMachines(cfg Config) ([]*hw.Machine, error) {
 	return machines, nil
 }
 
-// New builds the generator and its client machines.
+// New builds the generator and its client machines. It builds its
+// engine set on its first run.
 func New(cfg Config, backend services.Backend) (*Generator, error) {
 	machines, err := BuildMachines(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return NewWithMachines(cfg, backend, machines)
+	return NewLeased(cfg, backend, machines, nil)
 }
 
-// NewWithMachines is New on prebuilt client machines — e.g. a set
-// leased from an envpool so that scenarios sharing a client
-// configuration reuse machines instead of rebuilding them. The
-// machines must match cfg.MachineSpec(); every run resets them fully
-// (hw.Machine.ResetRun), so reuse never changes results.
-func NewWithMachines(cfg Config, backend services.Backend, machines []*hw.Machine) (*Generator, error) {
+// NewLeased is New on prebuilt client machines and, unless es is nil,
+// a prebuilt engine set — e.g. both leased from an envpool, so that
+// scenarios sharing a client configuration and an engine shape reuse
+// them instead of rebuilding them. The machines must match
+// cfg.MachineSpec() and the set cfg.EngineSpec(); every run resets both
+// fully (hw.Machine.ResetRun, sim.Engine.Reset), so reuse never changes
+// results.
+func NewLeased(cfg Config, backend services.Backend, machines []*hw.Machine, es *Engines) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -322,7 +381,12 @@ func NewWithMachines(cfg Config, backend services.Backend, machines []*hw.Machin
 			return nil, fmt.Errorf("loadgen: machine %s hardware config differs from ClientHW", m.Name())
 		}
 	}
-	return &Generator{cfg: cfg, backend: backend, machines: machines}, nil
+	if es != nil {
+		if shards, lookahead := cfg.EngineSpec(); es.shards != shards || es.lookahead != lookahead {
+			return nil, fmt.Errorf("loadgen: engine set has %d shards at lookahead %v, config needs %d at %v", es.shards, es.lookahead, shards, lookahead)
+		}
+	}
+	return &Generator{cfg: cfg, backend: backend, machines: machines, es: es}, nil
 }
 
 // Config returns the generator configuration.
@@ -466,7 +530,7 @@ type run struct {
 	rp     routePreviewer
 	fstats ResilienceStats
 
-	// pool is the worker's request free list (&Generator.pools[shard]).
+	// pool is the worker's request free list (&Engines.pools[shard]).
 	pool *services.RequestPool
 	// sr/shard identify the sharded run this is one shard of (sr nil on
 	// the single-engine path, where shard is 0).
@@ -520,7 +584,8 @@ func (g *Generator) RunOnce(stream *rng.Stream, duration time.Duration) (RunResu
 	if duration <= 0 {
 		return RunResult{}, fmt.Errorf("loadgen: non-positive run duration %v", duration)
 	}
-	if err := g.resetEngines(); err != nil {
+	shards, lookahead := g.cfg.EngineSpec()
+	if err := reuseEngines(&g.es, shards, lookahead); err != nil {
 		return RunResult{}, err
 	}
 	sr, err := g.newShardedRun() // nil on the single-engine path
@@ -548,9 +613,9 @@ func (g *Generator) RunOnce(stream *rng.Stream, duration time.Duration) (RunResu
 	}
 
 	if sr == nil {
-		g.engines[0].RunUntil(end)
+		g.es.engines[0].RunUntil(end)
 	} else {
-		g.set.Run(end, sr.mergeRecords)
+		g.es.set.Run(end, sr.mergeRecords)
 	}
 
 	res := rec.result()
@@ -560,31 +625,6 @@ func (g *Generator) RunOnce(stream *rng.Stream, duration time.Duration) (RunResu
 	}
 	res.fillMachineStats(g.machines, g.backend, duration)
 	return res, nil
-}
-
-// resetEngines readies the run's engines: built on the first run — one,
-// or Config.Shards under a ShardSet — and reset, keeping their free
-// lists, on every later one.
-func (g *Generator) resetEngines() error {
-	if g.engines != nil {
-		for _, e := range g.engines {
-			e.Reset()
-		}
-		return nil
-	}
-	engines := make([]*sim.Engine, max(g.cfg.Shards, 1))
-	for i := range engines {
-		engines[i] = sim.NewEngine()
-	}
-	if g.cfg.Shards > 0 {
-		set, err := sim.NewShardSet(engines, g.cfg.Net.MinDelay())
-		if err != nil {
-			return err
-		}
-		g.set = set
-	}
-	g.engines, g.pools = engines, make([]services.RequestPool, len(engines))
-	return nil
 }
 
 // newWorkers builds one worker per engine. All of them share the run's
@@ -600,17 +640,17 @@ func (g *Generator) newWorkers(sr *shardedRun, end sim.Time) []*run {
 		res = &rc
 		rp, _ = g.backend.(routePreviewer)
 	}
-	workers := make([]*run, len(g.engines))
+	workers := make([]*run, len(g.es.engines))
 	for s := range workers {
 		workers[s] = &run{
 			g:        g,
-			engine:   g.engines[s],
+			engine:   g.es.engines[s],
 			rec:      rec,
 			duration: end,
 			phases:   phases,
 			res:      res,
 			rp:       rp,
-			pool:     &g.pools[s],
+			pool:     &g.es.pools[s],
 			sr:       sr,
 			shard:    s,
 			// Disjoint per-shard ID spaces keep request IDs unique without

@@ -111,10 +111,10 @@ type shardedRun struct {
 // shard. It draws nothing from the run stream, and returns nil on the
 // single-engine path.
 func (g *Generator) newShardedRun() (*shardedRun, error) {
-	if g.set == nil {
+	if g.es.set == nil {
 		return nil, nil
 	}
-	k, m, tpm := len(g.engines), g.cfg.Machines, g.cfg.ThreadsPerMachine
+	k, m, tpm := len(g.es.engines), g.cfg.Machines, g.cfg.ThreadsPerMachine
 	cb, _ := g.backend.(ShardedBackend)
 	partitions := m + 1
 	if cb != nil {
@@ -124,7 +124,7 @@ func (g *Generator) newShardedRun() (*shardedRun, error) {
 		return nil, fmt.Errorf("loadgen: %d shards exceed the %d machine+replica partitions", k, partitions)
 	}
 	sr := &shardedRun{
-		set:          g.set,
+		set:          g.es.set,
 		threadShard:  make([]int, m*tpm),
 		cluster:      cb,
 		backendShard: m % k,
@@ -150,11 +150,11 @@ func (g *Generator) newShardedRun() (*shardedRun, error) {
 func (g *Generator) resetBackend(sr *shardedRun, stream *rng.Stream) error {
 	switch {
 	case sr == nil:
-		g.backend.ResetRun(g.engines[0], stream.Split())
+		g.backend.ResetRun(g.es.engines[0], stream.Split())
 	case sr.cluster != nil:
-		return sr.cluster.ResetRunSharded(g.engines, sr.replicaShard, stream.Split())
+		return sr.cluster.ResetRunSharded(g.es.engines, sr.replicaShard, stream.Split())
 	default:
-		g.backend.ResetRun(g.engines[sr.backendShard], stream.Split())
+		g.backend.ResetRun(g.es.engines[sr.backendShard], stream.Split())
 	}
 	return nil
 }

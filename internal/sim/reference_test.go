@@ -166,8 +166,8 @@ func (w *wheel) popPerEvent(limit Time) *event {
 			return nil
 		}
 		l := bits.TrailingZeros16(w.levelMask)
-		slot := bits.TrailingZeros64(w.occupied[l])
-		b := &w.levels[l][slot]
+		slot := w.first(l)
+		b := w.bucket(l, slot)
 		if l == 0 || b.head == b.tail {
 			ev := b.head
 			if ev.deadline > limit {
@@ -185,9 +185,7 @@ func (w *wheel) popPerEvent(limit Time) *event {
 			w.cursor = ev.deadline
 			return ev
 		}
-		shift := uint(l * wheelBits)
-		high := uint64(w.cursor) &^ (uint64(1)<<(shift+wheelBits) - 1)
-		start := Time(high | uint64(slot)<<shift)
+		start := w.bucketStart(l, slot)
 		if start > limit {
 			return nil
 		}

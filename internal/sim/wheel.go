@@ -9,20 +9,40 @@ import "math/bits"
 //
 // # Structure
 //
-// The wheel has wheelLevels levels of wheelSlots buckets each. Level l
-// buckets have a granularity of 2^(l·wheelBits) virtual nanoseconds, so
-// level 0 resolves single ticks, level 1 groups of 64 ticks, and so on;
-// eleven 64-slot levels cover the full non-negative int64 deadline range.
-// Each bucket is an intrusive doubly-linked FIFO chain of events, and
-// each level keeps a one-bit-per-slot occupancy bitmap, so "find the
-// earliest bucket" is a TrailingZeros64 per level rather than a scan.
+// The wheel has wheelLevels levels, which split a deadline's bits
+// between them from the lowest up. A level's buckets are
+// 2^levelShift[l] virtual nanoseconds wide:
 //
-// An event is bucketed by the most significant bit group in which its
+//	level 0      bits  0–5     64 buckets of 1 ns
+//	level 1      bits  6–17    4096 buckets of 64 ns, spanning 262 µs
+//	levels 2–9   bits 18–65    64 buckets each, 6 bits a level
+//
+// Ten levels cover the full non-negative int64 deadline range. Each
+// bucket is an intrusive doubly-linked FIFO chain of events. A one-bit-
+// per-bucket occupancy bitmap makes "find the earliest bucket" a
+// TrailingZeros64 rather than a scan: one word per 64-bucket level, and
+// for level 1 a summary word over its 64 bitmap words.
+//
+// Level 1 is wide because of where requests land. On the paper's
+// Memcached unit (the paper-lp benchmark) an engine holds about 25
+// pending events, most of them request events 4–65 µs ahead, and fires
+// 6.6 of them per sample. With two 6-bit levels in place of level 1,
+// 90.5% of pushes landed on the second, whose buckets are 4 µs wide and
+// hold several events each, so 0.230 buckets cascaded per fired event.
+// A prototype with uniform 8-bit levels did little better: their second
+// level spans only 65 µs, so 31% of pushes still landed a level up and
+// 0.134 buckets cascaded per fired event. Within one 262 µs span a
+// request event sits alone in its 64 ns bucket, and only the 7.7% of
+// pushes that cross a span boundary land on level 2: 0.038 buckets
+// cascade per fired event. What matters is the span, not the bucket
+// count.
+//
+// An event is bucketed by the most significant bit in which its
 // deadline differs from the wheel's cursor (the deadline of the last
-// event popped):
+// event popped): the level is the one holding that bit, and the slot is
+// the deadline's bits within the level,
 //
-//	level = index of highest differing bit / wheelBits
-//	slot  = (deadline >> (level·wheelBits)) & (wheelSlots-1)
+//	slot = (deadline >> levelShift[level]) & (level's bucket count − 1)
 //
 // Because deadlines never precede the cursor (the engine rejects
 // scheduling in the past, and the cursor trails the engine clock), the
@@ -47,15 +67,15 @@ import "math/bits"
 //
 // Sparse traffic leaves most buckets above level 0 holding one event:
 // requests a few microseconds apart scheduled tens of microseconds ahead
-// land on level 2 and reach level 1 one to a bucket. A lone event in the
-// earliest bucket is the global minimum. An event on a higher level
-// exceeds the cursor in a higher bit group, where the lone event still
-// equals the cursor; every later slot on the lone event's level starts
-// after its bucket ends. So pop returns it directly and moves the cursor
-// to its deadline. Every other event keeps a valid (level, slot), since
-// the new cursor agrees with the old one in all bit groups above the
-// lone event's level. That is the state cascading the event down level
-// by level and popping it at level 0 reaches, without the cascades.
+// land on level 1 one to a 64 ns bucket. A lone event in the earliest
+// bucket is the global minimum. An event on a higher level exceeds the
+// cursor in a higher level's bits, where the lone event still equals the
+// cursor; every later slot on the lone event's level starts after its
+// bucket ends. So pop returns it directly and moves the cursor to its
+// deadline. Every other event keeps a valid (level, slot), since the new
+// cursor agrees with the old one in all bits above the lone event's
+// level. That is the state cascading the event down level by level and
+// popping it at level 0 reaches, without the cascades.
 //
 // # Bounded pops
 //
@@ -97,11 +117,43 @@ import "math/bits"
 // reference heap with its own comparator, and by every figure golden
 // downstream.
 const (
-	wheelBits   = 6
-	wheelSlots  = 1 << wheelBits
-	wheelMask   = wheelSlots - 1
-	wheelLevels = 11 // 11 × 6 bits ≥ 63-bit deadlines
+	wheelLevels = 10
+	// wideLevel is the one 12-bit level; every other level is 6 bits.
+	wideLevel   = 1
+	wideSlots   = 1 << 12
+	narrowSlots = 1 << 6
 )
+
+// levelShift[l] is the lowest deadline bit level l's slot index holds,
+// and levelEnd[l] the bit above its highest: level l's buckets are
+// 2^levelShift[l] ns wide, and an event on level l agrees with the
+// cursor in every bit from levelEnd[l] up.
+var (
+	levelShift = [wheelLevels]uint8{0, 6, 18, 24, 30, 36, 42, 48, 54, 60}
+	levelEnd   = [wheelLevels]uint8{6, 18, 24, 30, 36, 42, 48, 54, 60, 66}
+)
+
+// placement is where a deadline goes, given n = bits.Len64(deadline ^
+// cursor), the position above the highest bit in which it differs from
+// the cursor (0 when they are equal): the level holding that bit, the
+// level's shift and its slot mask. placements is indexed by n, so place
+// is one table load and no branch.
+type placement struct {
+	level, shift uint8
+	mask         uint16
+}
+
+var placements = func() (t [65]placement) {
+	for n := range t {
+		l := 0
+		for l < wheelLevels-1 && n > int(levelEnd[l]) {
+			l++
+		}
+		shift := levelShift[l]
+		t[n] = placement{level: uint8(l), shift: shift, mask: uint16(1)<<(levelEnd[l]-shift) - 1}
+	}
+	return t
+}()
 
 // wheelBucket is one slot's FIFO chain.
 type wheelBucket struct {
@@ -112,10 +164,16 @@ type wheelBucket struct {
 // wheel: cursor at zero, all buckets empty.
 //
 // Occupancy metadata is kept compact and separate from the bucket
-// arrays: occupied[l] has bit i set ⇔ levels[l][i] is non-empty, and
-// levelMask has bit l set ⇔ occupied[l] != 0. The earliest-bucket search
-// is then two TrailingZeros on adjacent words instead of a strided walk
-// over the (64 KB-scale) bucket arrays.
+// arrays. levelMask has bit l set ⇔ level l holds an event. For a
+// 64-bucket level, occupied[l] has bit i set ⇔ narrow[l][i] is
+// non-empty. For the wide level, wideOcc[j] has bit i set ⇔
+// wide[j·64+i] is non-empty, and occupied[wideLevel] has bit j set ⇔
+// wideOcc[j] != 0. Every level's summary word sits in one array, so the
+// earliest-bucket search reads adjacent words, and only a search that
+// reaches the wide level reads one more. (A prototype with a 64-word
+// bitmap for every level, one cache line each, read 3–6% slower on
+// hdsearch-lp, whose engine is nearly idle.) narrow's row for the wide
+// level is unused.
 //
 // # Cascade hysteresis
 //
@@ -142,7 +200,9 @@ type wheel struct {
 	count     int
 	levelMask uint16
 	occupied  [wheelLevels]uint64
-	levels    [wheelLevels][wheelSlots]wheelBucket
+	wideOcc   [wideSlots / 64]uint64
+	narrow    [wheelLevels][narrowSlots]wheelBucket
+	wide      [wideSlots]wheelBucket
 
 	cascades      uint64
 	cascadeEvents uint64
@@ -152,12 +212,53 @@ type wheel struct {
 
 // place returns the (level, slot) for deadline relative to the cursor.
 func (w *wheel) place(deadline Time) (int, int) {
-	diff := uint64(deadline) ^ uint64(w.cursor)
-	if diff == 0 {
-		return 0, int(uint64(deadline) & wheelMask)
+	p := placements[bits.Len64(uint64(deadline)^uint64(w.cursor))]
+	return int(p.level), int(uint64(deadline)>>p.shift) & int(p.mask)
+}
+
+// bucket returns level l's bucket at slot.
+func (w *wheel) bucket(l, slot int) *wheelBucket {
+	if l == wideLevel {
+		return &w.wide[slot&(wideSlots-1)]
 	}
-	l := (63 - bits.LeadingZeros64(diff)) / wheelBits
-	return l, int((uint64(deadline) >> (l * wheelBits)) & wheelMask)
+	return &w.narrow[l][slot&(narrowSlots-1)]
+}
+
+// first returns level l's lowest occupied slot; the level must hold an
+// event.
+func (w *wheel) first(l int) int {
+	i := bits.TrailingZeros64(w.occupied[l])
+	if l == wideLevel {
+		i = i<<6 | bits.TrailingZeros64(w.wideOcc[i&63])
+	}
+	return i
+}
+
+// setSlot marks (l, slot) non-empty.
+func (w *wheel) setSlot(l, slot int) {
+	bit := slot
+	if l == wideLevel {
+		w.wideOcc[slot>>6&63] |= 1 << uint(slot&63)
+		bit = slot >> 6
+	}
+	w.occupied[l] |= 1 << uint(bit&63)
+	w.levelMask |= 1 << uint(l)
+}
+
+// clearSlot marks (l, slot) empty, dropping the level from the summary
+// mask when it was the level's last occupied slot.
+func (w *wheel) clearSlot(l, slot int) {
+	bit := slot
+	if l == wideLevel {
+		word := &w.wideOcc[slot>>6&63]
+		if *word &^= 1 << uint(slot&63); *word != 0 {
+			return
+		}
+		bit = slot >> 6
+	}
+	if w.occupied[l] &^= 1 << uint(bit&63); w.occupied[l] == 0 {
+		w.levelMask &^= 1 << uint(l)
+	}
 }
 
 func (w *wheel) push(ev *event) {
@@ -169,7 +270,7 @@ func (w *wheel) push(ev *event) {
 		panic("sim: timer wheel push behind cursor")
 	}
 	l, slot := w.place(ev.deadline)
-	b := &w.levels[l][slot]
+	b := w.bucket(l, slot)
 	if l == 0 && b.tail != nil && ev.less(b.tail) {
 		// Keyed insert into the drain-order bucket (see the Determinism
 		// comment): only a deferred-origin event ever takes this path, and
@@ -200,9 +301,8 @@ func (w *wheel) push(ev *event) {
 		}
 		b.tail = ev
 	}
-	w.occupied[l] |= 1 << uint(slot)
-	w.levelMask |= 1 << uint(l)
-	ev.lvl, ev.slot = int8(l), uint8(slot)
+	w.setSlot(l, slot)
+	ev.lvl, ev.slot = int8(l), uint16(slot)
 	w.count++
 }
 
@@ -214,8 +314,8 @@ func (w *wheel) pop(limit Time) *event {
 			return nil
 		}
 		l := bits.TrailingZeros16(w.levelMask)
-		slot := bits.TrailingZeros64(w.occupied[l])
-		b := &w.levels[l][slot]
+		slot := w.first(l)
+		b := w.bucket(l, slot)
 		if l == 0 || b.head == b.tail {
 			// A level-0 bucket holds a single deadline in (at, seq) order,
 			// and a lone event in the earliest bucket is below every other
@@ -242,9 +342,7 @@ func (w *wheel) pop(limit Time) *event {
 		// redistribute the chain; each event lands at a level < l. A
 		// bucket starting beyond limit holds nothing due, and cascading
 		// it would move the cursor past the instant the clock parks at.
-		shift := uint(l * wheelBits)
-		high := uint64(w.cursor) &^ (uint64(1)<<(shift+wheelBits) - 1)
-		start := Time(high | uint64(slot)<<shift)
+		start := w.bucketStart(l, slot)
 		if start > limit {
 			return nil
 		}
@@ -257,20 +355,28 @@ func (w *wheel) pop(limit Time) *event {
 	}
 }
 
+// bucketStart returns the first instant of level l's bucket at slot in
+// the cursor's current lap: the cursor's bits above the level, then the
+// slot.
+func (w *wheel) bucketStart(l, slot int) Time {
+	high := uint64(w.cursor) &^ (uint64(1)<<levelEnd[l] - 1)
+	return Time(high | uint64(slot)<<levelShift[l])
+}
+
 // cascadeChain redistributes a cascading bucket's chain against the
 // already-advanced cursor, splicing maximal same-destination runs
 // wholesale (see the wheel doc comment).
 //
 // Run detection: let (l2, s2) = place(first.deadline) and
-// group = first.deadline >> (l2·wheelBits). A later chain event e (all
+// group = first.deadline >> levelShift[l2]. A later chain event e (all
 // chain deadlines are ≥ cursor) lands in the same bucket iff
-// e.deadline >> (l2·wheelBits) == group — equal high bits mean e agrees
-// with first, and hence with the cursor, above group l2 and differs from
-// the cursor inside group l2 exactly as first does, so place() yields
+// e.deadline >> levelShift[l2] == group — equal high bits mean e agrees
+// with first, and hence with the cursor, above level l2 and differs from
+// the cursor inside level l2 exactly as first does, so place() yields
 // the same (level, slot); unequal high bits differ from first somewhere
-// at or above group l2, which forces a different slot or level. For
-// l2 == 0 the test degenerates to deadline equality, matching the
-// one-deadline-per-level-0-bucket invariant.
+// at or above level l2's lowest bit, which forces a different slot or
+// level. For l2 == 0 the test degenerates to deadline equality, matching
+// the one-deadline-per-level-0-bucket invariant.
 //
 // Order: buckets above level 0 are append-order, so splicing a run onto
 // the tail is exactly what per-event pushes would build. A level-0
@@ -284,9 +390,9 @@ func (w *wheel) pop(limit Time) *event {
 func (w *wheel) cascadeChain(head *event) {
 	for ev := head; ev != nil; {
 		l2, s2 := w.place(ev.deadline)
-		lvl8, slot8 := int8(l2), uint8(s2)
+		lvl8, slot16 := int8(l2), uint16(s2)
 		first, last := ev, ev
-		first.lvl, first.slot = lvl8, slot8
+		first.lvl, first.slot = lvl8, slot16
 		sorted := true
 		n := uint64(1)
 		if l2 == 0 {
@@ -297,21 +403,21 @@ func (w *wheel) cascadeChain(head *event) {
 					sorted = false
 				}
 				last = last.next
-				last.lvl, last.slot = lvl8, slot8
+				last.lvl, last.slot = lvl8, slot16
 				n++
 			}
 		} else {
-			shift2 := uint(l2 * wheelBits)
+			shift2 := levelShift[l2]
 			group := uint64(first.deadline) >> shift2
 			for last.next != nil && uint64(last.next.deadline)>>shift2 == group {
 				last = last.next
-				last.lvl, last.slot = lvl8, slot8
+				last.lvl, last.slot = lvl8, slot16
 				n++
 			}
 		}
 		next := last.next
 		w.cascadeEvents += n
-		b := &w.levels[l2][s2]
+		b := w.bucket(l2, s2)
 		if l2 == 0 && (!sorted || (b.tail != nil && first.less(b.tail))) {
 			// push overwrites the lvl/slot set optimistically above.
 			for e := first; ; {
@@ -336,19 +442,9 @@ func (w *wheel) cascadeChain(head *event) {
 			b.tail.next = first
 		}
 		b.tail = last
-		w.occupied[l2] |= 1 << uint(s2)
-		w.levelMask |= 1 << uint(l2)
+		w.setSlot(l2, s2)
 		w.cascadeRuns++
 		ev = next
-	}
-}
-
-// clearSlot marks (l, slot) empty, dropping the level from the summary
-// mask when it was the level's last occupied slot.
-func (w *wheel) clearSlot(l, slot int) {
-	w.occupied[l] &^= 1 << uint(slot)
-	if w.occupied[l] == 0 {
-		w.levelMask &^= 1 << uint(l)
 	}
 }
 
@@ -363,12 +459,11 @@ func (w *wheel) minDeadline() (Time, bool) {
 		return 0, false
 	}
 	l := bits.TrailingZeros16(w.levelMask)
-	slot := bits.TrailingZeros64(w.occupied[l])
-	b := &w.levels[l][slot]
-	if l == 0 {
-		return b.head.deadline, true
-	}
+	b := w.bucket(l, w.first(l))
 	min := b.head.deadline
+	if l == 0 {
+		return min, true
+	}
 	for ev := b.head.next; ev != nil; ev = ev.next {
 		if ev.deadline < min {
 			min = ev.deadline
@@ -378,7 +473,7 @@ func (w *wheel) minDeadline() (Time, bool) {
 }
 
 func (w *wheel) remove(ev *event) {
-	b := &w.levels[ev.lvl][ev.slot]
+	b := w.bucket(int(ev.lvl), int(ev.slot))
 	if ev.prev == nil {
 		b.head = ev.next
 	} else {
@@ -397,19 +492,18 @@ func (w *wheel) remove(ev *event) {
 }
 
 func (w *wheel) drain(release func(*event)) {
-	for l := range w.levels {
-		for w.occupied[l] != 0 {
-			slot := bits.TrailingZeros64(w.occupied[l])
-			b := &w.levels[l][slot]
-			for ev := b.head; ev != nil; {
-				next := ev.next
-				ev.next, ev.prev = nil, nil
-				release(ev)
-				ev = next
-			}
-			b.head, b.tail = nil, nil
-			w.clearSlot(l, slot)
+	for w.levelMask != 0 {
+		l := bits.TrailingZeros16(w.levelMask)
+		slot := w.first(l)
+		b := w.bucket(l, slot)
+		for ev := b.head; ev != nil; {
+			next := ev.next
+			ev.next, ev.prev = nil, nil
+			release(ev)
+			ev = next
 		}
+		b.head, b.tail = nil, nil
+		w.clearSlot(l, slot)
 	}
 	w.count = 0
 	w.cursor = 0

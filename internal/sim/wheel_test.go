@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // This file differential-tests the timer-wheel engine against the
@@ -340,11 +341,24 @@ func matchReference(t *testing.T, op int, wheelD, refD *dualDriver) {
 // FuzzEngineMatchesReference runs a decoded op script on the wheel
 // engine and the reference heap engine and compares them after every op
 // and after a final drain. The seeds are the TestWheelBoundedPopParksCursor
-// shape under both run primitives and prefixes of the genOps and
-// genDeepOps scripts.
+// shape under both run primitives, deltas on both sides of each level
+// boundary, and prefixes of the genOps and genDeepOps scripts.
 func FuzzEngineMatchesReference(f *testing.F) {
-	for _, run := range []dualOp{{kind: 4, horizon: 5000}, {kind: 7, pick: 1, horizon: 5000}} {
-		f.Add(encodeOps([]dualOp{{kind: 0, delay: 6096}, {kind: 0, delay: 6097}, run, {kind: 0}, {kind: 6, pick: 2500}}))
+	const early = 1<<18 + 2000
+	for _, run := range []dualOp{{kind: 4, horizon: 1<<18 + 1000}, {kind: 7, pick: 1, horizon: 1<<18 + 1000}} {
+		f.Add(encodeOps([]dualOp{{kind: 0, delay: early}, {kind: 0, delay: early + 1}, run, {kind: 0}, {kind: 6, pick: (1<<18 + 1000) / 2}}))
+	}
+	// 2⁶ and 2¹⁸ start levels 1 and 2, 2¹² is a bit inside level 1, and
+	// 4095·2⁶ starts level 1's last slot. Each script straddles one from
+	// a cursor at 0 and again from a cursor 37 ns on, with a deferred
+	// origin among the ties and run limits on the boundary.
+	for _, b := range []time.Duration{1 << 6, 1 << 12, 1 << 18, 4095 << 6} {
+		straddle := []dualOp{
+			{kind: 0, delay: b - 1}, {kind: 0, delay: b}, {kind: 6, delay: b, pick: 11}, {kind: 0, delay: b + 1},
+			{kind: 7, pick: 1, horizon: b}, {kind: 3}, {kind: 0, delay: b}, {kind: 4, horizon: b},
+		}
+		f.Add(encodeOps(straddle))
+		f.Add(encodeOps(append([]dualOp{{kind: 0, delay: 37}, {kind: 3}}, straddle...)))
 	}
 	for seed := int64(0); seed < 3; seed++ {
 		f.Add(encodeOps(genOps(rand.New(rand.NewSource(seed)), 200)))
@@ -366,6 +380,79 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		refD.e.Run()
 		matchReference(t, -1, wheelD, refD)
 	})
+}
+
+// refLevels is the wheel's geometry written out on its own: each
+// level's lowest deadline bit and its width in bits.
+var refLevels = []struct{ shift, width uint }{
+	{0, 6}, {6, 12}, {18, 6}, {24, 6}, {30, 6}, {36, 6}, {42, 6}, {48, 6}, {54, 6}, {60, 6},
+}
+
+// refPlace is the reference placement: the highest level whose bits,
+// and every bit above them, do not all agree between deadline and
+// cursor, and the deadline's bits within that level. Level 0 when they
+// are equal.
+func refPlace(cursor, deadline Time) (level, slot int) {
+	for l := len(refLevels) - 1; l > 0; l-- {
+		g := refLevels[l]
+		if uint64(deadline)>>g.shift != uint64(cursor)>>g.shift {
+			return l, int(uint64(deadline) >> g.shift & (1<<g.width - 1))
+		}
+	}
+	return 0, int(uint64(deadline) & (1<<refLevels[0].width - 1))
+}
+
+// TestWheelPlaceMatchesReference checks place against refPlace where a
+// deadline first differs from the cursor on each side of every level
+// boundary (bits 5 and 6, 17 and 18, 23 and 24, … 59 and 60), at bits
+// 11 and 12 inside the wide level, at bit 62, and at random (cursor,
+// deadline) pairs.
+func TestWheelPlaceMatchesReference(t *testing.T) {
+	if len(refLevels) != wheelLevels {
+		t.Fatalf("reference has %d levels, the wheel %d", len(refLevels), wheelLevels)
+	}
+	rng := rand.New(rand.NewSource(31))
+	check := func(cursor, deadline Time) {
+		t.Helper()
+		w := wheel{cursor: cursor}
+		l, slot := w.place(deadline)
+		wl, ws := refPlace(cursor, deadline)
+		if l != wl || slot != ws {
+			t.Fatalf("cursor %#x deadline %#x: placed (%d, %d), reference (%d, %d)", cursor, deadline, l, slot, wl, ws)
+		}
+	}
+	bitsToFlip := []uint{5, 6, 11, 12, 17, 18, 62}
+	for b := uint(23); b <= 60; b += 6 {
+		bitsToFlip = append(bitsToFlip, b, b+1)
+	}
+	for _, b := range bitsToFlip {
+		for i := 0; i < 200; i++ {
+			// A cursor with bit b clear, and a deadline that agrees with it
+			// above bit b, sets bit b and has any bits below.
+			cursor := Time(rng.Int63() &^ (1 << b))
+			low := uint64(rng.Int63()) & (1<<b - 1)
+			deadline := Time(uint64(cursor)&^(1<<b-1) | 1<<b | low)
+			check(cursor, deadline)
+			check(cursor, cursor)
+		}
+	}
+	for i := 0; i < 100_000; i++ {
+		cursor := Time(rng.Int63n(int64(Infinity) - 1<<20))
+		deadline := cursor + Time(rng.Int63n(int64(Infinity-cursor)))
+		if i%2 == 0 {
+			// Near deadlines: the traffic the wide level exists for.
+			deadline = cursor + Time(rng.Int63n(1<<20))
+		}
+		check(cursor, deadline)
+	}
+}
+
+// TestEventSize pins the event at 96 bytes: widening slot to address the
+// wide level's 4096 buckets fits in the padding after lvl.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 96 {
+		t.Errorf("event is %d bytes, want 96", got)
+	}
 }
 
 // TestWheelDeepDeadlines pins placement and cascading for deadlines that
@@ -399,16 +486,19 @@ func TestWheelDeepDeadlines(t *testing.T) {
 }
 
 // TestWheelBoundedPopParksCursor pins the "bucket start ≤ limit" guard of
-// the wheel's bounded pop. Two events at 6096 and 6097 share a level-2
-// bucket starting at 4096 — at or below the 5000 limit, while the
-// earliest deadline is above it. Cascading that bucket lands both in one
-// level-1 bucket starting at 6080, beyond the limit; cascading it too
-// would move the cursor past the clock the run parks on limit, and
+// the wheel's bounded pop. Two events at 2¹⁸+2000 and 2¹⁸+2001 share a
+// level-2 bucket starting at 2¹⁸ — at or below the 2¹⁸+1000 limit, while
+// the earliest deadline is above it. Cascading that bucket lands both in
+// one level-1 bucket starting at 2¹⁸+1984, beyond the limit; cascading it
+// too would move the cursor past the clock the run parks on limit, and
 // scheduling at Now would panic with "push behind cursor". After the
 // run, an event at Now and one handed off as of an earlier origin must
 // be accepted and fire first, in the reference heap's order.
 func TestWheelBoundedPopParksCursor(t *testing.T) {
-	const limit = Time(5000)
+	const (
+		limit = Time(1<<18 + 1000)
+		early = 1<<18 + 2000
+	)
 	for _, run := range []struct {
 		name string
 		fn   func(scheduler, Time)
@@ -420,11 +510,11 @@ func TestWheelBoundedPopParksCursor(t *testing.T) {
 			var fired [2][]firing
 			for i, e := range []scheduler{NewEngine(), &refEngine{}} {
 				d := &dualDriver{e: e}
-				d.schedule(6096)
-				d.schedule(6097)
+				d.schedule(early)
+				d.schedule(early + 1)
 				engine, isWheel := e.(*Engine)
 				if isWheel && d.live[0].ev.lvl != 2 {
-					t.Fatalf("6096 placed on level %d, want 2", d.live[0].ev.lvl)
+					t.Fatalf("%d placed on level %d, want 2", early, d.live[0].ev.lvl)
 				}
 				run.fn(e, limit)
 				if e.Now() != limit || len(d.fired) != 0 {
@@ -438,7 +528,7 @@ func TestWheelBoundedPopParksCursor(t *testing.T) {
 				e.Run()
 				fired[i] = d.fired
 			}
-			want := []firing{{limit, 3}, {limit, 2}, {6096, 0}, {6097, 1}}
+			want := []firing{{limit, 3}, {limit, 2}, {early, 0}, {early + 1, 1}}
 			for i, name := range []string{"wheel", "heap"} {
 				if len(fired[i]) != len(want) {
 					t.Fatalf("%s fired %v, want %v", name, fired[i], want)

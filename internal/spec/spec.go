@@ -75,7 +75,8 @@
 // Durations are strings in Go syntax ("250ms", "1h"). Unknown keys
 // anywhere in the document are errors, as are rates ≤ 0, fractions not
 // summing to 1, non-positive distribution parameters, a Weibull shape
-// below about 1/170.6, zero-length phases, and a class fraction or phase
+// below about 1/170.6 or one whose class's per-thread rate times
+// Γ(1+1/shape) overflows, zero-length phases, and a class fraction or phase
 // scale so small that its share of the rate expects fewer requests in
 // the run than the client has threads — a spec that loads is a spec
 // that runs.

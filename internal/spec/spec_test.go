@@ -199,6 +199,7 @@ func TestSpecValidationTable(t *testing.T) {
 		{"gamma-cv", base + "classes:\n  - name: a\n    fraction: 1\n    arrival:\n      process: gamma\n      cv: -1\n", "cv > 0"},
 		{"weibull-shape", base + "classes:\n  - name: a\n    fraction: 1\n    arrival:\n      process: weibull\n      shape: 0\n", "shape > 0"},
 		{"weibull-tiny-shape", base + "classes:\n  - name: a\n    fraction: 1\n    arrival:\n      process: weibull\n      shape: 0.001\n", "weibull shape 0.001 is too small"},
+		{"weibull-overflows-at-thread-rate", base + "classes:\n  - name: a\n    fraction: 1\n    arrival:\n      process: weibull\n      shape: 0.00587\n", `class "a" at its per-thread rate of 250 QPS`},
 		{"bad-process", base + "classes:\n  - name: a\n    fraction: 1\n    arrival:\n      process: pareto\n", "unknown arrival process"},
 		{"zero-phase", base + "phases:\n  - name: p\n    duration: 0s\n    rate_scale: 1\n", "must be positive"},
 		{"zero-scale", base + "phases:\n  - name: p\n    duration: 1s\n    rate_scale: 0\n", "rate scale"},

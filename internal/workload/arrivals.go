@@ -72,6 +72,20 @@ func (c ArrivalConfig) Validate() error {
 	return nil
 }
 
+// ValidateAt is Validate at the given nominal rate (QPS). It also
+// rejects what only the rate shows: a Weibull rate·Γ(1+1/k) that
+// overflows, for which New would fail when the run starts.
+func (c ArrivalConfig) ValidateAt(rate float64) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if c.process() == ArrivalWeibull {
+		_, err := weibullScale(rate, c.Shape)
+		return err
+	}
+	return nil
+}
+
 // New builds the configured inter-arrival source at the given nominal
 // rate (QPS), drawing from stream. A Poisson source draws its gaps a
 // chunk ahead (NewExponentialArrivals), so stream must be its alone; the
@@ -140,11 +154,22 @@ func NewWeibullArrivals(rate, shape float64, stream *rng.Stream) (Interarrival, 
 	if err := checkWeibullShape(shape); err != nil {
 		return nil, err
 	}
-	scale := 1 / (rate * math.Gamma(1+1/shape))
-	if scale == 0 {
-		return nil, fmt.Errorf("workload: weibull arrivals at rate %v with shape %v overflow: rate·Γ(1+1/shape) is not finite", rate, shape)
+	scale, err := weibullScale(rate, shape)
+	if err != nil {
+		return nil, err
 	}
 	return &weibullArrivals{rate: rate, shape: shape, scale: scale, stream: stream}, nil
+}
+
+// weibullScale returns the scale λ = 1/(rate·Γ(1+1/k)) that gives a
+// mean gap of 1/rate, or an error when rate·Γ(1+1/k) overflows, which
+// would make it 0.
+func weibullScale(rate, shape float64) (float64, error) {
+	scale := 1 / (rate * math.Gamma(1+1/shape))
+	if scale == 0 {
+		return 0, fmt.Errorf("workload: weibull arrivals at rate %v with shape %v overflow: rate·Γ(1+1/shape) is not finite", rate, shape)
+	}
+	return scale, nil
 }
 
 // checkWeibullShape rejects a shape k that is not positive and finite, or
