@@ -1,19 +1,15 @@
-# Developer entry points. CI runs the same targets (.github/workflows/ci.yml).
-
-# bench-json pipes `go test` into a converter; pipefail keeps a failing
-# benchmark run failing the target (and the CI job) instead of being
-# masked by the converter's exit status.
-SHELL := /bin/bash
-.SHELLFLAGS := -o pipefail -ec
+# Developer entry points. CI (.github/workflows/ci.yml) runs
+# smoke-presets and its own go test steps.
+#
+# Benchmark numbers come from `bash bench/run.sh` (bench/README.md),
+# which reduces many repetitions to medians and records the host. The
+# `go test -bench` targets here are for reading microbenchmarks by hand
+# and for profiling; a one-iteration number only shows that the code
+# runs.
 
 GO ?= go
-# The report is a local artifact (git-ignored); committed BENCH_PR*.json
-# files are trajectory points that bench-json and clean never touch.
-BENCH_JSON ?= bench-local.json
-# bench-diff compares against the last committed trajectory point.
-BENCH_BASE ?= BENCH_PR10.json
 
-.PHONY: build test test-short race bench bench-json bench-diff smoke-presets profile clean
+.PHONY: build test test-short race bench smoke-presets profile clean
 
 build:
 	$(GO) build ./...
@@ -27,29 +23,10 @@ test-short:
 race:
 	$(GO) test -short -race ./...
 
-# Full benchmark pass (slow; CI uses bench-json's smoke settings).
+# Full benchmark pass (slow). CI runs every benchmark once instead, only
+# to check that they still build and run.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
-
-# bench-json runs every benchmark once (smoke mode) and converts the
-# stream into a machine-readable report, the perf-trajectory artifact CI
-# archives per run. Override BENCHTIME for longer local runs:
-#
-#	make bench-json BENCHTIME=2s
-BENCHTIME ?= 1x
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -benchmem ./... \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson > $(BENCH_JSON)
-	@echo "wrote $(BENCH_JSON)"
-
-# bench-diff prints per-benchmark deltas between the previous committed
-# report and the current one (run `make bench-json` first to produce
-# it). Report-only: regressions are flagged in the output but do not
-# fail the target — smoke-mode ns/op is noisy; trust the allocs/op
-# column. For a blocking local check: go run ./cmd/benchdiff -fail ...
-bench-diff:
-	$(GO) run ./cmd/benchdiff $(BENCH_BASE) $(BENCH_JSON)
 
 # smoke-presets runs the large-scale sweep presets (million-qps,
 # cluster, sharded, faulty-cluster, hour-long) at tiny size — 1 repetition, a few
@@ -116,4 +93,4 @@ profile:
 	@echo "wrote cpu.pprof mem.pprof (see comments above this target for how to read them)"
 
 clean:
-	rm -f $(BENCH_JSON) cpu.pprof mem.pprof loadgen.test
+	rm -f cpu.pprof mem.pprof loadgen.test

@@ -93,6 +93,7 @@ func TestCheckFlags(t *testing.T) {
 		{"shards-over-sharded-preset", "-preset sharded -shards 9", "exceed the 8"},
 		{"shards-over-spec", "-spec ../../examples/straggler.yaml -shards 8", "exceed the 7"},
 		{"router-cannot-shard", "-preset cluster -shards 2 -router round-robin", "cannot run sharded"},
+		{"router-cannot-one-shard", "-preset cluster -shards 1 -router round-robin", "cannot run sharded"},
 	})
 }
 

@@ -191,7 +191,8 @@ func TestLeaseEngineSets(t *testing.T) {
 		t.Errorf("%d builds, want 3", builds)
 	}
 
-	// A set serves only the shape it was built for.
+	// A set serves only the shape it was built for, and a generator
+	// needs one.
 	backend, err := services.NewSynthetic(services.DefaultSyntheticConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -202,6 +203,9 @@ func TestLeaseEngineSets(t *testing.T) {
 	}
 	if _, err := loadgen.NewLeased(single, backend, machines, d); err == nil {
 		t.Error("a 2-shard engine set served a single-engine config")
+	}
+	if _, err := loadgen.NewLeased(single, backend, machines, nil); err == nil {
+		t.Error("a generator was built without an engine set")
 	}
 	if _, err := loadgen.NewLeased(sharded, backend, machines, d); err != nil {
 		t.Errorf("the 2-shard set refused its own shape: %v", err)

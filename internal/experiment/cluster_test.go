@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -183,5 +184,33 @@ func TestClusterValidate(t *testing.T) {
 	s.Replicas = 3
 	if err := s.Validate(); err != nil {
 		t.Errorf("valid autoscaled scenario rejected: %v", err)
+	}
+
+	// One shard runs the sharded path on one engine, so it takes the
+	// sharded path's rules: only the consistent-hash router, no
+	// autoscaling.
+	for _, tc := range []struct {
+		name, router string
+		autoscale    bool
+		want         string
+	}{
+		{name: "round-robin", router: cluster.RouterRoundRobin, want: "cannot run sharded"},
+		{name: "least-outstanding", router: cluster.RouterLeastOutstanding, want: "cannot run sharded"},
+		{name: "autoscale", router: cluster.RouterConsistentHash, autoscale: true, want: "autoscaling cannot run sharded"},
+		{name: "consistent-hash", router: cluster.RouterConsistentHash},
+	} {
+		s := clusterScenario(1)
+		s.Router = tc.router
+		s.Shards = 1
+		if tc.autoscale {
+			s.Autoscale = &auto
+		}
+		err := s.Validate()
+		if tc.want == "" && err != nil {
+			t.Errorf("one shard, %s: rejected: %v", tc.name, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("one shard, %s: error %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

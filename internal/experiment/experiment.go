@@ -111,10 +111,11 @@ type Scenario struct {
 	// conservatively-synchronized engines (package sim), cutting
 	// wall-clock on multi-core hosts. Runs match the single-engine path
 	// at the tested scales, not at every scale (loadgen.Config.Shards).
-	// 0 or 1 selects the legacy single-engine run. Sharding composes
-	// with Workers: each repetition worker drives its own shard set.
-	// Incompatible with Autoscale and with non-consistent-hash routers
-	// (stateful routing cannot be decided at send time).
+	// 0 selects the legacy single-engine run; 1 runs the sharded path on
+	// one engine. Sharding composes with Workers: each repetition worker
+	// drives its own shard set. Any positive count is incompatible with
+	// Autoscale and with non-consistent-hash routers (stateful routing
+	// cannot be decided at send time).
 	Shards int
 	// Faults is the run's deterministic fault plan: replica crash windows,
 	// degraded-replica stragglers, link degradation. Nil or empty injects
@@ -260,7 +261,7 @@ func (s Scenario) Validate() error {
 	if s.Shards < 0 {
 		return fmt.Errorf("experiment: negative shard count %d", s.Shards)
 	}
-	if s.Shards > 1 {
+	if s.Shards > 0 {
 		if s.Autoscale != nil {
 			return fmt.Errorf("experiment: autoscaling cannot run sharded")
 		}
@@ -707,7 +708,8 @@ func (s Scenario) backendKey() envpool.Key {
 //   - A backend pool (envpool.WithPool) supplies the workers' backends,
 //     client machines and engine sets: idle instances with this
 //     scenario's keys are leased instead of rebuilt, and every lease is
-//     returned when the scenario finishes.
+//     returned when the scenario finishes. Without one, the workers
+//     lease from a private pool, so each builds its own.
 //
 // Neither resource affects the Result — leased instances are fully
 // reset per run and the budget only schedules — so the byte-identical
@@ -719,6 +721,9 @@ func RunContext(ctx context.Context, s Scenario) (Result, error) {
 	warmup, total := s.runTiming()
 
 	backends := envpool.From(ctx)
+	if backends == nil {
+		backends = envpool.New()
+	}
 	key := s.backendKey()
 	// releases returns every lease the scenario's workers took, when the
 	// scenario ends.
@@ -746,13 +751,6 @@ func RunContext(ctx context.Context, s Scenario) (Result, error) {
 	// results (the engine resets fully; pooled requests are zeroed), which
 	// the byte-identical-for-every-worker-count tests pin.
 	newWorker := func(int) (*loadgen.Generator, error) {
-		if backends == nil {
-			backend, err := s.buildBackend()
-			if err != nil {
-				return nil, err
-			}
-			return loadgen.New(s.generatorConfig(backend, warmup), backend)
-		}
 		backend, err := backends.Lease(key, s.buildBackend)
 		if err != nil {
 			return nil, err

@@ -65,9 +65,8 @@ func (c ClosedLoopConfig) Validate() error {
 }
 
 // ClosedLoopGenerator drives a service with a fixed client population.
-// Like Generator, it builds a one-engine set (Engines) on its first run
-// that successive RunOnce calls reuse; it is not safe for concurrent
-// runs.
+// Like Generator, it owns a one-engine set (Engines) that successive
+// RunOnce calls reuse; it is not safe for concurrent runs.
 type ClosedLoopGenerator struct {
 	cfg      ClosedLoopConfig
 	backend  services.Backend
@@ -83,7 +82,11 @@ func NewClosedLoop(cfg ClosedLoopConfig, backend services.Backend) (*ClosedLoopG
 	if backend == nil {
 		return nil, fmt.Errorf("loadgen: backend is required")
 	}
-	g := &ClosedLoopGenerator{cfg: cfg, backend: backend}
+	es, err := NewEngines(0, 0)
+	if err != nil {
+		return nil, err
+	}
+	g := &ClosedLoopGenerator{cfg: cfg, backend: backend, es: es}
 	cores := cfg.ThreadsPerMachine
 	if cores < 10 {
 		cores = 10
@@ -118,9 +121,7 @@ func (g *ClosedLoopGenerator) RunOnce(stream *rng.Stream, duration time.Duration
 	if duration <= 0 {
 		return ClosedLoopResult{}, fmt.Errorf("loadgen: non-positive run duration %v", duration)
 	}
-	if err := reuseEngines(&g.es, 0, 0); err != nil {
-		return ClosedLoopResult{}, err
-	}
+	g.es.reset()
 	engine := g.es.engines[0]
 	resetMachines(stream, g.machines, g.backend)
 	g.backend.ResetRun(engine, stream.Split())

@@ -242,10 +242,10 @@ func (c Config) Validate() error {
 // generator is not safe for concurrent RunOnce calls: it runs on an
 // engine set (Engines) whose simulation engines and request free lists
 // successive runs reuse, which is what keeps steady-state request
-// traffic allocation-free. A generator built by New makes its set on its
-// first run and keeps it; one built by NewLeased runs on a set leased
-// from an envpool, which outlives the generator and serves the next
-// scenario with the same engine shape.
+// traffic allocation-free. A generator built by New owns its set; one
+// built by NewLeased runs on a set leased from an envpool, which
+// outlives the generator and serves the next scenario with the same
+// engine shape.
 type Generator struct {
 	cfg      Config
 	backend  services.Backend
@@ -297,20 +297,11 @@ func NewEngines(shards int, lookahead time.Duration) (*Engines, error) {
 	return es, nil
 }
 
-// reuseEngines readies a generator's engine set for a run: built by
-// NewEngines on the first run, and reset on every run.
-func reuseEngines(es **Engines, shards int, lookahead time.Duration) error {
-	if *es == nil {
-		built, err := NewEngines(shards, lookahead)
-		if err != nil {
-			return err
-		}
-		*es = built
-	}
-	for _, e := range (*es).engines {
+// reset readies the set for a run.
+func (es *Engines) reset() {
+	for _, e := range es.engines {
 		e.Reset()
 	}
-	return nil
 }
 
 // MachineSpec returns the client-machine deployment shape New builds
@@ -345,22 +336,28 @@ func BuildMachines(cfg Config) ([]*hw.Machine, error) {
 	return machines, nil
 }
 
-// New builds the generator and its client machines. It builds its
-// engine set on its first run.
+// New builds the generator, its client machines and its engine set.
 func New(cfg Config, backend services.Backend) (*Generator, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	machines, err := BuildMachines(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return NewLeased(cfg, backend, machines, nil)
+	es, err := NewEngines(cfg.EngineSpec())
+	if err != nil {
+		return nil, err
+	}
+	return NewLeased(cfg, backend, machines, es)
 }
 
-// NewLeased is New on prebuilt client machines and, unless es is nil,
-// a prebuilt engine set — e.g. both leased from an envpool, so that
-// scenarios sharing a client configuration and an engine shape reuse
-// them instead of rebuilding them. The machines must match
-// cfg.MachineSpec() and the set cfg.EngineSpec(); every run resets both
-// fully (hw.Machine.ResetRun, sim.Engine.Reset), so reuse never changes
+// NewLeased is New on prebuilt client machines and a prebuilt engine
+// set — e.g. both leased from an envpool, so that scenarios sharing a
+// client configuration and an engine shape reuse them instead of
+// rebuilding them. The machines must match cfg.MachineSpec() and the
+// set cfg.EngineSpec(); every run resets both fully
+// (hw.Machine.ResetRun, sim.Engine.Reset), so reuse never changes
 // results.
 func NewLeased(cfg Config, backend services.Backend, machines []*hw.Machine, es *Engines) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
@@ -381,10 +378,11 @@ func NewLeased(cfg Config, backend services.Backend, machines []*hw.Machine, es 
 			return nil, fmt.Errorf("loadgen: machine %s hardware config differs from ClientHW", m.Name())
 		}
 	}
-	if es != nil {
-		if shards, lookahead := cfg.EngineSpec(); es.shards != shards || es.lookahead != lookahead {
-			return nil, fmt.Errorf("loadgen: engine set has %d shards at lookahead %v, config needs %d at %v", es.shards, es.lookahead, shards, lookahead)
-		}
+	if es == nil {
+		return nil, fmt.Errorf("loadgen: engine set is required")
+	}
+	if shards, lookahead := cfg.EngineSpec(); es.shards != shards || es.lookahead != lookahead {
+		return nil, fmt.Errorf("loadgen: engine set has %d shards at lookahead %v, config needs %d at %v", es.shards, es.lookahead, shards, lookahead)
 	}
 	return &Generator{cfg: cfg, backend: backend, machines: machines, es: es}, nil
 }
@@ -584,10 +582,7 @@ func (g *Generator) RunOnce(stream *rng.Stream, duration time.Duration) (RunResu
 	if duration <= 0 {
 		return RunResult{}, fmt.Errorf("loadgen: non-positive run duration %v", duration)
 	}
-	shards, lookahead := g.cfg.EngineSpec()
-	if err := reuseEngines(&g.es, shards, lookahead); err != nil {
-		return RunResult{}, err
-	}
+	g.es.reset()
 	sr, err := g.newShardedRun() // nil on the single-engine path
 	if err != nil {
 		return RunResult{}, err

@@ -81,8 +81,8 @@ func BenchmarkShardedRun4(b *testing.B) { benchmarkShardedRun(b, 4) }
 // barrier work: at 100K QPS only ~0.26 events land per epoch per shard
 // (rate × 2.6 µs lookahead), so the run is nearly all barrier + mailbox
 // overhead and the 1-vs-4-shard ratio locates the sharding break-even.
-// Tracked through benchdiff across BENCH_*.json rather than hard-gated
-// — the crossover point is a hardware fact, not a correctness one. 50 ms
+// Read by hand or profiled rather than hard-gated — the crossover point
+// is a hardware fact, not a correctness one. 50 ms
 // virtual per iteration → ~5K requests, enough epochs to dominate setup.
 func benchmarkShardedLowRate(b *testing.B, k int) {
 	cfg := benchShardedCfg(k)

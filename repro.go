@@ -515,22 +515,6 @@ const (
 	NICHardware     = core.NICHardware
 )
 
-// Workload-generator building blocks, for assembling custom deployments
-// beyond the paper's fixed scenarios.
-type (
-	// GeneratorConfig configures an open-loop generator deployment.
-	GeneratorConfig = loadgen.Config
-	// Generator drives a service from simulated client machines.
-	Generator = loadgen.Generator
-	// ClosedLoopConfig configures a finite-population (closed-loop)
-	// generator.
-	ClosedLoopConfig = loadgen.ClosedLoopConfig
-	// ClosedLoopGenerator drives a service with blocking clients.
-	ClosedLoopGenerator = loadgen.ClosedLoopGenerator
-	// PayloadSource produces service-specific request payloads.
-	PayloadSource = loadgen.PayloadSource
-)
-
 // ClassifyClient reports whether a client configuration is tuned (HP-like)
 // or untuned (LP-like).
 func ClassifyClient(cfg HWConfig) string { return core.ClassifyClient(cfg).String() }
