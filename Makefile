@@ -1,5 +1,6 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs
-# smoke-presets and its own go test steps.
+# smoke-presets, every program under examples/ once, and its own go test
+# steps.
 #
 # Benchmark numbers come from `bash bench/run.sh` (bench/README.md),
 # which reduces many repetitions to medians and records the host. The

@@ -80,6 +80,9 @@ func TestCheckFlags(t *testing.T) {
 		{"rate-above-max", "-rate 1e12", "got 1e+12"},
 		{"preset-rate-above-max", "-preset cluster -rate 1e12", "got 1e+12"},
 		{"spec-rate-tiny", sp + "-rate 1e-300", "rate 1e-300 QPS"},
+		{"delay-negative", "-service synthetic -delay -5us", "negative synthetic delay -5µs"},
+		{"delay-on-memcached", "-delay 100us", "synthetic delay 100µs set on the memcached service"},
+		{"delay-on-synthetic", "-service synthetic -delay 100us", ""},
 	})
 }
 

@@ -72,7 +72,8 @@ type Scenario struct {
 	Phases []loadgen.PhaseConfig
 	// PhasesRepeat loops the phase program for the whole run.
 	PhasesRepeat bool
-	// SynthDelay is the added busy-wait for the synthetic service.
+	// SynthDelay is the added busy-wait for the synthetic service. It
+	// must not be negative, and Validate rejects it on any other service.
 	SynthDelay time.Duration
 	// Point selects where latency is timestamped (default: in-app, the
 	// design of every generator the paper studies).
@@ -131,7 +132,8 @@ type Scenario struct {
 	// HiccupRate / HiccupMean tune the server tiers' background-
 	// interference hiccup model (occurrences per second / mean stall).
 	// Zero keeps each tier's built-in default; the fields exist so fault
-	// studies can amplify or silence the baseline jitter.
+	// studies can amplify or silence the baseline jitter. HiccupRate is
+	// at most MaxRateQPS.
 	HiccupRate float64
 	HiccupMean time.Duration
 }
@@ -151,6 +153,7 @@ const DefaultStreamingThreshold = 200_000
 // MaxRateQPS is the highest offered load a scenario accepts. Above it
 // the mean gap between requests is shorter than the virtual clock's
 // 1 ns tick, so requests pile up at one instant instead of arriving.
+// It bounds HiccupRate for the same reason.
 const MaxRateQPS = 1e9
 
 // EffectiveSampleMode resolves SampleAuto against the scenario's sample
@@ -212,6 +215,12 @@ func (s Scenario) Validate() error {
 	}
 	if s.Runs < 1 {
 		return fmt.Errorf("experiment: need ≥1 run, got %d", s.Runs)
+	}
+	if s.SynthDelay < 0 {
+		return fmt.Errorf("experiment: negative synthetic delay %v", s.SynthDelay)
+	}
+	if s.SynthDelay > 0 && s.Service != ServiceSynthetic {
+		return fmt.Errorf("experiment: synthetic delay %v set on the %s service; it only applies to %s", s.SynthDelay, s.Service, ServiceSynthetic)
 	}
 	if s.Duration < 0 {
 		return fmt.Errorf("experiment: negative duration %v", s.Duration)
@@ -279,8 +288,12 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("experiment: %d shards exceed the %d machine+replica partitions", s.Shards, p)
 		}
 	}
-	if s.HiccupRate < 0 {
-		return fmt.Errorf("experiment: negative hiccup rate %g", s.HiccupRate)
+	// A tier draws the gap to its next hiccup in seconds and truncates it
+	// to the clock's 1 ns tick, so above MaxRateQPS the mean gap is 0 and
+	// each hiccup queues another at the same instant: the run never
+	// leaves t = 0.
+	if !(s.HiccupRate >= 0) || s.HiccupRate > MaxRateQPS { // NaN fails the first test, +Inf the second
+		return fmt.Errorf("experiment: hiccup rate must be non-negative, finite and at most %g per second, got %v", MaxRateQPS, s.HiccupRate)
 	}
 	if s.HiccupMean < 0 {
 		return fmt.Errorf("experiment: negative hiccup mean duration %v", s.HiccupMean)

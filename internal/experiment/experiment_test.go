@@ -35,15 +35,43 @@ func runQuick(t *testing.T, s Scenario) Result {
 	return res
 }
 
+// TestScenarioValidation is the table of scenario fields outside the
+// rate: each rejection names the field and its value. Only Validate
+// sees these values; a hiccup rate above MaxRateQPS would queue hiccups
+// at t = 0 until memory ran out.
 func TestScenarioValidation(t *testing.T) {
-	if err := (Scenario{Service: "bogus", RateQPS: 1, Runs: 1}).Validate(); err == nil {
-		t.Error("bogus service accepted")
+	cases := []struct {
+		name    string
+		s       Scenario
+		wantErr string // "" = accepted
+	}{
+		{"bogus-service", Scenario{Service: "bogus", RateQPS: 1, Runs: 1}, `unknown service "bogus"`},
+		{"zero-rate", Scenario{Service: ServiceMemcached, RateQPS: 0, Runs: 1}, "got 0"},
+		{"zero-runs", Scenario{Service: ServiceMemcached, RateQPS: 1, Runs: 0}, "need ≥1 run, got 0"},
+		{"hiccup-nan", Scenario{Service: ServiceMemcached, RateQPS: 50_000, Runs: 1, HiccupRate: math.NaN()},
+			"hiccup rate must be non-negative, finite and at most 1e+09 per second, got NaN"},
+		{"hiccup-above-max", Scenario{Service: ServiceMemcached, RateQPS: 50_000, Runs: 1, HiccupRate: math.Nextafter(MaxRateQPS, math.Inf(1))},
+			"hiccup rate must be non-negative, finite and at most 1e+09 per second, got 1.0000000000000001e+09"},
+		{"hiccup-at-max", Scenario{Service: ServiceMemcached, RateQPS: 50_000, Runs: 1, HiccupRate: MaxRateQPS}, ""},
+		{"negative-delay", Scenario{Service: ServiceSynthetic, RateQPS: 5000, Runs: 1, SynthDelay: -5 * time.Microsecond},
+			"negative synthetic delay -5µs"},
+		{"delay-on-memcached", Scenario{Service: ServiceMemcached, RateQPS: 5000, Runs: 1, SynthDelay: 100 * time.Microsecond},
+			"synthetic delay 100µs set on the memcached service"},
+		{"synthetic-delay", Scenario{Service: ServiceSynthetic, RateQPS: 5000, Runs: 1, SynthDelay: 100 * time.Microsecond}, ""},
 	}
-	if err := (Scenario{Service: ServiceMemcached, RateQPS: 0, Runs: 1}).Validate(); err == nil {
-		t.Error("zero rate accepted")
-	}
-	if err := (Scenario{Service: ServiceMemcached, RateQPS: 1, Runs: 0}).Validate(); err == nil {
-		t.Error("zero runs accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.s.Validate()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("%v, want accepted", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("%v, want error containing %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 

@@ -10,17 +10,15 @@ import (
 )
 
 // Client-side event-dispatch kinds, packed into sim.EventArg.U64. The low
-// evKindBits carry the kind; closed-loop issue events pack the connection
-// id above them. Both generators' runs implement sim.EventSink over these
-// kinds — the typed, allocation-free replacement for the per-request
-// closures the pre-refactor hot path scheduled.
+// evKindBits carry the kind; a mix-path send timer packs its class index
+// above them, and a sharded response hand-off its departure instant. The
+// generator's run implements sim.EventSink over these kinds.
 const (
 	evSendTimer uint64 = iota // Ptr: *thread — inter-arrival timer fired
 	evArrive                  // Ptr: *services.Request — request reached the server
 	evReceive                 // Ptr: *services.Request — response reached the client NIC
 	evDrainPace               // Ptr: *thread — pacing core ran out of work
 	evDrainRecv               // Ptr: *thread — receive core ran out of work
-	evIssue                   // Ptr: *thread — closed-loop client issues its next request
 	evRespCross               // Ptr: *services.Request — sharded-run response hand-off to the
 	//                           owning thread's shard; the departure instant (ns) rides above
 	//                           the kind bits so the s2c jitter draw happens in the thread's
@@ -39,8 +37,7 @@ const evKindMask = (1 << evKindBits) - 1
 // fillPayload draws the thread's next payload into the pooled request
 // and returns the request's wire size. Key-value sources that implement
 // KVPayloadSource store the body inline in req.KV (no interface boxing);
-// everything else goes through req.Payload. Shared by the open- and
-// closed-loop generators.
+// everything else goes through req.Payload.
 func (th *thread) fillPayload(req *services.Request) int {
 	if th.kvSource != nil {
 		kv, reqBytes := th.kvSource.NextKV()
@@ -54,8 +51,8 @@ func (th *thread) fillPayload(req *services.Request) int {
 }
 
 // resetMachines resets the client machines, then the backend's, each
-// from its own split of the run stream: the environment reset both
-// generators start every run with.
+// from its own split of the run stream: the environment reset every run
+// starts with.
 func resetMachines(stream *rng.Stream, clients []*hw.Machine, backend services.Backend) {
 	for _, m := range clients {
 		m.ResetRun(stream.Split())
@@ -84,9 +81,7 @@ func (res *RunResult) fillMachineStats(clients []*hw.Machine, backend services.B
 }
 
 // clientLoopStart returns when the event loop on core can begin processing
-// an event that became runnable at t, paying wake and dispatch costs. It
-// is the single implementation shared by the open- and closed-loop
-// generators.
+// an event that became runnable at t, paying wake and dispatch costs.
 func clientLoopStart(core *hw.Core, t sim.Time) sim.Time {
 	if core.Idle() {
 		fromDeep := core.CStateIndex() != 0 // not C0, the polling idle
@@ -104,8 +99,8 @@ func clientLoopStart(core *hw.Core, t sim.Time) sim.Time {
 	return t
 }
 
-// clientReceive is the receive-path bookkeeping both generators share —
-// the mechanism behind the paper's client-side measurement distortion.
+// clientReceive is the receive-path bookkeeping of every response — the
+// mechanism behind the paper's client-side measurement distortion.
 // A response reaching the client NIC at now pays IRQ delivery and any
 // uncore ramp before the event loop can see it (eligible), then the
 // loop's wake/dispatch cost (start = when parsing begins), then the

@@ -84,22 +84,6 @@ type Config struct {
 	// overheads; KernelSocket stops the clock at softirq delivery;
 	// NICHardware stops it at the wire and excludes the client entirely.
 	Point core.MeasurementPoint
-	// AdaptivePacing enables Lancet-style self-correction (§VII-C): each
-	// thread monitors its own send lag and, when the recent mean exceeds
-	// AdaptiveLagThreshold, stops sleeping before sends (busy-waits) until
-	// the lag subsides. This trades client energy for workload fidelity —
-	// an automated version of the paper's §VI recommendation.
-	AdaptivePacing bool
-	// AdaptiveLagThreshold is the mean send lag that triggers spinning
-	// (default 10µs).
-	AdaptiveLagThreshold time.Duration
-	// CorrectCoordinatedOmission measures latency from the *scheduled*
-	// send time instead of the actual one (wrk2's correction): when the
-	// generator falls behind its schedule, the delay a real open-loop
-	// client would have suffered is charged to the measurement rather
-	// than silently dropped. With an accurate client the two coincide;
-	// on an untuned client they diverge by the send lag.
-	CorrectCoordinatedOmission bool
 	// TraceEvery records a full per-request timeline for every Nth
 	// request (0 disables tracing). Traces attribute each measured
 	// microsecond to its mechanism: send wake, network, server residence,
@@ -387,17 +371,9 @@ func NewLeased(cfg Config, backend services.Backend, machines []*hw.Machine, es 
 	return &Generator{cfg: cfg, backend: backend, machines: machines, es: es}, nil
 }
 
-// Config returns the generator configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // Backend returns the service under test — e.g. for collecting
 // backend-side statistics (cluster routing, queue depths) after RunOnce.
 func (g *Generator) Backend() services.Backend { return g.backend }
-
-// Connections returns the total connection count.
-func (g *Generator) Connections() int {
-	return g.cfg.Machines * g.cfg.ThreadsPerMachine * g.cfg.ConnsPerThread
-}
 
 // RequestTrace is one request's full timeline, in microseconds since the
 // start of the run. It makes the paper's overhead chain visible per
@@ -491,11 +467,6 @@ type thread struct {
 	// (Config.Classes / Phases); nil on the legacy single-process path,
 	// where arrivals/nextSend above carry the schedule.
 	classes []classState
-
-	// Adaptive-pacing state: EWMA of recent send lag and whether the
-	// thread is currently spinning instead of sleeping between sends.
-	lagEWMA  float64 // µs
-	spinning bool
 
 	// res is the thread's resilience stream (backoff jitter draws), split
 	// at setup only when resilience is on so the fault-free path's draw
@@ -857,21 +828,6 @@ func (r *run) onSendTimer(th *thread, classIdx int, now sim.Time) {
 		cs.nextSend = now.Add(gap)
 		r.scheduleClassSend(th, classIdx)
 	}
-
-	if r.g.cfg.AdaptivePacing {
-		lagUs := float64(sent.Sub(req.Scheduled)) / 1e3
-		th.lagEWMA = 0.8*th.lagEWMA + 0.2*lagUs
-		threshold := r.g.cfg.AdaptiveLagThreshold
-		if threshold <= 0 {
-			threshold = 10 * time.Microsecond
-		}
-		// Hysteresis: start spinning above the threshold, relax below half.
-		if th.lagEWMA > float64(threshold)/1e3 {
-			th.spinning = true
-		} else if th.lagEWMA < float64(threshold)/2e3 {
-			th.spinning = false
-		}
-	}
 	r.drainCheck(th, th.pace, sent)
 }
 
@@ -927,10 +883,7 @@ func (r *run) onReceive(th *thread, req *services.Request, now sim.Time) {
 	// without retries), so a retried request's measurement includes the
 	// timeouts and backoffs the client actually sat through; send lag
 	// likewise reflects the first send against its schedule.
-	origin := req.FirstSent
-	if r.g.cfg.CorrectCoordinatedOmission {
-		origin = req.Scheduled
-	}
+	lat, lag := stamped.Sub(req.FirstSent), req.FirstSent.Sub(req.Scheduled)
 	r.fstats.Succeeded++
 	if req.Hedged {
 		r.fstats.HedgeWins++
@@ -939,9 +892,9 @@ func (r *run) onReceive(th *thread, req *services.Request, now sim.Time) {
 		// Sharded: buffer under the receive event's instant (the global
 		// merge key — see shardedRun.mergeRecords) instead of recording
 		// directly; the epoch merge replays buffers in single-engine order.
-		r.buf = append(r.buf, shardRecord{at: now, done: done, lat: stamped.Sub(origin), lag: req.FirstSent.Sub(req.Scheduled)})
+		r.buf = append(r.buf, shardRecord{at: now, done: done, lat: lat, lag: lag})
 	} else {
-		r.rec.record(done, stamped.Sub(origin), req.FirstSent.Sub(req.Scheduled))
+		r.rec.record(done, lat, lag)
 	}
 	if n := r.g.cfg.TraceEvery; n > 0 && req.ID%uint64(n) == 0 && done >= r.rec.warmupUntil {
 		r.rec.traces = append(r.rec.traces, RequestTrace{
@@ -965,14 +918,11 @@ func (r *run) onReceive(th *thread, req *services.Request, now sim.Time) {
 
 // drainCheck puts the event-loop core to sleep once it runs out of work.
 // Block-wait threads sleep with the next send timer as the governor's
-// deadline hint; dedicated receive cores sleep with no hint. Spinning
+// deadline hint; dedicated receive cores sleep with no hint. Busy-wait
 // pacing cores never sleep.
 func (r *run) drainCheck(th *thread, core *hw.Core, at sim.Time) {
 	if !r.g.cfg.TimeSensitive && core == th.pace {
 		return // busy-wait pacing core spins
-	}
-	if th.spinning && core == th.pace {
-		return // adaptive pacing has switched this thread to spinning
 	}
 	kind := evDrainRecv
 	if core == th.pace {
@@ -993,6 +943,3 @@ func (r *run) drainNow(th *thread, core *hw.Core, now sim.Time) {
 	}
 	core.Sleep(now, hint)
 }
-
-// ClientMachines exposes the generator's machines for diagnostics.
-func (g *Generator) ClientMachines() []*hw.Machine { return g.machines }

@@ -82,51 +82,3 @@ func TestNICTimestampingHidesClientConfig(t *testing.T) {
 		t.Errorf("in-app ratio %.2f not clearly above NIC ratio %.2f", lpApp/hpApp, ratio)
 	}
 }
-
-func TestCoordinatedOmissionCorrection(t *testing.T) {
-	// The corrected measurement charges send lag to latency. On an LP
-	// client (large lag) the corrected numbers must exceed the raw ones
-	// by roughly the mean send lag; on HP the two nearly coincide.
-	run := func(clientHW hw.Config, correct bool) (lat, lag float64) {
-		backend, err := services.NewSynthetic(services.DefaultSyntheticConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := New(Config{
-			Machines:                   2,
-			ThreadsPerMachine:          2,
-			ConnsPerThread:             5,
-			RateQPS:                    10_000,
-			ClientHW:                   clientHW,
-			TimeSensitive:              true,
-			CorrectCoordinatedOmission: correct,
-			Warmup:                     20 * time.Millisecond,
-			Net:                        netmodel.DefaultConfig(),
-			Payloads:                   func(*rng.Stream) PayloadSource { return staticSource{} },
-		}, backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := g.RunOnce(rng.New(88), 300*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats.Mean(res.LatenciesUs), stats.Mean(res.SendLagUs)
-	}
-	lpRaw, lpLag := run(hw.LPConfig(), false)
-	lpCorr, _ := run(hw.LPConfig(), true)
-	hpRaw, _ := run(hw.HPConfig(), false)
-	hpCorr, _ := run(hw.HPConfig(), true)
-	t.Logf("LP raw=%.1f corrected=%.1f (lag %.1f) | HP raw=%.1f corrected=%.1f",
-		lpRaw, lpCorr, lpLag, hpRaw, hpCorr)
-	diff := lpCorr - lpRaw
-	if diff < lpLag*0.7 || diff > lpLag*1.3 {
-		t.Errorf("LP correction added %.1fµs, want ≈ mean send lag %.1fµs", diff, lpLag)
-	}
-	if hpCorr-hpRaw > 5 {
-		t.Errorf("HP correction added %.1fµs, want small (accurate sends)", hpCorr-hpRaw)
-	}
-	if lpCorr-lpRaw < 5*(hpCorr-hpRaw) {
-		t.Error("correction should matter far more on the untuned client")
-	}
-}

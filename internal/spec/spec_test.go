@@ -218,6 +218,7 @@ func TestSpecValidationTable(t *testing.T) {
 		{"hedge-bad-router", base + "replicas: 2\nrouter: round-robin\nresilience:\n  timeout: 2ms\n  hedge: 1ms\n", "hedged requests on a cluster"},
 		{"negative-timeout", base + "resilience:\n  timeout: -1ms\n", "timeout"},
 		{"negative-hiccup-rate", base + "hiccups:\n  rate_per_sec: -1\n", "negative hiccup rate_per_sec"},
+		{"huge-hiccup-rate", strings.Replace(base, "synthetic", "memcached", 1) + "hiccups:\n  rate_per_sec: 1e12\n  mean_duration: 500us\n", "hiccup rate must be non-negative, finite and at most 1e+09 per second, got 1e+12"},
 		{"negative-hiccup-mean", base + "hiccups:\n  rate_per_sec: 1\n  mean_duration: -1ms\n", "negative hiccup mean_duration"},
 		{"random-crash-rate", base + "replicas: 2\nfaults:\n  random_crashes:\n    rate_per_sec: 0\n    mean_downtime: 1ms\n", "must be > 0"},
 	}
